@@ -15,6 +15,7 @@ from .errors import (
     ExprSyntaxError,
     GradeError,
     IndexRangeError,
+    SchemaError,
 )
 from .multivector import (
     MAX_DIM,
@@ -58,6 +59,7 @@ __all__ = [
     "GradeError",
     "EvalError",
     "ExprSyntaxError",
+    "SchemaError",
 ]
 
 __version__ = "0.1.0"

@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .errors import ExcalcError, ExprSyntaxError
 from .expr import Environment, evaluate_text
 from .extensors import ExtensorFactors, expand
@@ -81,7 +79,11 @@ def cmd_eval(args) -> int:
             raise ExcalcError(f"--factors wants NAME=FILE_OR_JSON, got {binding!r}")
         where = where.strip()
         try:
-            data = json.loads(where) if where.startswith("{") else json.load(open(where))
+            if where.startswith("{"):
+                data = json.loads(where)
+            else:
+                with open(where) as f:
+                    data = json.load(f)
         except (OSError, json.JSONDecodeError) as err:
             raise ExcalcError(f"cannot read factor list {where!r}: {err}")
         env.bind(name, expand(ExtensorFactors.from_json(data)))
@@ -115,7 +117,6 @@ def cmd_fock(args) -> int:
         }
         print(json.dumps(payload))
     else:
-        np.set_printoptions(linewidth=200)
         for row in matrix:
             print(" ".join(_format_matrix_entry(c) for c in row))
     return EXIT_OK

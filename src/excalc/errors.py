@@ -17,6 +17,10 @@ class GradeError(ExcalcError):
     """Operation applied to elements of incompatible or indefinite grade."""
 
 
+class SchemaError(ExcalcError):
+    """Serialized input does not have the documented form."""
+
+
 class EvalError(ExcalcError):
     """Expression evaluation failed (unbound name, bad operand, ...)."""
 

@@ -248,6 +248,14 @@ def all_blades(d: int) -> list[int]:
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Progressive product: joins two fermion systems, 0 on any shared state."""
     _check_same_dim(a, b)
+    if _dense_pays(a, b):
+        from . import dense
+
+        return dense.wedge(a, b)
+    return _wedge_dict(a, b)
+
+
+def _wedge_dict(a: Multivector, b: Multivector) -> Multivector:
     out: dict[int, complex] = {}
     for s, ca in a:
         for t, cb in b:
@@ -281,7 +289,28 @@ def hodge_inverse(a: Multivector) -> Multivector:
 def vee(a: Multivector, b: Multivector) -> Multivector:
     """Regressive product via duality: joins hole systems, 0 when steps fall short of d."""
     _check_same_dim(a, b)
-    return hodge_inverse(wedge(hodge(a), hodge(b)))
+    if _dense_pays(a, b):
+        from . import dense
+
+        return dense.vee(a, b)
+    return hodge_inverse(_wedge_dict(hodge(a), hodge(b)))
+
+
+# Cost model in units of one dense table entry: a dict pair visit costs about
+# 4 and the fixed numpy work of a dense product about 1024, so the dense
+# kernel pays when 4*|a|*|b| > 1024 + 3^d.  Measured at d=4..12, it is then at
+# least as fast as the dict kernel.  The first compare settles the common
+# few-term case without computing 3^d.
+_DICT_PAIR_COST = 4
+_DENSE_OVERHEAD = 1024
+
+
+def _dense_pays(a: Multivector, b: Multivector) -> bool:
+    pairs = len(a._terms) * len(b._terms)
+    return (
+        pairs > _DENSE_OVERHEAD // _DICT_PAIR_COST
+        and _DICT_PAIR_COST * pairs > _DENSE_OVERHEAD + 3 ** a.d
+    )
 
 
 def conjugate(a: Multivector) -> Multivector:

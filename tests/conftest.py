@@ -7,8 +7,17 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import settings
+
 from excalc.extensors import ExtensorFactors
 from excalc.multivector import Multivector
+
+# Property tests draw the same bounded set of examples on every run, so the
+# suite is reproducible and its wall time does not drift.
+settings.register_profile(
+    "excalc", derandomize=True, max_examples=40, deadline=None, database=None
+)
+settings.load_profile("excalc")
 
 
 def random_coeff(rng: random.Random) -> complex:

@@ -8,7 +8,7 @@ from itertools import permutations
 import pytest
 
 from conftest import random_coeff, random_factors, random_vector
-from excalc.errors import DimensionError, GradeError
+from excalc.errors import DimensionError, GradeError, SchemaError
 from excalc.extensors import (
     ExtensorFactors,
     Split,
@@ -366,3 +366,18 @@ def test_factor_json_round_trip():
     rng = random.Random(214)
     x = random_factors(rng, 4, 3)
     assert ExtensorFactors.from_json(x.to_json()) == x
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"x": 1},
+        {"dim": 3, "factors": [[1, 2, 3]]},
+        {"dim": 3, "factors": 5},
+        {"dim": 2, "factors": [[{"re": 1}, {"re": 0, "im": 0}]]},
+        [1, 2],
+    ],
+)
+def test_factor_json_schema_errors_are_typed(data):
+    with pytest.raises(SchemaError):
+        ExtensorFactors.from_json(data)

@@ -207,6 +207,14 @@ def test_cli_eval_factor_bindings(tmp_path):
     assert missing.returncode == 1
 
 
+def test_cli_eval_malformed_factor_list_is_an_error_not_a_traceback():
+    for payload in ('{"x":1}', '{"dim":3,"factors":[[1,2,3]]}'):
+        done = run_cli("eval", "--dim", "3", "--factors", "x=" + payload, "x")
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: a factor list is")
+        assert "Traceback" not in done.stderr
+
+
 def test_cli_fock_matrix():
     done = run_cli("fock", "--matrix", "create:1", "--dim", "1")
     assert done.returncode == 0
