@@ -14,10 +14,9 @@ from itertools import chain, combinations
 from typing import Iterable, Optional
 
 from .errors import DimensionError
-from .multivector import Multivector, check_dim, indices_from_mask, vee, wedge
+from .multivector import PRUNE_TOL, Multivector, check_dim, indices_from_mask, vee, wedge
 
 DOMAIN_MAX_DIM = 8
-UNIT_COEFF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ def m_map(s: SubsetState) -> Multivector:
     return Multivector.from_indices(s.d, sorted(s.members))
 
 
-def m_inverse(a: Multivector, tol: float = UNIT_COEFF_TOL) -> Optional[SubsetState]:
+def m_inverse(a: Multivector, tol: float = PRUNE_TOL) -> Optional[SubsetState]:
     """Subset whose blade a is, or None when a has no subset preimage.
 
     Defined only for a single blade with coefficient +1 (within tol); the zero
@@ -79,7 +78,7 @@ def m_inverse(a: Multivector, tol: float = UNIT_COEFF_TOL) -> Optional[SubsetSta
 
 
 def pseudo_wedge(
-    a1: SubsetState, a2: SubsetState, tol: float = UNIT_COEFF_TOL
+    a1: SubsetState, a2: SubsetState, tol: float = PRUNE_TOL
 ) -> Optional[SubsetState]:
     if a1.d != a2.d:
         raise DimensionError(f"subsets live in different dimensions ({a1.d} vs {a2.d})")
@@ -87,7 +86,7 @@ def pseudo_wedge(
 
 
 def pseudo_vee(
-    a1: SubsetState, a2: SubsetState, tol: float = UNIT_COEFF_TOL
+    a1: SubsetState, a2: SubsetState, tol: float = PRUNE_TOL
 ) -> Optional[SubsetState]:
     if a1.d != a2.d:
         raise DimensionError(f"subsets live in different dimensions ({a1.d} vs {a2.d})")

@@ -18,10 +18,10 @@ from .errors import ExcalcError, ExprSyntaxError
 from .expr import Environment, evaluate_text
 from .extensors import ExtensorFactors, expand
 from .fock import operator_matrix
-from .multivector import Multivector
+from .multivector import PRUNE_TOL, Multivector
 from .tables import TABLE_OPS, table_command
 from .textform import format_number, scalar_to_text
-from .verify import DEFAULT_TOL, format_report, run_verification
+from .verify import format_report, run_verification
 
 EXIT_OK = 0
 EXIT_EVAL = 1
@@ -32,7 +32,7 @@ EXIT_VERIFY = 3
 def comparison_tolerance() -> float:
     raw = os.environ.get("EXCALC_TOL")
     if raw is None:
-        return DEFAULT_TOL
+        return PRUNE_TOL
     try:
         tol = float(raw)
     except ValueError:

@@ -22,8 +22,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .extensors import SINGULAR_TOL, ExtensorFactors
-from .multivector import PRUNE_TOL, Multivector, hodge_blade
+from .extensors import ExtensorFactors
+from .multivector import PRUNE_TOL, SINGULAR_TOL, Multivector, hodge_blade
 
 # A 3^9-entry table (0.6 MB) beat a 3^10 one by 1.4-1.8x at d=12 and d=14
 # and tied it at d=10.

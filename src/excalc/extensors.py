@@ -16,12 +16,9 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, GradeError, SchemaError
-from .multivector import Multivector, basis_vector, check_dim, wedge
+from .multivector import SINGULAR_TOL, Multivector, basis_vector, check_dim, wedge
 
 Vector = tuple[complex, ...]
-
-# Pivots below this times the largest matrix entry count as zero.
-SINGULAR_TOL = 1e-12
 
 
 def make_vector(d: int, components: Sequence[complex]) -> Vector:

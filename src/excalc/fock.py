@@ -16,44 +16,33 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionError, IndexRangeError
-from .multivector import Multivector, all_blades, check_dim
+from .errors import DimensionError
+from .multivector import (
+    Multivector,
+    all_blades,
+    basis_vector,
+    check_dim,
+    mask_from_indices,
+    wedge,
+)
 
 MATRIX_MAX_DIM = 8
 
 
-def _check_index(d: int, i: int) -> None:
-    if not isinstance(i, int) or not 1 <= i <= d:
-        raise IndexRangeError(f"mode index {i!r} outside 1..{d}")
-
-
-def _crossings(mask: int, i: int) -> int:
-    return (mask & ((1 << (i - 1)) - 1)).bit_count()
-
-
 def apply_creation(i: int, a: Multivector) -> Multivector:
     """e_i ^ a; terms already occupying mode i vanish."""
-    _check_index(a.d, i)
-    bit = 1 << (i - 1)
-    out: dict[int, complex] = {}
-    for mask, c in a:
-        if mask & bit:
-            continue
-        sign = -1 if _crossings(mask, i) & 1 else 1
-        new = mask | bit
-        out[new] = out.get(new, 0j) + sign * c
-    return Multivector(a.d, out)
+    return wedge(basis_vector(a.d, i), a)
 
 
 def apply_annihilation(i: int, a: Multivector) -> Multivector:
     """Interior product removing mode i; terms without it vanish."""
-    _check_index(a.d, i)
-    bit = 1 << (i - 1)
+    bit = mask_from_indices(a.d, (i,))
+    below = bit - 1
     out: dict[int, complex] = {}
     for mask, c in a:
         if not mask & bit:
             continue
-        sign = -1 if _crossings(mask, i) & 1 else 1
+        sign = -1 if (mask & below).bit_count() & 1 else 1
         new = mask & ~bit
         out[new] = out.get(new, 0j) + sign * c
     return Multivector(a.d, out)

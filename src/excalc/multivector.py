@@ -13,10 +13,15 @@ import math
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DimensionError, GradeError, IndexRangeError
+from .errors import DimensionError, GradeError, IndexRangeError, SchemaError
 
 MAX_DIM = 16
+# Absolute magnitude that counts as zero: stored terms, unit-coefficient
+# matches and default comparisons (EXCALC_TOL overrides the latter two).
 PRUNE_TOL = 1e-12
+# Relative pivot threshold: a pivot at most this times the largest entry
+# (or 1) makes a determinant 0 and does not add to a rank.
+SINGULAR_TOL = 1e-12
 
 
 def check_dim(d: int) -> int:
@@ -214,11 +219,17 @@ class Multivector:
 
     @classmethod
     def from_json(cls, data: Mapping) -> Multivector:
-        d = check_dim(data["dim"])
-        terms: dict[int, complex] = {}
-        for t in data["terms"]:
-            mask = mask_from_indices(d, t["blade"])
-            terms[mask] = terms.get(mask, 0j) + complex(t["re"], t["im"])
+        try:
+            d = check_dim(data["dim"])
+            terms: dict[int, complex] = {}
+            for t in data["terms"]:
+                mask = mask_from_indices(d, t["blade"])
+                terms[mask] = terms.get(mask, 0j) + complex(t["re"], t["im"])
+        except (KeyError, TypeError) as err:
+            raise SchemaError(
+                'a multivector is {"dim": d, "terms": [{"blade": [...], "re": x, "im": y}, ...]}'
+                f", got {data!r:.80} ({type(err).__name__}: {err})"
+            ) from None
         return cls(d, terms)
 
 

@@ -2,9 +2,11 @@
 
 A d-qubit computational basis state maps to the blade occupying exactly the
 modes whose qubit reads 1, so |0...0> is the scalar 1 and |1...1> is the top
-blade.  Wedge, vee and the star complement transfer through that bijection;
-a zero result marks the operation as physically impossible for the states
-involved.  States are not normalized: the transferred operations do not
+blade.  A QubitState is a view of the Multivector with the same masks and
+coefficients: it stores nothing else, `n_map` and `n_inverse` only unwrap and
+wrap, and wedge, vee and the star complement run the multivector kernels
+directly.  A zero result marks the operation as physically impossible for the
+states involved.  States are not normalized: the transferred operations do not
 preserve norms, and the all-basis inner product kept here is bookkeeping for
 norms and tests only, separate from the exterior-calculus scalar product.
 """
@@ -13,17 +15,9 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .errors import DimensionError
-from .multivector import (
-    Multivector,
-    check_dim,
-    hodge,
-    indices_from_mask as _mask_indices,
-    vee,
-    wedge,
-)
-
-AMP_TOL = 1e-12
+from .errors import DimensionError, SchemaError
+from .multivector import Multivector, check_dim, hodge, vee, wedge
+from .textform import pieces_to_text
 
 
 def bits_to_mask(bits: Iterable[int]) -> int:
@@ -59,21 +53,16 @@ def format_basis_state(bits: Iterable[int]) -> str:
 
 
 class QubitState:
-    """Sparse map from d-bit basis states to complex amplitudes."""
+    """Sparse map from d-bit basis states to complex amplitudes.
 
-    __slots__ = ("d", "_amps")
+    A view of the multivector with the same masks and coefficients, which
+    does all the storing and checking.
+    """
+
+    __slots__ = ("_mv",)
 
     def __init__(self, d: int, amps: Mapping[int, complex]):
-        check_dim(d)
-        clean: dict[int, complex] = {}
-        for mask, c in amps.items():
-            c = complex(c)
-            if mask >> d:
-                raise DimensionError(f"basis mask {mask:#x} outside {d} qubits")
-            if abs(c) > AMP_TOL:
-                clean[mask] = c
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_amps", clean)
+        object.__setattr__(self, "_mv", Multivector(d, amps))
 
     def __setattr__(self, name, value):
         raise AttributeError("QubitState is immutable")
@@ -87,49 +76,39 @@ class QubitState:
     def zero(cls, d: int) -> QubitState:
         return cls(d, {})
 
+    @property
+    def d(self) -> int:
+        return self._mv.d
+
     def amplitudes(self) -> dict[int, complex]:
-        return dict(self._amps)
+        return self._mv.terms()
 
     def amplitude(self, bits: Iterable[int]) -> complex:
-        return self._amps.get(bits_to_mask(bits), 0j)
+        return self._mv.coeff_mask(bits_to_mask(bits))
 
     def is_zero(self) -> bool:
-        return not self._amps
+        return self._mv.is_zero()
 
     def __iter__(self):
-        return iter(self._amps.items())
+        return iter(self._mv)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QubitState):
             return NotImplemented
-        return self.d == other.d and self._amps == other._amps
+        return self._mv == other._mv
 
     def __repr__(self) -> str:
         return f"QubitState(d={self.d}, {self.to_text()!r})"
 
     def to_text(self) -> str:
-        from .textform import format_number
-
-        if not self._amps:
-            return "0"
-        pieces = []
-        for mask in sorted(self._amps, key=lambda m: (m.bit_count(), _mask_indices(m))):
-            c = self._amps[mask]
-            ket = format_basis_state(mask_to_bits(self.d, mask))
-            for value, unit in ((c.real, ""), (c.imag, "i")):
-                if value == 0.0:
-                    continue
-                mag = abs(value)
-                if mag == 1.0:
-                    body = f"{unit} {ket}".lstrip()
-                else:
-                    body = f"{format_number(mag)}{unit} {ket}"
-                pieces.append((value < 0, body))
-        neg, body = pieces[0]
-        out = ("-" if neg else "") + body
-        for neg, body in pieces[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+        d = self.d
+        return pieces_to_text(
+            (
+                (self._mv.coeff_mask(m), format_basis_state(mask_to_bits(d, m)))
+                for m in self._mv.sorted_masks()
+            ),
+            " ",
+        )
 
     def to_json(self) -> dict:
         return {
@@ -137,23 +116,29 @@ class QubitState:
             "amps": [
                 {
                     "bits": "".join(str(b) for b in mask_to_bits(self.d, mask)),
-                    "re": self._amps[mask].real,
-                    "im": self._amps[mask].imag,
+                    "re": c.real,
+                    "im": c.imag,
                 }
-                for mask in sorted(self._amps)
+                for mask, c in sorted(self._mv)
             ],
         }
 
     @classmethod
     def from_json(cls, data) -> QubitState:
-        d = data["d"]
-        amps: dict[int, complex] = {}
-        for entry in data["amps"]:
-            bits = parse_basis_state(entry["bits"])
-            if len(bits) != d:
-                raise DimensionError(f"bit string {entry['bits']!r} is not {d} bits")
-            mask = bits_to_mask(bits)
-            amps[mask] = amps.get(mask, 0j) + complex(entry["re"], entry["im"])
+        try:
+            d = check_dim(data["d"])
+            amps: dict[int, complex] = {}
+            for entry in data["amps"]:
+                bits = parse_basis_state(entry["bits"])
+                if len(bits) != d:
+                    raise DimensionError(f"bit string {entry['bits']!r} is not {d} bits")
+                mask = bits_to_mask(bits)
+                amps[mask] = amps.get(mask, 0j) + complex(entry["re"], entry["im"])
+        except (KeyError, TypeError, AttributeError) as err:
+            raise SchemaError(
+                'a qubit state is {"d": d, "amps": [{"bits": "01", "re": x, "im": y}, ...]}'
+                f", got {data!r:.80} ({type(err).__name__}: {err})"
+            ) from None
         return cls(d, amps)
 
 
@@ -167,11 +152,14 @@ def n_map_basis(bits: Iterable[int]) -> Multivector:
 
 
 def n_map(s: QubitState) -> Multivector:
-    return Multivector(s.d, dict(s.amplitudes()))
+    return s._mv
 
 
 def n_inverse(a: Multivector) -> QubitState:
-    return QubitState(a.d, a.terms())
+    """The state viewing a; a is immutable and already checked, so no copy."""
+    s = object.__new__(QubitState)
+    object.__setattr__(s, "_mv", a)
+    return s
 
 
 # ---- transferred operations ----------------------------------------------------

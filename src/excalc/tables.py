@@ -11,74 +11,51 @@ from __future__ import annotations
 import csv
 import io
 import json
+from functools import partial
 
-from .boolean_gates import UNIT_COEFF_TOL, all_subsets, pseudo_vee, pseudo_wedge
+from .boolean_gates import all_subsets, pseudo_vee, pseudo_wedge
 from .errors import DimensionError
-from .multivector import Multivector, all_blades, check_dim, vee, wedge
-from .qubits import QubitState, format_basis_state, mask_to_bits, q_vee, q_wedge
-from .textform import blade_to_text
+from .multivector import PRUNE_TOL, Multivector, all_blades, check_dim, vee, wedge
+from .qubits import QubitState, q_vee, q_wedge
 
 TABLE_MAX_DIM = 6
 
 TABLE_OPS = ("wedge", "vee", "pseudo-wedge", "pseudo-vee", "q-wedge", "q-vee")
 
 
-def _blade_rows(d: int, op) -> list[tuple[str, str, str]]:
-    blades = all_blades(d)
-    rows = []
-    for a in blades:
-        for b in blades:
-            result = op(Multivector(d, {a: 1.0}), Multivector(d, {b: 1.0}))
-            rows.append((blade_to_text(d, a), blade_to_text(d, b), result.to_text()))
-    return rows
+def _blades(d: int) -> list[Multivector]:
+    return [Multivector(d, {m: 1.0}) for m in all_blades(d)]
 
 
-def _subset_rows(d: int, op, tol: float) -> list[tuple[str, str, str]]:
-    states = all_subsets(d)
-    rows = []
-    for a in states:
-        for b in states:
-            result = op(a, b, tol)
-            rows.append((a.to_text(), b.to_text(), "" if result is None else result.to_text()))
-    return rows
+def _kets(d: int) -> list[QubitState]:
+    return [QubitState(d, {m: 1.0}) for m in all_blades(d)]
 
 
-def _qubit_rows(d: int, op) -> list[tuple[str, str, str]]:
-    rows = []
-    masks = all_blades(d)
-    for a in masks:
-        for b in masks:
-            result = op(QubitState(d, {a: 1.0}), QubitState(d, {b: 1.0}))
-            rows.append(
-                (
-                    format_basis_state(mask_to_bits(d, a)),
-                    format_basis_state(mask_to_bits(d, b)),
-                    result.to_text(),
-                )
-            )
-    return rows
-
-
-def table_rows(op: str, d: int, tol: float = UNIT_COEFF_TOL) -> list[tuple[str, str, str]]:
+def table_rows(op: str, d: int, tol: float = PRUNE_TOL) -> list[tuple[str, str, str]]:
     check_dim(d)
     if d > TABLE_MAX_DIM:
         raise DimensionError(f"full tables limited to d <= {TABLE_MAX_DIM}")
-    if op == "wedge":
-        return _blade_rows(d, wedge)
-    if op == "vee":
-        return _blade_rows(d, vee)
-    if op == "pseudo-wedge":
-        return _subset_rows(d, pseudo_wedge, tol)
-    if op == "pseudo-vee":
-        return _subset_rows(d, pseudo_vee, tol)
-    if op == "q-wedge":
-        return _qubit_rows(d, q_wedge)
-    if op == "q-vee":
-        return _qubit_rows(d, q_vee)
-    raise ValueError(f"unknown table op {op!r}")
+    tables = {  # op -> (basis operands in (step, index) order, binary op)
+        "wedge": (_blades, wedge),
+        "vee": (_blades, vee),
+        "pseudo-wedge": (all_subsets, partial(pseudo_wedge, tol=tol)),
+        "pseudo-vee": (all_subsets, partial(pseudo_vee, tol=tol)),
+        "q-wedge": (_kets, q_wedge),
+        "q-vee": (_kets, q_vee),
+    }
+    if op not in tables:
+        raise ValueError(f"unknown table op {op!r}")
+    basis, fn = tables[op]
+    labelled = [(x, x.to_text()) for x in basis(d)]
+    rows = []
+    for a, label_a in labelled:
+        for b, label_b in labelled:
+            result = fn(a, b)
+            rows.append((label_a, label_b, "" if result is None else result.to_text()))
+    return rows
 
 
-def table_command(op: str, d: int, fmt: str = "text", tol: float = UNIT_COEFF_TOL) -> str:
+def table_command(op: str, d: int, fmt: str = "text", tol: float = PRUNE_TOL) -> str:
     """Render the full pair table for one operation as text, json, or csv."""
     rows = table_rows(op, d, tol)
     header = ("a", "b", op)

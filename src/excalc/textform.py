@@ -1,11 +1,15 @@
-"""Canonical text rendering of multivectors.
+"""Canonical text rendering of multivectors, scalars and qubit states.
 
-Output re-parses under the expression grammar: "0", "1", "E", "e1^e3",
-"2.5 * e1 - i * E", "0.5i * e2^e3", ...  Complex coefficients are split into
-a real piece and an imaginary piece so every piece is a plain literal.
+Everything prints as a sum of signed pieces, one per nonzero real or
+imaginary part of a coefficient, each a plain literal times a label:
+"0", "1", "E", "e1^e3", "2.5 * e1 - i * E", "0.5i * e2^e3", ...  Multivector
+and scalar output re-parses under the expression grammar.  Qubit states use
+the same pieces with a ket label and a space, as in "i |10> - 0.5 |11>".
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .multivector import Multivector, indices_from_mask
 
@@ -25,48 +29,35 @@ def blade_to_text(d: int, mask: int) -> str:
     return "^".join(f"e{i}" for i in indices_from_mask(mask))
 
 
-def _piece(value: float, imag: bool, blade: str) -> tuple[bool, str]:
-    """One signed piece: (is_negative, body without sign)."""
+def _piece(value: float, imag: bool, label: str, sep: str) -> str:
+    """One piece without its sign; the label "1" leaves only the number."""
     mag = abs(value)
     unit = "i" if imag else ""
-    if blade == "1":
-        body = "i" if (imag and mag == 1.0) else format_number(mag) + unit
-    elif mag == 1.0:
-        body = f"i * {blade}" if imag else blade
-    else:
-        body = f"{format_number(mag)}{unit} * {blade}"
-    return value < 0, body
+    if label == "1":
+        return "i" if (imag and mag == 1.0) else format_number(mag) + unit
+    if mag == 1.0:
+        return f"i{sep}{label}" if imag else label
+    return f"{format_number(mag)}{unit}{sep}{label}"
+
+
+def pieces_to_text(items: Iterable[tuple[complex, str]], sep: str = " * ") -> str:
+    """Join (coefficient, label) items as signed pieces; "0" when all vanish."""
+    out: list[str] = []
+    for c, label in items:
+        for value, imag in ((c.real, False), (c.imag, True)):
+            if value != 0.0:
+                if out:
+                    out.append(" - " if value < 0 else " + ")
+                elif value < 0:
+                    out.append("-")
+                out.append(_piece(value, imag, label, sep))
+    return "".join(out) or "0"
 
 
 def multivector_to_text(a: Multivector) -> str:
-    pieces: list[tuple[bool, str]] = []
-    for mask in a.sorted_masks():
-        c = a.coeff_mask(mask)
-        blade = blade_to_text(a.d, mask)
-        if c.real != 0.0:
-            pieces.append(_piece(c.real, False, blade))
-        if c.imag != 0.0:
-            pieces.append(_piece(c.imag, True, blade))
-    if not pieces:
-        return "0"
-    neg, body = pieces[0]
-    out = ("-" if neg else "") + body
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+    return pieces_to_text((a.coeff_mask(m), blade_to_text(a.d, m)) for m in a.sorted_masks())
 
 
 def scalar_to_text(value: complex) -> str:
-    """A bare complex scalar in the same piece notation."""
-    pieces: list[tuple[bool, str]] = []
-    if value.real != 0.0:
-        pieces.append(_piece(value.real, False, "1"))
-    if value.imag != 0.0:
-        pieces.append(_piece(value.imag, True, "1"))
-    if not pieces:
-        return "0"
-    neg, body = pieces[0]
-    out = ("-" if neg else "") + body
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+    """A bare complex scalar in the same piece notation, never pruned."""
+    return pieces_to_text(((value, "1"),))

@@ -19,6 +19,7 @@ from .errors import GradeError
 from .extensors import ExtensorFactors, expand, join_by_splits, triple_det
 from .fock import multi_annihilate, multi_create, operator_matrix
 from .multivector import (
+    PRUNE_TOL,
     Multivector,
     basis_vector,
     covector,
@@ -31,7 +32,6 @@ from .multivector import (
 )
 from .qubits import QubitState, parse_basis_state, q_vee, q_wedge
 
-DEFAULT_TOL = 1e-12
 DEFAULT_SEED = 1118
 
 
@@ -523,7 +523,7 @@ def check_one_hole_fill(tol: float) -> CheckResult:
 
 
 def run_verification(
-    tol: float = DEFAULT_TOL, trials: int = 150, seed: int = DEFAULT_SEED
+    tol: float = PRUNE_TOL, trials: int = 150, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     rng = random.Random(seed)
     results = [

@@ -22,6 +22,7 @@ from excalc.extensors import (
     triple_det,
 )
 from excalc.multivector import Multivector, mv_equal_approx, vee, wedge
+from excalc.qubits import QubitState
 
 
 def basis_factors(d, *indices):
@@ -381,3 +382,21 @@ def test_factor_json_round_trip():
 def test_factor_json_schema_errors_are_typed(data):
     with pytest.raises(SchemaError):
         ExtensorFactors.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "cls, data",
+    [
+        (Multivector, {"x": 1}),
+        (Multivector, {"dim": 3, "terms": [[1, 2]]}),
+        (Multivector, {"dim": 3, "terms": [{"blade": [1], "re": 1}]}),
+        (Multivector, [1, 2]),
+        (QubitState, {"d": 2}),
+        (QubitState, {"d": 2, "amps": [["10", 1, 0]]}),
+        (QubitState, {"d": 2, "amps": [{"bits": "10", "im": 0}]}),
+        (QubitState, "d"),
+    ],
+)
+def test_state_json_schema_errors_are_typed(cls, data):
+    with pytest.raises(SchemaError):
+        cls.from_json(data)

@@ -26,6 +26,7 @@ from excalc.multivector import (
     vee,
     wedge,
 )
+from excalc.textform import scalar_to_text
 
 
 def blade(d, *indices):
@@ -383,6 +384,14 @@ def test_text_form_basics():
     assert (-Multivector.top(2)).to_text() == "-E"
     assert (Multivector.vacuum(2) + blade(2, 1)).to_text() == "1 + e1"
     assert blade(3, 1, 3).to_text() == "e1^e3"
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(1e-13, "1e-13"), (-1, "-1"), (-1j, "-i"), (0, "0"), (-2.5 + 1j, "-2.5 + i")],
+)
+def test_scalar_text_is_not_pruned(value, text):
+    assert scalar_to_text(complex(value)) == text
 
 
 def test_mask_helpers():

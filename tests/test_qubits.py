@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import random_coeff
-from excalc.errors import DimensionError, GradeError
+from excalc.errors import DimensionError, GradeError, IndexRangeError
 from excalc.multivector import (
     Multivector,
     hodge,
@@ -151,3 +151,30 @@ def test_text_form():
     assert QubitState.zero(2).to_text() == "0"
     assert ket("10").to_text() == "|10>"
     assert (q_wedge(ket("01"), ket("10"))).to_text() == "-|11>"
+
+
+@pytest.mark.parametrize(
+    "amps, text",
+    [
+        ({0b01: 1j}, "i |10>"),
+        ({0b01: -1j}, "-i |10>"),
+        ({0b01: 0.5j}, "0.5i |10>"),
+        ({0b01: -2}, "-2 |10>"),
+        ({0b01: 1j, 0b11: -0.5}, "i |10> - 0.5 |11>"),
+        ({0b00: 1 + 1j}, "|00> + i |00>"),
+        ({0b10: -1 - 0.5j, 0b00: -1}, "-|00> - |01> - 0.5i |01>"),
+    ],
+)
+def test_text_form_signs_and_imaginary_units(amps, text):
+    assert QubitState(2, amps).to_text() == text
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0, float("-inf"))])
+def test_non_finite_amplitudes_raise(bad):
+    with pytest.raises(ValueError):
+        QubitState(2, {0b01: bad, 0b10: 1})
+
+
+def test_mask_outside_the_qubits_raises():
+    with pytest.raises(IndexRangeError):
+        QubitState(2, {0b100: 1})

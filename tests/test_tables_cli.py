@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 import excalc.multivector as core
 from excalc.errors import DimensionError
+from excalc.expr import Environment, evaluate_text
 from excalc.tables import table_command, table_rows
 from excalc.verify import format_report, run_verification
 
@@ -97,6 +99,33 @@ def test_qubit_table_zero_cells():
     rows = {(a, b): r for a, b, r in table_rows("q-wedge", 2)}
     assert rows[("|01>", "|10>")] == "-|11>"
     assert rows[("|10>", "|10>")] == "0"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("op", ["wedge", "vee"])
+def test_every_table_cell_reparses_to_the_product(op, d):
+    env = Environment(d)
+    fn = {"wedge": core.wedge, "vee": core.vee}[op]
+    for a, b, cell in table_rows(op, d):
+        want = fn(evaluate_text(a, env), evaluate_text(b, env))
+        assert evaluate_text(cell, env) == want, (a, b, cell)
+
+
+TABLE_DIGESTS_D3 = {
+    "wedge": "952cea94e24358b5",
+    "vee": "04355557e8024f68",
+    "pseudo-wedge": "cc0b54b17e80954f",
+    "pseudo-vee": "e9e42465a092e29f",
+    "q-wedge": "9ed6b6c81da696e7",
+    "q-vee": "23e650504fed2f58",
+}
+
+
+@pytest.mark.parametrize("op", sorted(TABLE_DIGESTS_D3))
+def test_table_output_is_pinned(op):
+    """Every format of every d=3 table is byte-for-byte the reference output."""
+    blob = "".join(table_command(op, 3, fmt) for fmt in ("text", "json", "csv"))
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == TABLE_DIGESTS_D3[op]
 
 
 def test_table_formats():
