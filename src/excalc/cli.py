@@ -167,7 +167,7 @@ def cmd_repl(args) -> int:
                 out.write(format_result(value, "text") + "\n")
         except ExcalcError as err:
             sys.stderr.write(f"error: {err}\n")
-        except (ValueError, IndexError) as err:
+        except (ValueError, IndexError, OverflowError) as err:
             sys.stderr.write(f"error: {err}\n")
     return EXIT_OK
 
@@ -226,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     except ExcalcError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_EVAL
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_EVAL
 

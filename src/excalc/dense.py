@@ -119,7 +119,8 @@ def _to_array(a: Multivector):
 
 
 def _from_array(d: int, values) -> Multivector:
-    keep = np.flatnonzero(np.abs(values) > PRUNE_TOL)
+    # NaN stays, so the constructor's finiteness check raises on it
+    keep = np.flatnonzero(~(np.abs(values) <= PRUNE_TOL))
     return Multivector(d, dict(zip(keep.tolist(), values[keep].tolist())))
 
 

@@ -6,17 +6,25 @@ unit, numeric literals with optional `i` suffix, `scalar * expr` scaling,
 `ip(a, b)` scalar product, names bound in an environment.  Precedence from
 tightest: prefix operators, `^`, `v`, then `+`/`-`; the binary products are
 left associative and prefix operators take an atomic or parenthesized operand.
+
+A chain of one operator is one n-ary node (`Wedge`, `Vee`, or `Add` with a
+sign per term), so chains of any length parse and evaluate in constant stack
+depth.  Nesting is what costs stack: at most MAX_NESTING open `(`, `ip(` and
+prefix operators (`*`, `~`, `-` and the `*` of `scalar *`), beyond which the
+parser raises ExprSyntaxError at the token that crosses the limit.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial, reduce
 
 from .errors import EvalError, ExprSyntaxError, IndexRangeError
 from .multivector import (
     Multivector,
     check_dim,
+    combine,
     conjugate,
     hodge,
     scalar_product,
@@ -24,12 +32,19 @@ from .multivector import (
     wedge,
 )
 
+MAX_NESTING = 100
+
 # ---- tokens -------------------------------------------------------------------
 
-_NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_BASIS = re.compile(r"e(\d+)$")
-_OPS = set("^*~+-")
+# One alternative per token class, tried in order.  A number starts with an
+# ASCII digit and takes an `i` suffix only when that `i` ends the word.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<space>[^\S\n]+)"
+    r"|(?P<scalar>[0-9]\d*(?:\.\d+)?(?:[eE][+-]?\d+)?(?P<imag>i(?![A-Za-z0-9_]))?)"
+    r"|(?P<basis>e(?P<index>[0-9]+)(?![A-Za-z0-9_]))|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+^*~])|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)|(?P<unknown>.)"
+)
+_KEYWORDS = {"E": ("top", 0j), "v": ("op", 0j), "i": ("scalar", 1j), "ip": ("ip", 0j)}
 
 
 @dataclass(frozen=True)
@@ -45,72 +60,27 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Longest-match lexing; raises ExprSyntaxError on any unknown character."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    n = len(source)
-    while pos < n:
-        ch = source[pos]
-        if ch == "\n":
-            line += 1
-            col = 1
-            pos += 1
-            continue
-        if ch.isspace():
-            pos += 1
-            col += 1
-            continue
-        start_line, start_col = line, col
-        if "0" <= ch <= "9":
-            m = _NUMBER.match(source, pos)
-            text = m.group(0)
-            pos = m.end()
-            imag = False
-            if pos < n and source[pos] == "i":
-                # an 'i' that starts a longer word belongs to that word
-                rest = _WORD.match(source, pos)
-                if rest and rest.group(0) == "i":
-                    imag = True
-                    pos += 1
-                    text += "i"
-            value = complex(0.0, float(text[:-1])) if imag else complex(float(text))
-            tokens.append(Token("scalar", text, start_line, start_col, value=value))
-            col += len(text)
-            continue
-        if ("a" <= ch <= "z") or ("A" <= ch <= "Z") or ch == "_":
-            m = _WORD.match(source, pos)
-            word = m.group(0)
-            pos = m.end()
-            col += len(word)
-            if word == "E":
-                tokens.append(Token("top", word, start_line, start_col))
-            elif word == "v":
-                tokens.append(Token("op", "v", start_line, start_col))
-            elif word == "i":
-                tokens.append(Token("scalar", word, start_line, start_col, value=1j))
-            elif word == "ip":
-                tokens.append(Token("ip", word, start_line, start_col))
-            else:
-                basis = _BASIS.match(word)
-                if basis:
-                    tokens.append(
-                        Token("basis", word, start_line, start_col, index=int(basis.group(1)))
-                    )
-                else:
-                    tokens.append(Token("ident", word, start_line, start_col))
-            continue
-        if ch in _OPS:
-            tokens.append(Token("op", ch, start_line, start_col))
-        elif ch == "(":
-            tokens.append(Token("lparen", ch, start_line, start_col))
-        elif ch == ")":
-            tokens.append(Token("rparen", ch, start_line, start_col))
-        elif ch == ",":
-            tokens.append(Token("comma", ch, start_line, start_col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "space":
+            pass
+        elif kind == "unknown":
+            raise ExprSyntaxError(f"unknown character {text!r}", line, col)
+        elif kind == "scalar":
+            value = complex(0.0, float(text[:-1])) if m["imag"] else complex(float(text))
+            tokens.append(Token(kind, text, line, col, value=value))
+        elif kind == "basis":
+            tokens.append(Token(kind, text, line, col, index=int(m["index"])))
+        elif kind == "word":
+            kind, value = _KEYWORDS.get(text, ("ident", 0j))
+            tokens.append(Token(kind, text, line, col, value=value))
         else:
-            raise ExprSyntaxError(f"unknown character {ch!r}", line, col)
-        pos += 1
-        col += 1
-    tokens.append(Token("end", "", line, col))
+            tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("end", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -139,14 +109,12 @@ class Var:
 
 @dataclass(frozen=True)
 class Wedge:
-    left: object
-    right: object
+    operands: tuple  # two or more, folded left to right
 
 
 @dataclass(frozen=True)
 class Vee:
-    left: object
-    right: object
+    operands: tuple  # two or more, folded left to right
 
 
 @dataclass(frozen=True)
@@ -161,14 +129,7 @@ class Conj:
 
 @dataclass(frozen=True)
 class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+    terms: tuple  # (sign, node) pairs, two or more; the first sign is +1
 
 
 @dataclass(frozen=True)
@@ -183,10 +144,14 @@ class InnerProduct:
     right: object
 
 
+_PREFIX = {"*": Star, "~": Conj, "-": partial(ScalarMul, -1.0 + 0j)}
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open `(`, `ip(` and prefix operators
 
     @property
     def here(self) -> Token:
@@ -213,48 +178,47 @@ class _Parser:
             self.fail(("operator", "end of input"))
         return node
 
-    def sum(self):
-        node = self.veeterm()
-        while self.here.kind == "op" and self.here.text in "+-":
-            op = self.advance().text
-            rhs = self.veeterm()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+    def at(self, ops: str) -> bool:
+        return self.here.kind == "op" and self.here.text in ops
 
-    def veeterm(self):
-        node = self.wedgeterm()
-        while self.here.kind == "op" and self.here.text == "v":
-            self.advance()
-            node = Vee(node, self.wedgeterm())
-        return node
+    def deeper(self) -> None:
+        """Consume an opening token one nesting level down."""
+        tok = self.advance()
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING}", tok.line, tok.col)
+        self.depth += 1
+
+    def sum(self):
+        terms = [(1, self.chain(self.wedgeterm, "v", Vee))]
+        while self.at("+-"):
+            sign = 1 if self.advance().text == "+" else -1
+            terms.append((sign, self.chain(self.wedgeterm, "v", Vee)))
+        return Add(tuple(terms)) if len(terms) > 1 else terms[0][1]
 
     def wedgeterm(self):
-        node = self.unary()
-        while self.here.kind == "op" and self.here.text == "^":
+        return self.chain(self.unary, "^", Wedge)
+
+    def chain(self, operand, op: str, node):
+        operands = [operand()]
+        while self.at(op):
             self.advance()
-            node = Wedge(node, self.unary())
-        return node
+            operands.append(operand())
+        return node(tuple(operands)) if len(operands) > 1 else operands[0]
 
     def unary(self):
-        tok = self.here
-        if tok.kind == "op" and tok.text in "*~-":
-            self.advance()
-            operand = self.unary()
-            if tok.text == "*":
-                return Star(operand)
-            if tok.text == "~":
-                return Conj(operand)
-            return ScalarMul(-1.0 + 0j, operand)
-        return self.scaled()
-
-    def scaled(self):
-        if self.here.kind == "scalar":
-            tok = self.advance()
-            if self.here.kind == "op" and self.here.text == "*":
-                self.advance()
-                return ScalarMul(tok.value, self.unary())
-            return ScalarLit(tok.value)
-        return self.atom()
+        if self.at("*~-"):
+            wrap = _PREFIX[self.here.text]
+        elif self.here.kind == "scalar":
+            coeff = self.advance().value
+            if not self.at("*"):
+                return ScalarLit(coeff)
+            wrap = partial(ScalarMul, coeff)
+        else:
+            return self.atom()
+        self.deeper()
+        operand = self.unary()
+        self.depth -= 1
+        return wrap(operand)
 
     def atom(self):
         tok = self.here
@@ -268,17 +232,19 @@ class _Parser:
             self.advance()
             return Var(tok.text)
         if tok.kind == "ip":
-            self.advance()
+            self.deeper()
             self.expect("lparen", ("(",))
             left = self.sum()
             self.expect("comma", (",",))
             right = self.sum()
             self.expect("rparen", (")",))
+            self.depth -= 1
             return InnerProduct(left, right)
         if tok.kind == "lparen":
-            self.advance()
+            self.deeper()
             node = self.sum()
             self.expect("rparen", (")",))
+            self.depth -= 1
             return node
         self.fail(("basis vector", "E", "scalar", "name", "ip(", "("))
 
@@ -308,14 +274,15 @@ class Environment:
         self.bindings[name] = value
 
 
-def _as_mv(value: Multivector | complex, d: int) -> Multivector:
-    if isinstance(value, Multivector):
-        return value
-    return Multivector.scalar(d, value)
-
-
 def evaluate(node, env: Environment) -> Multivector | complex:
     """Bottom-up evaluation; only a top-level ip(...) stays a bare scalar."""
+    if isinstance(node, InnerProduct):
+        return scalar_product(_evaluate(node.left, env), _evaluate(node.right, env))
+    return _evaluate(node, env)
+
+
+def _evaluate(node, env: Environment) -> Multivector:
+    """Every node as a multivector; operands are evaluated left to right."""
     d = env.d
     match node:
         case BasisVector(index=i):
@@ -330,22 +297,20 @@ def evaluate(node, env: Environment) -> Multivector | complex:
             if name not in env.bindings:
                 raise EvalError(f"unbound name {name!r}")
             return env.bindings[name]
-        case Wedge(left=l, right=r):
-            return wedge(_as_mv(evaluate(l, env), d), _as_mv(evaluate(r, env), d))
-        case Vee(left=l, right=r):
-            return vee(_as_mv(evaluate(l, env), d), _as_mv(evaluate(r, env), d))
+        case Wedge(operands=xs):
+            return reduce(wedge, (_evaluate(x, env) for x in xs))
+        case Vee(operands=xs):
+            return reduce(vee, (_evaluate(x, env) for x in xs))
         case Star(operand=x):
-            return hodge(_as_mv(evaluate(x, env), d))
+            return hodge(_evaluate(x, env))
         case Conj(operand=x):
-            return conjugate(_as_mv(evaluate(x, env), d))
-        case Add(left=l, right=r):
-            return _as_mv(evaluate(l, env), d) + _as_mv(evaluate(r, env), d)
-        case Sub(left=l, right=r):
-            return _as_mv(evaluate(l, env), d) - _as_mv(evaluate(r, env), d)
+            return conjugate(_evaluate(x, env))
+        case Add(terms=((_, first), *rest)):
+            return combine(_evaluate(first, env), ((s, _evaluate(x, env)) for s, x in rest))
         case ScalarMul(coeff=c, operand=x):
-            return c * _as_mv(evaluate(x, env), d)
-        case InnerProduct(left=l, right=r):
-            return scalar_product(_as_mv(evaluate(l, env), d), _as_mv(evaluate(r, env), d))
+            return c * _evaluate(x, env)
+        case InnerProduct():
+            return Multivector.scalar(d, evaluate(node, env))
     raise EvalError(f"cannot evaluate node {node!r}")
 
 

@@ -202,10 +202,6 @@ def _expand_minors(x: ExtensorFactors) -> Multivector:
     return Multivector(d, terms)
 
 
-def factors_of_blade(d: int, indices: Iterable[int]) -> ExtensorFactors:
-    return ExtensorFactors.from_indices(d, indices)
-
-
 # ---- splits and the split-sum join -------------------------------------------
 
 

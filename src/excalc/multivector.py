@@ -163,14 +163,10 @@ class Multivector:
     # ---- arithmetic ------------------------------------------------------
 
     def __add__(self, other: Multivector) -> Multivector:
-        _check_same_dim(self, other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, 0j) + c
-        return Multivector(self.d, out)
+        return combine(self, ((1, other),))
 
     def __sub__(self, other: Multivector) -> Multivector:
-        return self + (-other)
+        return combine(self, ((-1, other),))
 
     def __neg__(self) -> Multivector:
         return Multivector(self.d, {m: -c for m, c in self._terms.items()})
@@ -236,6 +232,28 @@ class Multivector:
 def _check_same_dim(a: Multivector, b: Multivector) -> None:
     if a.d != b.d:
         raise DimensionError(f"operands live in different dimensions ({a.d} vs {b.d})")
+
+
+def combine(first: Multivector, rest: Iterable[tuple[int, Multivector]]) -> Multivector:
+    """first + sign * term for each (sign, term) of rest, added left to right.
+
+    Bit for bit the chain of binary `+` and `-` it replaces: each term's
+    coefficients are added (or negated and added), then the coefficients it
+    touched are pruned as a constructor would prune them.  `rest` is consumed
+    lazily, and a non-finite sum raises before the next term is drawn.
+    """
+    out = dict(first._terms)
+    for sign, term in rest:
+        _check_same_dim(first, term)
+        for m, c in term._terms.items():
+            out[m] = out.get(m, 0j) + (c if sign > 0 else -c)
+        for m in term._terms:
+            size = abs(out[m])
+            if size <= PRUNE_TOL:
+                del out[m]
+            elif not size < math.inf:
+                return Multivector(first.d, out)  # raises, naming the coefficient
+    return Multivector(first.d, out)
 
 
 def basis_vector(d: int, i: int) -> Multivector:

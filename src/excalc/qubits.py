@@ -84,6 +84,9 @@ class QubitState:
         return self._mv.terms()
 
     def amplitude(self, bits: Iterable[int]) -> complex:
+        bits = tuple(bits)
+        if len(bits) != self.d:
+            raise DimensionError(f"bit string {format_basis_state(bits)} is not {self.d} bits")
         return self._mv.coeff_mask(bits_to_mask(bits))
 
     def is_zero(self) -> bool:

@@ -43,6 +43,12 @@ class CheckResult:
     detail: str = ""
 
 
+def _result(name: str, kind: str, failures: list[str], passed_detail: str) -> CheckResult:
+    """Pass with passed_detail, or fail naming the first 4 failures."""
+    detail = "; ".join(failures[:4]) if failures else passed_detail
+    return CheckResult(name, kind, not failures, detail)
+
+
 # ---- frozen reference data ------------------------------------------------------
 
 # d=2 basis order: 1, e1, e2, E.  Entries are (a, b, a^b, a v b) in text form.
@@ -162,7 +168,7 @@ def check_identity_relations(tol: float, trials: int, rng: random.Random) -> Che
     failures: list[str] = []
 
     def expect(cond: bool, label: str):
-        if not cond and len(failures) < 5:
+        if not cond:
             failures.append(label)
 
     for _ in range(trials):
@@ -272,13 +278,7 @@ def check_identity_relations(tol: float, trials: int, rng: random.Random) -> Che
         expect(wedge(top, top).is_zero(), "E^E != 0")
         expect(mv_equal_approx(vee(top, top), top, tol), "E v E != E")
 
-    ok = not failures
-    return CheckResult(
-        "identity-relations",
-        "table",
-        ok,
-        f"{trials} randomized trials" if ok else "; ".join(failures),
-    )
+    return _result("identity-relations", "table", failures, f"{trials} randomized trials")
 
 
 def check_meet_join_table(tol: float) -> CheckResult:
@@ -296,10 +296,7 @@ def check_meet_join_table(tol: float) -> CheckResult:
             failures.append(f"{a}^{b}: got {got_w}, want {want_wedge}")
         if got_v != want_vee:
             failures.append(f"{a} v {b}: got {got_v}, want {want_vee}")
-    ok = not failures
-    return CheckResult(
-        "meet-join-table-d2", "table", ok, "32 entries" if ok else "; ".join(failures[:4])
-    )
+    return _result("meet-join-table-d2", "table", failures, "32 entries")
 
 
 def check_partial_gate_table(tol: float) -> CheckResult:
@@ -318,13 +315,7 @@ def check_partial_gate_table(tol: float) -> CheckResult:
         got = pseudo_vee(subset(2, members1), subset(2, members2), tol)
         if got is None or got.members != members1 & members2:
             failures.append(f"pseudo-vee {set(members1)},{set(members2)}")
-    ok = not failures
-    return CheckResult(
-        "partial-set-gate-table-d2",
-        "table",
-        ok,
-        "2x8 domain pairs" if ok else "; ".join(failures[:4]),
-    )
+    return _result("partial-set-gate-table-d2", "table", failures, "2x8 domain pairs")
 
 
 def check_qubit_gate_table(tol: float) -> CheckResult:
@@ -338,10 +329,7 @@ def check_qubit_gate_table(tol: float) -> CheckResult:
             failures.append(f"|{s1}>^|{s2}>: got {got_w}, want {want_wedge}")
         if got_v != want_vee:
             failures.append(f"|{s1}> v |{s2}>: got {got_v}, want {want_vee}")
-    ok = not failures
-    return CheckResult(
-        "qubit-gate-table-d2", "table", ok, "32 entries" if ok else "; ".join(failures[:4])
-    )
+    return _result("qubit-gate-table-d2", "table", failures, "32 entries")
 
 
 # ---- worked example checks ---------------------------------------------------------
@@ -358,13 +346,7 @@ def check_superposition_meet(tol: float, rng: random.Random) -> CheckResult:
         want = beta * delta * Multivector.top(3)
         if not mv_equal_approx(got, want, 1e-10):
             failures.append(f"coefficients {alpha:.3f},{beta:.3f},{gamma:.3f},{delta:.3f}")
-    ok = not failures
-    return CheckResult(
-        "superposition-meet-d3",
-        "example",
-        ok,
-        "25 random coefficient draws" if ok else failures[0],
-    )
+    return _result("superposition-meet-d3", "example", failures, "25 random coefficient draws")
 
 
 def check_superposition_join(tol: float, rng: random.Random) -> CheckResult:
@@ -381,12 +363,8 @@ def check_superposition_join(tol: float, rng: random.Random) -> CheckResult:
                 failures.append(f"split variant {variant}")
         if not mv_equal_approx(vee(expand(x), expand(z)), want, 1e-10):
             failures.append("duality route")
-    ok = not failures
-    return CheckResult(
-        "superposition-join-d3",
-        "example",
-        ok,
-        "25 random coefficient draws, 3 routes" if ok else failures[0],
+    return _result(
+        "superposition-join-d3", "example", failures, "25 random coefficient draws, 3 routes"
     )
 
 
@@ -402,10 +380,7 @@ def check_join_examples_d4(tol: float) -> CheckResult:
         failures.append("complementary join not the vacuum")
     if not mv_equal_approx(vee(e12, e341), basis_vector(4, 1), tol):
         failures.append("overlap join wrong")
-    ok = not failures
-    return CheckResult(
-        "join-examples-d4", "example", ok, "3 evaluations" if ok else "; ".join(failures)
-    )
+    return _result("join-examples-d4", "example", failures, "3 evaluations")
 
 
 def _check_complement_table(d: int, entries, tol: float) -> list[str]:
@@ -422,12 +397,8 @@ def check_complement_tables(tol: float) -> list[CheckResult]:
     f2 = _check_complement_table(2, COMPLEMENT_ENTRIES_D2, tol)
     f3 = _check_complement_table(3, COMPLEMENT_ENTRIES_D3, tol)
     return [
-        CheckResult(
-            "complement-table-d2", "example", not f2, "4 entries" if not f2 else "; ".join(f2)
-        ),
-        CheckResult(
-            "complement-table-d3", "example", not f3, "8 entries" if not f3 else "; ".join(f3)
-        ),
+        _result("complement-table-d2", "example", f2, "4 entries"),
+        _result("complement-table-d3", "example", f3, "8 entries"),
     ]
 
 
@@ -461,13 +432,7 @@ def check_ladder_maps(tol: float) -> CheckResult:
                 np.abs(cj @ ck + ck @ cj)
             ) > tol:
                 failures.append(f"like anticommutator ({j},{k})")
-    ok = not failures
-    return CheckResult(
-        "ladder-vacuum-maps",
-        "example",
-        ok,
-        "strings and anticommutators at d=4" if ok else "; ".join(failures[:4]),
-    )
+    return _result("ladder-vacuum-maps", "example", failures, "strings and anticommutators at d=4")
 
 
 def check_vector_orthonormality(tol: float, rng: random.Random) -> CheckResult:
@@ -494,12 +459,8 @@ def check_vector_orthonormality(tol: float, rng: random.Random) -> CheckResult:
         failures.append("cross-step product did not raise")
     except GradeError:
         pass
-    ok = not failures
-    return CheckResult(
-        "vector-orthonormality",
-        "example",
-        ok,
-        "all pairs d<=4, 20 random vector pairs" if ok else "; ".join(failures[:4]),
+    return _result(
+        "vector-orthonormality", "example", failures, "all pairs d<=4, 20 random vector pairs"
     )
 
 
@@ -513,10 +474,7 @@ def check_one_hole_fill(tol: float) -> CheckResult:
                 want = top if i == j else Multivector.zero(d)
                 if not mv_equal_approx(got, want, tol):
                     failures.append(f"e{i}^cov{j} d={d}")
-    ok = not failures
-    return CheckResult(
-        "one-hole-fill", "example", ok, "all pairs d<=5" if ok else "; ".join(failures[:4])
-    )
+    return _result("one-hole-fill", "example", failures, "all pairs d<=5")
 
 
 # ---- driver -------------------------------------------------------------------------

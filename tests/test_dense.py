@@ -190,3 +190,12 @@ def test_batched_expand_keeps_decomposability_verdicts(case, seed):
             assert batched.is_zero() and per_minor.is_zero()
             continue
         assert is_decomposable(batched) == is_decomposable(per_minor)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_dense_wedge_raises_on_a_non_finite_product_like_the_dict_kernel():
+    # 1e400 - 1e400 is NaN on e1^e2; dropping it would read as a clean zero
+    a = multivector.Multivector(2, {0b01: 1e200, 0b10: 1e200})
+    for kernel in (multivector._wedge_dict, dense.wedge):
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel(a, a)

@@ -77,6 +77,15 @@ def test_pruning_and_finiteness():
         Multivector(2, {1: complex("inf")})
 
 
+def test_overflowing_products_raise():
+    # finite operands, non-finite product: only the constructor's check stops it
+    big = 1e200 * basis_vector(3, 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        wedge(big, 1e200 * basis_vector(3, 2))
+    with pytest.raises(ValueError, match="non-finite"):
+        big + Multivector(3, {1: 1.7e308}) + Multivector(3, {1: 1.7e308})
+
+
 def test_zero_is_not_the_vacuum():
     assert Multivector.zero(3) != Multivector.vacuum(3)
     assert Multivector.zero(3).is_zero()

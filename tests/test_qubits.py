@@ -178,3 +178,12 @@ def test_non_finite_amplitudes_raise(bad):
 def test_mask_outside_the_qubits_raises():
     with pytest.raises(IndexRangeError):
         QubitState(2, {0b100: 1})
+
+
+def test_amplitude_wants_one_bit_per_qubit():
+    state = QubitState(2, {0b11: 1})
+    assert state.amplitude((1, 1)) == 1
+    assert state.amplitude((1, 0)) == 0
+    for bits in [(1, 1, 0), (1, 1, 1), (1,), ()]:
+        with pytest.raises(DimensionError):
+            state.amplitude(bits)

@@ -157,6 +157,29 @@ def test_verification_passes():
     assert sum(r.kind == "example" for r in results) >= 6
 
 
+PASSING_REPORT = """\
+reference tables:
+  PASS  identity-relations  (150 randomized trials)
+  PASS  meet-join-table-d2  (32 entries)
+  PASS  partial-set-gate-table-d2  (2x8 domain pairs)
+  PASS  qubit-gate-table-d2  (32 entries)
+worked examples:
+  PASS  superposition-meet-d3  (25 random coefficient draws)
+  PASS  superposition-join-d3  (25 random coefficient draws, 3 routes)
+  PASS  join-examples-d4  (3 evaluations)
+  PASS  complement-table-d2  (4 entries)
+  PASS  complement-table-d3  (8 entries)
+  PASS  ladder-vacuum-maps  (strings and anticommutators at d=4)
+  PASS  vector-orthonormality  (all pairs d<=4, 20 random vector pairs)
+  PASS  one-hole-fill  (all pairs d<=5)
+12/12 checks passed
+"""
+
+
+def test_passing_report_text_is_pinned():
+    assert format_report(run_verification()) == PASSING_REPORT
+
+
 def test_verification_catches_a_flipped_star_sign(monkeypatch):
     true_hodge = core.hodge
 
@@ -199,6 +222,15 @@ def test_cli_exit_codes():
     assert bad_eval.returncode == 1
     bad_name = run_cli("eval", "--dim", "2", "nope")
     assert bad_name.returncode == 1
+
+
+def test_cli_overflowing_product_is_an_evaluation_error():
+    done = run_cli("eval", "--dim", "3", "1e200*e1 ^ 1e200*e2")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "error: non-finite coefficient (inf+0j) on blade mask 0x3\n"
+    # finite parts whose magnitude overflows
+    done = run_cli("eval", "--dim", "1", "1.5e308 + 1.5e308i")
+    assert done.returncode == 1 and done.stderr == "error: absolute value too large\n"
 
 
 def test_cli_table_and_tolerance_override():
