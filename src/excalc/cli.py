@@ -5,6 +5,12 @@ interactive session, `verify-paper` the bundled verification suite, `fock` a
 ladder-operator matrix dump.  Exit codes: 0 success, 1 evaluation error,
 2 syntax error, 3 verification failure.  EXCALC_TOL overrides the default
 1e-12 comparison tolerance.
+
+Each subcommand imports only what it runs.  `eval`, `table` and `repl` load
+numpy only through `excalc.dense`, for dense operands or a `--factors` list
+of 32 or more minors; `fock` and `verify-paper` load it for their matrices.
+`table_command` and `operator_matrix` are called through this module's
+names, so a caller can wrap them here.
 """
 
 from __future__ import annotations
@@ -16,12 +22,10 @@ import sys
 
 from .errors import ExcalcError, ExprSyntaxError
 from .expr import Environment, evaluate_text
-from .extensors import ExtensorFactors, expand
 from .fock import operator_matrix
 from .multivector import PRUNE_TOL, Multivector
 from .tables import TABLE_OPS, table_command
 from .textform import format_number, scalar_to_text
-from .verify import format_report, run_verification
 
 EXIT_OK = 0
 EXIT_EVAL = 1
@@ -86,6 +90,8 @@ def cmd_eval(args) -> int:
                     data = json.load(f)
         except (OSError, json.JSONDecodeError) as err:
             raise ExcalcError(f"cannot read factor list {where!r}: {err}")
+        from .extensors import ExtensorFactors, expand
+
         env.bind(name, expand(ExtensorFactors.from_json(data)))
     value = evaluate_text(args.expression, env)
     print(format_result(value, args.format))
@@ -98,6 +104,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import format_report, run_verification
+
     results = run_verification(tol=comparison_tolerance())
     sys.stdout.write(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
@@ -105,7 +113,7 @@ def cmd_verify(args) -> int:
 
 def cmd_fock(args) -> int:
     kind, _, index = args.matrix.partition(":")
-    if kind not in ("create", "annihilate") or not index.isdigit():
+    if kind not in ("create", "annihilate") or not index.isdecimal():
         raise ExcalcError(f"--matrix wants create:<i> or annihilate:<i>, got {args.matrix!r}")
     matrix = operator_matrix(args.dim, kind, int(index))
     if args.format == "json":

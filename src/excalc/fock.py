@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from .errors import DimensionError
 from .multivector import (
     Multivector,
@@ -64,6 +62,8 @@ def multi_annihilate(indices: Iterable[int], a: Multivector) -> Multivector:
 
 def operator_matrix(d: int, kind: str, i: int) -> np.ndarray:
     """2^d x 2^d matrix of one ladder operator in (step, index) blade order."""
+    import numpy as np
+
     check_dim(d)
     if d > MATRIX_MAX_DIM:
         raise DimensionError(f"matrix form limited to d <= {MATRIX_MAX_DIM}")

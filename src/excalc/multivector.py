@@ -100,7 +100,13 @@ class Multivector:
                 raise ValueError(f"non-finite coefficient {c!r} on blade mask {mask:#x}")
             if mask & ~full:
                 raise IndexRangeError(f"blade mask {mask:#x} outside dimension {d}")
-            if abs(c) > PRUNE_TOL:
+            try:
+                size = abs(c)
+            except OverflowError:
+                raise ValueError(
+                    f"coefficient {c!r} on blade mask {mask:#x} has no finite magnitude"
+                ) from None
+            if size > PRUNE_TOL:
                 clean[mask] = c
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "_terms", clean)
@@ -248,7 +254,10 @@ def combine(first: Multivector, rest: Iterable[tuple[int, Multivector]]) -> Mult
         for m, c in term._terms.items():
             out[m] = out.get(m, 0j) + (c if sign > 0 else -c)
         for m in term._terms:
-            size = abs(out[m])
+            try:
+                size = abs(out[m])
+            except OverflowError:
+                size = math.inf
             if size <= PRUNE_TOL:
                 del out[m]
             elif not size < math.inf:

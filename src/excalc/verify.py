@@ -12,8 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .boolean_gates import domain_d1, domain_d2, pseudo_vee, pseudo_wedge, subset
 from .errors import GradeError
 from .extensors import ExtensorFactors, expand, join_by_splits, triple_det
@@ -403,6 +401,8 @@ def check_complement_tables(tol: float) -> list[CheckResult]:
 
 
 def check_ladder_maps(tol: float) -> CheckResult:
+    import numpy as np
+
     failures = []
     d = 4
     created = multi_create({1, 4}, Multivector.vacuum(d))

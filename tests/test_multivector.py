@@ -12,6 +12,7 @@ from excalc.multivector import (
     Multivector,
     all_blades,
     basis_vector,
+    combine,
     conjugate,
     covector,
     grade_project,
@@ -84,6 +85,23 @@ def test_overflowing_products_raise():
         wedge(big, 1e200 * basis_vector(3, 2))
     with pytest.raises(ValueError, match="non-finite"):
         big + Multivector(3, {1: 1.7e308}) + Multivector(3, {1: 1.7e308})
+
+
+def test_overflowing_magnitude_raises_value_error():
+    # finite parts whose magnitude abs(c) overflows the float range
+    named = r"^coefficient \(1\.5e\+308\+1\.5e\+308j\) on blade mask 0x1 has no finite magnitude$"
+    with pytest.raises(ValueError, match=named):
+        Multivector(1, {1: 1.5e308 + 1.5e308j})
+    big = Multivector(2, {0b10: 1e308})
+    with pytest.raises(ValueError, match="on blade mask 0x2 has no finite magnitude"):
+        big + Multivector(2, {0b10: 1.5e308j}) - Multivector(2, {0b10: 1.0})
+    with pytest.raises(ValueError, match="on blade mask 0x2 has no finite magnitude"):
+        combine(big, [(-1, Multivector(2, {0b10: -1.5e308j})), (1, big)])
+    # magnitudes just inside the range, and at the pruning edge, are kept or pruned as before
+    kept = Multivector(1, {1: 1.2e308 + 1.2e308j, 0: 1.0000001e-12})
+    assert kept.terms() == {1: 1.2e308 + 1.2e308j, 0: 1.0000001e-12 + 0j}
+    assert Multivector(1, {1: 0.6e-12 + 0.8e-12j}).is_zero()
+    assert combine(big, [(1, Multivector(2, {0b10: 1e308j}))]).terms() == {0b10: 1e308 + 1e308j}
 
 
 def test_zero_is_not_the_vacuum():

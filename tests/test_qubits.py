@@ -175,6 +175,11 @@ def test_non_finite_amplitudes_raise(bad):
         QubitState(2, {0b01: bad, 0b10: 1})
 
 
+def test_amplitude_with_overflowing_magnitude_raises():
+    with pytest.raises(ValueError, match=r"on blade mask 0x2 has no finite magnitude"):
+        QubitState(2, {0b01: 1, 0b10: 1.5e308 - 1.5e308j})
+
+
 def test_mask_outside_the_qubits_raises():
     with pytest.raises(IndexRangeError):
         QubitState(2, {0b100: 1})

@@ -1,0 +1,122 @@
+"""Start-up: each CLI subcommand loads only the modules it runs.
+
+numpy, `verify`, `extensors` and `dense` are imported by the code that uses
+them, so `eval`, `table` and `repl` start without them.  The command
+functions reach `table_command` and `operator_matrix` through the names in
+`excalc.cli`, so a caller can wrap or replace them there.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import excalc
+from excalc import cli
+
+SRC = str(Path(excalc.__file__).resolve().parents[1])
+LAZY = ("numpy", "excalc.verify", "excalc.extensors", "excalc.dense")
+
+# Runs `cli.main(argv)` in a fresh interpreter, with its output captured, and
+# prints as JSON which of LAZY were loaded after `import excalc.cli` and after
+# `main` returned, and what `main` returned.
+PROBE = """
+import contextlib, io, json, sys
+LAZY = {lazy!r}
+loaded = lambda: [m for m in LAZY if m in sys.modules]
+import excalc.cli as cli
+after_import = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv!r})
+print(json.dumps([after_import, loaded(), code]))
+"""
+
+
+def factor_list(d: int, k: int) -> str:
+    """k Vandermonde rows in dimension d, so every one of the C(d, k) minors is nonzero."""
+    rows = [[{"re": float((r + 1) ** c), "im": 0.0} for c in range(d)] for r in range(k)]
+    return json.dumps({"dim": d, "factors": rows})
+
+
+def loaded_after(argv: list[str], stdin_text: str = "") -> tuple[list, list, int]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE.format(lazy=LAZY, argv=argv)],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    return tuple(json.loads(done.stdout))
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, want",
+    [
+        pytest.param(["eval", "--dim", "3", "e1^e2"], "", [], id="eval"),
+        pytest.param(
+            ["eval", "--dim", "3", "--format", "json", "*(e1 v e2) + ip(e1, e1)"], "", [],
+            id="eval-json",
+        ),
+        pytest.param(
+            ["table", "--op", "q-vee", "--dim", "2", "--format", "csv"], "", [], id="table"
+        ),
+        pytest.param(
+            ["repl", "--dim", "3"], ":let x = e1 + e2\nx ^ e3\n:table wedge\n", [], id="repl"
+        ),
+        # 6 minors take the per-minor route; C(7, 3) = 35 >= 32 take the batched one
+        pytest.param(
+            ["eval", "--dim", "4", "--factors", f"F={factor_list(4, 2)}", "F"], "",
+            ["excalc.extensors"],
+            id="factors-6-minors",
+        ),
+        pytest.param(
+            ["eval", "--dim", "7", "--factors", f"F={factor_list(7, 3)}", "F"], "",
+            ["numpy", "excalc.extensors", "excalc.dense"],
+            id="factors-35-minors",
+        ),
+        pytest.param(["fock", "--matrix", "create:1", "--dim", "2"], "", ["numpy"], id="fock"),
+        pytest.param(
+            ["verify-paper"], "", ["numpy", "excalc.verify", "excalc.extensors"], id="verify-paper"
+        ),
+    ],
+)
+def test_each_subcommand_loads_only_what_it_runs(argv, stdin_text, want):
+    after_import, after_main, code = loaded_after(argv, stdin_text)
+    assert after_import == []
+    assert code == 0
+    assert after_main == want
+
+
+def test_command_functions_call_the_names_in_cli(monkeypatch, capsys):
+    calls = []
+
+    def fake_table(op, d, fmt, tol):
+        calls.append(("table", op, d, fmt, tol))
+        return "patched table\n"
+
+    def fake_matrix(d, kind, i):
+        calls.append(("matrix", d, kind, i))
+        return np.array([[0, 1], [2j, 0]])
+
+    monkeypatch.setattr(cli, "table_command", fake_table)
+    monkeypatch.setattr(cli, "operator_matrix", fake_matrix)
+    assert cli.main(["table", "--op", "vee", "--dim", "2"]) == 0
+    assert cli.main(["fock", "--matrix", "annihilate:1", "--dim", "1"]) == 0
+    assert cli.main(["fock", "--matrix", "create:1", "--dim", "1", "--format", "json"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["patched table", "0 1", "2i 0"]
+    assert json.loads(out[3])["matrix"] == [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 2.0], [0.0, 0.0]]]
+    assert calls == [
+        ("table", "vee", 2, "text", cli.comparison_tolerance()),
+        ("matrix", 1, "annihilate", 1),
+        ("matrix", 1, "create", 1),
+    ]

@@ -230,7 +230,9 @@ def test_cli_overflowing_product_is_an_evaluation_error():
     assert done.stderr == "error: non-finite coefficient (inf+0j) on blade mask 0x3\n"
     # finite parts whose magnitude overflows
     done = run_cli("eval", "--dim", "1", "1.5e308 + 1.5e308i")
-    assert done.returncode == 1 and done.stderr == "error: absolute value too large\n"
+    assert done.returncode == 1 and done.stderr == (
+        "error: coefficient (1.5e+308+1.5e+308j) on blade mask 0x0 has no finite magnitude\n"
+    )
 
 
 def test_cli_table_and_tolerance_override():
@@ -286,6 +288,15 @@ def test_cli_fock_matrix():
     assert payload["dim"] == 2 and len(payload["matrix"]) == 4
     bad = run_cli("fock", "--matrix", "smash:1", "--dim", "2")
     assert bad.returncode == 1
+
+
+@pytest.mark.parametrize("matrix", ["create:\u00b2", "annihilate:\u2460", "create:", "create:-1"])
+def test_cli_fock_rejects_a_malformed_index(matrix):
+    done = run_cli("fock", "--matrix", matrix, "--dim", "3")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == (
+        f"error: --matrix wants create:<i> or annihilate:<i>, got {matrix!r}\n"
+    )
 
 
 def test_cli_verify_passes():
