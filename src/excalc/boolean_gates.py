@@ -29,7 +29,7 @@ class SubsetState:
     def __post_init__(self):
         check_dim(self.d)
         members = frozenset(self.members)
-        if not all(isinstance(i, int) and 1 <= i <= self.d for i in members):
+        if not all(type(i) is int and 1 <= i <= self.d for i in members):
             raise DimensionError(f"members {set(members)} outside 1..{self.d}")
         object.__setattr__(self, "members", members)
 

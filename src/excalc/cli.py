@@ -8,9 +8,9 @@ ladder-operator matrix dump.  Exit codes: 0 success, 1 evaluation error,
 
 Each subcommand imports only what it runs.  `eval`, `table` and `repl` load
 numpy only through `excalc.dense`, for dense operands or a `--factors` list
-of 32 or more minors; `fock` and `verify-paper` load it for their matrices.
-`table_command` and `operator_matrix` are called through this module's
-names, so a caller can wrap them here.
+of 32 or more minors; `fock` loads it for its matrices; `verify-paper` does
+not load it.  `table_command` and `operator_matrix` are called through this
+module's names, so a caller can wrap them here.
 """
 
 from __future__ import annotations
@@ -146,15 +146,16 @@ def cmd_repl(args) -> int:
         line = line.strip()
         if not line:
             continue
+        # a command is the whole first word, so `:letter` is not `:let`
+        command = line.split()[0] if line.startswith(":") else ""
         try:
-            if line == ":quit":
+            if command == ":quit":
                 break
-            if line.startswith(":dim"):
+            if command == ":dim":
                 env = Environment(int(line.split()[1]))
                 out.write(f"dimension {env.d}\n")
-            elif line.startswith(":let"):
-                body = line[len(":let"):].strip()
-                name, _, expr_text = body.partition("=")
+            elif command == ":let":
+                name, _, expr_text = line[len(":let"):].partition("=")
                 name = name.strip()
                 if not name.isidentifier() or not expr_text.strip():
                     raise ExcalcError(":let wants `:let name = expression`")
@@ -163,13 +164,13 @@ def cmd_repl(args) -> int:
                     value = Multivector.scalar(env.d, value)
                 env.bind(name, value)
                 out.write(f"{name} = {value.to_text()}\n")
-            elif line.startswith(":table"):
+            elif command == ":table":
                 parts = line.split()
                 if len(parts) != 2 or parts[1] not in TABLE_OPS:
                     raise ExcalcError(f":table wants one of {', '.join(TABLE_OPS)}")
                 out.write(table_command(parts[1], env.d, "text", comparison_tolerance()))
-            elif line.startswith(":"):
-                raise ExcalcError(f"unknown command {line.split()[0]!r}")
+            elif command:
+                raise ExcalcError(f"unknown command {command!r}")
             else:
                 value = evaluate_text(line, env)
                 out.write(format_result(value, "text") + "\n")

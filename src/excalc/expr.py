@@ -269,6 +269,14 @@ class Environment:
         check_dim(self.d)
 
     def bind(self, name: str, value: Multivector) -> None:
+        """Bind a name the lexer reads back as one `ident` token; keywords
+        such as `E`, `v`, `i`, `ip` and basis blades such as `e1` are not."""
+        try:
+            tokens = tokenize(name)
+        except ExprSyntaxError:
+            tokens = []
+        if len(tokens) != 2 or (tokens[0].kind, tokens[0].text) != ("ident", name):
+            raise EvalError(f"cannot bind {name!r}: an expression does not read it as a name")
         if value.d != self.d:
             raise EvalError(f"cannot bind {name}: value has dimension {value.d}, not {self.d}")
         self.bindings[name] = value

@@ -25,7 +25,8 @@ SINGULAR_TOL = 1e-12
 
 
 def check_dim(d: int) -> int:
-    if not isinstance(d, int) or not 1 <= d <= MAX_DIM:
+    # `type(..) is int`, not isinstance: a bool is an int to isinstance
+    if type(d) is not int or not 1 <= d <= MAX_DIM:
         raise DimensionError(f"dimension must be an integer in 1..{MAX_DIM}, got {d!r}")
     return d
 
@@ -34,7 +35,7 @@ def mask_from_indices(d: int, indices: Iterable[int]) -> int:
     """Bitmask of a set of 1-based basis indices; duplicates rejected."""
     mask = 0
     for i in indices:
-        if not isinstance(i, int) or not 1 <= i <= d:
+        if type(i) is not int or not 1 <= i <= d:
             raise IndexRangeError(f"basis index {i!r} outside 1..{d}")
         bit = 1 << (i - 1)
         if mask & bit:

@@ -5,17 +5,23 @@ set-gate domains, the qubit gate table, the complement tables) or a batch of
 randomized identity trials, and reports pass/fail.  The suite is what the
 `verify-paper` CLI subcommand runs; it exists so a build can prove in one
 command that every published value it claims to reproduce still comes out.
+
+The identities of meet, join and star are stated once, as the named relations
+in RELATIONS, over operands from the seeded generators `random_*`.  The
+identity check samples them here; the test suite checks the same relations as
+hypothesis properties and in a longer seeded run.  Nothing here loads numpy.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial, reduce
 
 from .boolean_gates import domain_d1, domain_d2, pseudo_vee, pseudo_wedge, subset
 from .errors import GradeError
-from .extensors import ExtensorFactors, expand, join_by_splits, triple_det
-from .fock import multi_annihilate, multi_create, operator_matrix
+from .extensors import ExtensorFactors, det_columns, expand, join_by_splits, triple_det
+from .fock import apply_annihilation, apply_creation, multi_annihilate, multi_create
 from .multivector import (
     PRUNE_TOL,
     Multivector,
@@ -31,6 +37,10 @@ from .multivector import (
 from .qubits import QubitState, parse_basis_state, q_vee, q_wedge
 
 DEFAULT_SEED = 1118
+# Absolute tolerance of a randomized identity whose two sides are summed in
+# different orders (associativity, star duality, antisymmetry, the determinant
+# routes and the worked examples); coefficient parts lie in (-2, 2).
+IDENTITY_TOL = 1e-10
 
 
 @dataclass
@@ -130,152 +140,190 @@ COMPLEMENT_ENTRIES_D3 = {
 }
 
 
-# ---- randomized value helpers ----------------------------------------------------
+# ---- seeded random values ---------------------------------------------------------
+#
+# The randomized checks, the relations and the tests draw their operands from
+# these, each from an explicit random.Random, so a seed pins the draws.
+# Coefficient parts lie in (-2, 2).
 
 
-def _random_mv(rng: random.Random, d: int, max_terms: int = 4) -> Multivector:
+def random_coeff(rng: random.Random) -> complex:
+    return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+
+def random_mv(rng: random.Random, d: int, max_terms: int = 4) -> Multivector:
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        mask = rng.randrange(1 << d)
-        terms[mask] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        terms[rng.randrange(1 << d)] = random_coeff(rng)
     return Multivector(d, terms)
 
 
-def _random_homogeneous(rng: random.Random, d: int, k: int, max_terms: int = 3) -> Multivector:
+def random_homogeneous(rng: random.Random, d: int, k: int, max_terms: int = 3) -> Multivector:
     masks = [m for m in range(1 << d) if m.bit_count() == k]
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        terms[rng.choice(masks)] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        terms[rng.choice(masks)] = random_coeff(rng)
     return Multivector(d, terms)
 
 
-def _random_factors(rng: random.Random, d: int, k: int) -> ExtensorFactors:
-    return ExtensorFactors(
-        d,
-        tuple(
-            tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d))
-            for _ in range(k)
-        ),
+def random_vector(rng: random.Random, d: int) -> tuple[complex, ...]:
+    return tuple(random_coeff(rng) for _ in range(d))
+
+
+def random_factors(rng: random.Random, d: int, k: int) -> ExtensorFactors:
+    return ExtensorFactors(d, tuple(random_vector(rng, d) for _ in range(k)))
+
+
+# ---- identity relations -------------------------------------------------------------
+#
+# Each relation draws its operands from rng in dimension d >= 1 and returns
+# whether it holds.  Sides reached by different summation orders are compared
+# within tol; sides that differ only by factors of +-1 are compared exactly.
+# `check_identity_relations`, the property tests and the acceptance suite all
+# loop over RELATIONS.
+
+
+def unit_rows(rng: random.Random, d: int, tol: float) -> bool:
+    """1 and E are the units of wedge and vee; 1 v 1 and E ^ E vanish."""
+    a = random_mv(rng, d)
+    one, top = Multivector.vacuum(d), Multivector.top(d)
+    return (
+        wedge(a, one) == a == vee(a, top)
+        and wedge(one, one) == one == vee(one, top)
+        and wedge(one, top) == top == vee(top, top)
+        and vee(one, one).is_zero()
+        and wedge(top, top).is_zero()
     )
+
+
+def associativity(rng: random.Random, d: int, tol: float) -> bool:
+    a, b, c = (random_mv(rng, d) for _ in range(3))
+    return (
+        mv_equal_approx(wedge(wedge(a, b), c), wedge(a, wedge(b, c)), tol)
+        and mv_equal_approx(vee(vee(a, b), c), vee(a, vee(b, c)), tol)
+    )
+
+
+def star_duality(rng: random.Random, d: int, tol: float) -> bool:
+    """The star turns wedge into vee and vee into wedge."""
+    a, b = random_mv(rng, d), random_mv(rng, d)
+    return (
+        mv_equal_approx(hodge(wedge(a, b)), vee(hodge(a), hodge(b)), tol)
+        and mv_equal_approx(hodge(vee(a, b)), wedge(hodge(a), hodge(b)), tol)
+    )
+
+
+def star_inverse(rng: random.Random, d: int, tol: float) -> bool:
+    a = random_mv(rng, d)
+    return hodge_inverse(hodge(a)) == a == hodge(hodge_inverse(a))
+
+
+def graded_antisymmetry(rng: random.Random, d: int, tol: float) -> bool:
+    """For steps k and l: a ^ b = (-1)^(kl) b ^ a, a v b = (-1)^((d-k)(d-l))
+    b v a, and **a = (-1)^(k(d-k)) a."""
+    k, l = rng.randint(0, d), rng.randint(0, d)
+    a, b = random_homogeneous(rng, d, k), random_homogeneous(rng, d, l)
+    return (
+        mv_equal_approx(wedge(a, b), (-1) ** (k * l) * wedge(b, a), tol)
+        and mv_equal_approx(vee(a, b), (-1) ** ((d - k) * (d - l)) * vee(b, a), tol)
+        and hodge(hodge(a)) == (-1) ** (k * (d - k)) * a
+    )
+
+
+def pauli_rows(rng: random.Random, d: int, tol: float) -> bool:
+    """A blade of positive step vanishes against E and itself under wedge,
+    and, below step d, against 1 and itself under vee."""
+    mask = rng.randrange(1, 1 << d)
+    blade = Multivector(d, {mask: 1.0})
+    killed = [wedge(blade, Multivector.top(d)), wedge(blade, blade)]
+    if mask.bit_count() < d:
+        killed += [vee(blade, Multivector.vacuum(d)), vee(blade, blade)]
+    return all(x.is_zero() for x in killed)
+
+
+def exclusion_corollary(rng: random.Random, d: int, tol: float) -> bool:
+    """A shared fermion forbids the meet: two blades whose join survives also
+    meet exactly when they are complementary, that is when their steps sum to
+    at most d."""
+    mask, other = rng.randrange(1, 1 << d), rng.randrange(1 << d)
+    a, b = Multivector(d, {mask: 1.0}), Multivector(d, {other: 1.0})
+    if vee(a, b).is_zero():
+        return True
+    complementary = other == mask ^ ((1 << d) - 1)
+    met = not wedge(a, b).is_zero()
+    return met == complementary == (mask.bit_count() + other.bit_count() <= d)
+
+
+def covector_formula(rng: random.Random, d: int, tol: float) -> bool:
+    """The one-hole state of mode i is (-1)^(i-1) times the blade of the other modes."""
+    i = rng.randint(1, d)
+    rest = [r for r in range(1, d + 1) if r != i]
+    return covector(d, i) == (-1) ** (i - 1) * Multivector.from_indices(d, rest)
+
+
+def one_hole_fill(rng: random.Random, d: int, tol: float) -> bool:
+    """e_j fills the hole of mode i to E when j = i and meets an occupied mode otherwise."""
+    i, j = rng.randint(1, d), rng.randint(1, d)
+    want = Multivector.top(d) if i == j else Multivector.zero(d)
+    return wedge(basis_vector(d, j), covector(d, i)) == want
+
+
+def covector_join(rng: random.Random, d: int, tol: float) -> bool:
+    """The one-hole states of modes k+1..d join to (-1)^(k(d-k)) e_1^...^e_k;
+    for k = 0, all d of them join to the vacuum."""
+    k = rng.randrange(d)
+    joined = reduce(vee, (covector(d, i) for i in range(k + 1, d + 1)))
+    return joined == (-1) ** (k * (d - k)) * Multivector.from_indices(d, range(1, k + 1))
+
+
+def complementary_determinant(rng: random.Random, d: int, tol: float) -> bool:
+    """Expansions x, y of steps k and d-k: x ^ y = det(x, y) E, x v y =
+    det(x, y) 1, and x ^ *x is E times the scalar x v *x."""
+    k = rng.randint(0, d)
+    fx, fy = random_factors(rng, d, k), random_factors(rng, d, d - k)
+    det = det_columns(fx.factors + fy.factors, d)
+    x, y = expand(fx), expand(fy)
+    one, top, star_x = Multivector.vacuum(d), Multivector.top(d), hodge(x)
+    return (
+        mv_equal_approx(wedge(x, y), det * top, tol)
+        and mv_equal_approx(vee(x, y), det * one, tol)
+        and mv_equal_approx(wedge(x, star_x), vee(x, star_x).coeff_mask(0) * top, tol)
+    )
+
+
+def triple_determinant(rng: random.Random, d: int, tol: float) -> bool:
+    """The three routes of `triple_det` agree on steps summing to d."""
+    a_step = rng.randint(0, d - 1)
+    b_step = rng.randint(0, d - a_step)
+    steps = (a_step, b_step, d - a_step - b_step)
+    first, second, third = triple_det(*(random_factors(rng, d, s) for s in steps))
+    return abs(first - third) <= tol and abs(second - third) <= tol
+
+
+RELATIONS = (
+    unit_rows,
+    associativity,
+    star_duality,
+    star_inverse,
+    graded_antisymmetry,
+    pauli_rows,
+    exclusion_corollary,
+    covector_formula,
+    one_hole_fill,
+    covector_join,
+    complementary_determinant,
+    triple_determinant,
+)
 
 
 # ---- table checks -----------------------------------------------------------------
 
 
-def check_identity_relations(tol: float, trials: int, rng: random.Random) -> CheckResult:
-    failures: list[str] = []
-
-    def expect(cond: bool, label: str):
-        if not cond:
-            failures.append(label)
-
+def check_identity_relations(trials: int, rng: random.Random) -> CheckResult:
+    failures = []
     for _ in range(trials):
         d = rng.randint(2, 6)
-        one = Multivector.vacuum(d)
-        top = Multivector.top(d)
-        a = _random_mv(rng, d)
-        b = _random_mv(rng, d)
-        c = _random_mv(rng, d)
-
-        expect(mv_equal_approx(wedge(a, one), a, tol), f"a^1 != a (d={d})")
-        expect(mv_equal_approx(vee(a, top), a, tol), f"a v E != a (d={d})")
-        expect(
-            mv_equal_approx(wedge(wedge(a, b), c), wedge(a, wedge(b, c)), 1e-10),
-            f"wedge associativity (d={d})",
-        )
-        expect(
-            mv_equal_approx(vee(vee(a, b), c), vee(a, vee(b, c)), 1e-10),
-            f"vee associativity (d={d})",
-        )
-        expect(
-            mv_equal_approx(hodge(vee(a, b)), wedge(hodge(a), hodge(b)), 1e-10),
-            f"star of vee (d={d})",
-        )
-        expect(
-            mv_equal_approx(hodge(wedge(a, b)), vee(hodge(a), hodge(b)), 1e-10),
-            f"star of wedge (d={d})",
-        )
-        expect(mv_equal_approx(hodge_inverse(hodge(a)), a, 1e-10), f"star inverse (d={d})")
-
-        k = rng.randint(0, d)
-        l = rng.randint(0, d)
-        ha = _random_homogeneous(rng, d, k)
-        hb = _random_homogeneous(rng, d, l)
-        sign_w = -1 if (k * l) & 1 else 1
-        sign_v = -1 if ((d - k) * (d - l)) & 1 else 1
-        expect(
-            mv_equal_approx(wedge(ha, hb), sign_w * wedge(hb, ha), 1e-10),
-            f"wedge antisymmetry (d={d},k={k},l={l})",
-        )
-        expect(
-            mv_equal_approx(vee(ha, hb), sign_v * vee(hb, ha), 1e-10),
-            f"vee antisymmetry (d={d},k={k},l={l})",
-        )
-        ss = -1 if (k * (d - k)) & 1 else 1
-        expect(
-            mv_equal_approx(hodge(hodge(ha)), ss * ha, 1e-10),
-            f"double star sign (d={d},k={k})",
-        )
-
-        mask = rng.randrange(1, 1 << d)
-        blade = Multivector(d, {mask: 1.0})
-        step = mask.bit_count()
-        expect(wedge(blade, top).is_zero(), "blade^E != 0")
-        expect(wedge(blade, blade).is_zero() or step == 0, "blade^blade != 0")
-        if step <= d - 1:
-            expect(vee(blade, one).is_zero(), "blade v 1 != 0")
-            expect(vee(blade, blade).is_zero(), "blade v blade != 0")
-        # exclusion corollary: a shared fermion (join of positive step) forbids
-        # the meet; complementary blades are the one case where both survive
-        other_mask = rng.randrange(1 << d)
-        other = Multivector(d, {other_mask: 1.0})
-        if not vee(blade, other).is_zero():
-            if step + other_mask.bit_count() > d:
-                expect(wedge(blade, other).is_zero(), "vee nonzero but wedge nonzero")
-            else:
-                expect(other_mask == ((1 << d) - 1) ^ mask, "unexpected surviving join")
-
-        # join of the complementary one-hole states recovers the occupied block
-        # up to the (-1)^{k(d-k)} double-star sign
-        kk = rng.randint(1, d - 1)
-        block = Multivector.from_indices(d, range(1, kk + 1))
-        joined = covector(d, kk + 1)
-        for idx in range(kk + 2, d + 1):
-            joined = vee(joined, covector(d, idx))
-        sign = -1 if (kk * (d - kk)) & 1 else 1
-        expect(
-            mv_equal_approx(joined, sign * block, 1e-10),
-            f"covector join sign (d={d},k={kk})",
-        )
-        expect(
-            mv_equal_approx(
-                wedge(basis_vector(d, 1), covector(d, 1)), top, 1e-10
-            )
-            and wedge(basis_vector(d, 2), covector(d, 1)).is_zero(),
-            "one-hole fill rule",
-        )
-
-        # the one-hole states joined over every index collapse to the vacuum
-        chain = covector(d, 1)
-        for idx in range(2, d + 1):
-            chain = vee(chain, covector(d, idx))
-        expect(mv_equal_approx(chain, one, 1e-10), f"full covector join != 1 (d={d})")
-
-        steps = [1, rng.randint(0, d - 2)]
-        steps.append(d - sum(steps))
-        if min(steps) >= 0:
-            fa, fb, fc = (_random_factors(rng, d, s) for s in steps)
-            t1, t2, t3 = triple_det(fa, fb, fc)
-            expect(
-                abs(t1 - t3) <= 1e-9 and abs(t2 - t3) <= 1e-9,
-                f"triple determinant routes disagree (d={d},steps={steps})",
-            )
-
-        expect(mv_equal_approx(wedge(one, one), one, tol), "1^1 != 1")
-        expect(vee(one, one).is_zero(), "1 v 1 != 0")
-        expect(wedge(top, top).is_zero(), "E^E != 0")
-        expect(mv_equal_approx(vee(top, top), top, tol), "E v E != E")
-
+        failures += [f"{r.__name__} (d={d})" for r in RELATIONS if not r(rng, d, IDENTITY_TOL)]
     return _result("identity-relations", "table", failures, f"{trials} randomized trials")
 
 
@@ -336,13 +384,11 @@ def check_qubit_gate_table(tol: float) -> CheckResult:
 def check_superposition_meet(tol: float, rng: random.Random) -> CheckResult:
     failures = []
     for _ in range(25):
-        alpha, beta, gamma, delta = (
-            complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4)
-        )
+        alpha, beta, gamma, delta = random_vector(rng, 4)
         x = ExtensorFactors(3, ((alpha, beta, 0), (0, gamma, delta)))
         got = wedge(expand(x), basis_vector(3, 1))
         want = beta * delta * Multivector.top(3)
-        if not mv_equal_approx(got, want, 1e-10):
+        if not mv_equal_approx(got, want, IDENTITY_TOL):
             failures.append(f"coefficients {alpha:.3f},{beta:.3f},{gamma:.3f},{delta:.3f}")
     return _result("superposition-meet-d3", "example", failures, "25 random coefficient draws")
 
@@ -351,15 +397,13 @@ def check_superposition_join(tol: float, rng: random.Random) -> CheckResult:
     failures = []
     z = ExtensorFactors.from_indices(3, (1, 2))
     for _ in range(25):
-        alpha, beta, gamma, delta = (
-            complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4)
-        )
+        alpha, beta, gamma, delta = random_vector(rng, 4)
         x = ExtensorFactors(3, ((alpha, beta, 0), (0, gamma, delta)))
         want = -alpha * delta * basis_vector(3, 1) - beta * delta * basis_vector(3, 2)
         for variant in ("first", "second"):
-            if not mv_equal_approx(join_by_splits(x, z, variant), want, 1e-10):
+            if not mv_equal_approx(join_by_splits(x, z, variant), want, IDENTITY_TOL):
                 failures.append(f"split variant {variant}")
-        if not mv_equal_approx(vee(expand(x), expand(z)), want, 1e-10):
+        if not mv_equal_approx(vee(expand(x), expand(z)), want, IDENTITY_TOL):
             failures.append("duality route")
     return _result(
         "superposition-join-d3", "example", failures, "25 random coefficient draws, 3 routes"
@@ -400,9 +444,11 @@ def check_complement_tables(tol: float) -> list[CheckResult]:
     ]
 
 
-def check_ladder_maps(tol: float) -> CheckResult:
-    import numpy as np
+def _anticommutator(f, g, x: Multivector) -> Multivector:
+    return f(g(x)) + g(f(x))
 
+
+def check_ladder_maps(tol: float) -> CheckResult:
     failures = []
     d = 4
     created = multi_create({1, 4}, Multivector.vacuum(d))
@@ -418,19 +464,20 @@ def check_ladder_maps(tol: float) -> CheckResult:
         if not mv_equal_approx(got, Multivector.from_indices(d, indices), tol):
             failures.append(f"creation string for {indices}")
             break
-    identity = np.eye(1 << d)
+    # {a_j, a_k^dagger} = delta_jk and {a_j, a_k} = {a_j^dagger, a_k^dagger} = 0,
+    # exactly, on each of the 2^d basis blades
+    blades = [Multivector(d, {mask: 1.0}) for mask in range(1 << d)]
+    zero = Multivector.zero(d)
     for j in range(1, d + 1):
+        aj, cj = partial(apply_annihilation, j), partial(apply_creation, j)
         for k in range(1, d + 1):
-            aj = operator_matrix(d, "annihilate", j)
-            ak = operator_matrix(d, "annihilate", k)
-            cj = operator_matrix(d, "create", j)
-            ck = operator_matrix(d, "create", k)
-            delta = identity if j == k else 0.0
-            if np.max(np.abs(aj @ ck + ck @ aj - delta)) > tol:
+            ak, ck = partial(apply_annihilation, k), partial(apply_creation, k)
+            if any(_anticommutator(aj, ck, x) != (x if j == k else zero) for x in blades):
                 failures.append(f"mixed anticommutator ({j},{k})")
-            if np.max(np.abs(aj @ ak + ak @ aj)) > tol or np.max(
-                np.abs(cj @ ck + ck @ cj)
-            ) > tol:
+            if not all(
+                _anticommutator(aj, ak, x).is_zero() and _anticommutator(cj, ck, x).is_zero()
+                for x in blades
+            ):
                 failures.append(f"like anticommutator ({j},{k})")
     return _result("ladder-vacuum-maps", "example", failures, "strings and anticommutators at d=4")
 
@@ -446,12 +493,11 @@ def check_vector_orthonormality(tol: float, rng: random.Random) -> CheckResult:
                     failures.append(f"(e{i},e{j}) d={d}")
     d = 4
     for _ in range(20):
-        avec = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d)]
-        bvec = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d)]
+        avec, bvec = random_vector(rng, d), random_vector(rng, d)
         a = sum((c * basis_vector(d, i + 1) for i, c in enumerate(avec)), Multivector.zero(d))
         b = sum((c * basis_vector(d, i + 1) for i, c in enumerate(bvec)), Multivector.zero(d))
         want = sum(x.conjugate() * y for x, y in zip(avec, bvec))
-        if abs(scalar_product(a, b) - want) > 1e-10:
+        if abs(scalar_product(a, b) - want) > IDENTITY_TOL:
             failures.append("vector reduction")
             break
     try:
@@ -485,7 +531,7 @@ def run_verification(
 ) -> list[CheckResult]:
     rng = random.Random(seed)
     results = [
-        check_identity_relations(tol, trials, rng),
+        check_identity_relations(trials, rng),
         check_meet_join_table(tol),
         check_partial_gate_table(tol),
         check_qubit_gate_table(tol),

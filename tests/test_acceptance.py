@@ -22,39 +22,37 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (
-    random_coeff,
-    random_factors,
-    random_homogeneous,
-    random_mv,
-    random_vector,
-)
 from excalc.boolean_gates import domain_d1, domain_d2, pseudo_vee, pseudo_wedge, subset
 from excalc.errors import ExprSyntaxError, GradeError
 from excalc.expr import Environment, evaluate, parse_text
 from excalc.extensors import (
     ExtensorFactors,
-    det_columns,
     expand,
     intersection_dim,
     join_by_splits,
     span_covers,
-    triple_det,
 )
 from excalc.fock import multi_annihilate, multi_create, operator_matrix
 from excalc.multivector import (
     Multivector,
     all_blades,
     basis_vector,
-    covector,
     hodge,
-    hodge_inverse,
     mv_equal_approx,
     scalar_product,
     vee,
     wedge,
 )
 from excalc.qubits import QubitState, parse_basis_state, q_vee, q_wedge
+from excalc.verify import (
+    IDENTITY_TOL,
+    RELATIONS,
+    random_coeff,
+    random_factors,
+    random_homogeneous,
+    random_mv,
+    random_vector,
+)
 
 
 class Budget:
@@ -262,94 +260,11 @@ def test_criterion_identity_suite():
     budget = Budget("identity-suite", 60.0)
     rng = random.Random(502)
     trials = 1000
-    tol = 1e-10
     for _ in range(trials):
         d = rng.randint(2, 8)
-        one, top = Multivector.vacuum(d), Multivector.top(d)
-        a, b, c = (random_mv(rng, d) for _ in range(3))
-
-        # associativity and the unit rows
-        assert mv_equal_approx(wedge(wedge(a, b), c), wedge(a, wedge(b, c)), tol)
-        assert mv_equal_approx(vee(vee(a, b), c), vee(a, vee(b, c)), tol)
-        assert mv_equal_approx(wedge(a, one), a, tol)
-        assert mv_equal_approx(vee(a, top), a, tol)
-        assert mv_equal_approx(wedge(one, one), one, tol)
-        assert vee(one, one).is_zero()
-        assert wedge(top, top).is_zero()
-        assert mv_equal_approx(vee(top, top), top, tol)
-        assert mv_equal_approx(wedge(one, top), top, tol)
-        assert mv_equal_approx(vee(one, top), one, tol)
-
-        # antisymmetry on homogeneous inputs
-        k, l = rng.randint(0, d), rng.randint(0, d)
-        ha, hb = random_homogeneous(rng, d, k), random_homogeneous(rng, d, l)
-        assert mv_equal_approx(
-            wedge(ha, hb), (-1 if (k * l) & 1 else 1) * wedge(hb, ha), tol
-        )
-        assert mv_equal_approx(
-            vee(ha, hb), (-1 if ((d - k) * (d - l)) & 1 else 1) * vee(hb, ha), tol
-        )
-
-        # star duality, its inverse, and the double-star sign
-        assert mv_equal_approx(hodge(vee(a, b)), wedge(hodge(a), hodge(b)), tol)
-        assert mv_equal_approx(hodge(wedge(a, b)), vee(hodge(a), hodge(b)), tol)
-        assert mv_equal_approx(hodge_inverse(hodge(a)), a, tol)
-        assert mv_equal_approx(
-            hodge(hodge(ha)), (-1 if (k * (d - k)) & 1 else 1) * ha, tol
-        )
-
-        # Pauli rows on blades
-        mask = rng.randrange(1, 1 << d)
-        one_blade = Multivector(d, {mask: 1.0})
-        step = mask.bit_count()
-        assert wedge(one_blade, top).is_zero()
-        assert wedge(one_blade, one_blade).is_zero()
-        if step <= d - 1:
-            assert vee(one_blade, one).is_zero()
-            assert vee(one_blade, one_blade).is_zero()
-
-        # exclusion corollary, sharp form
-        other_mask = rng.randrange(1 << d)
-        other = Multivector(d, {other_mask: 1.0})
-        if not vee(one_blade, other).is_zero() and not wedge(one_blade, other).is_zero():
-            assert other_mask == ((1 << d) - 1) ^ mask
-        if step + other_mask.bit_count() > d and not vee(one_blade, other).is_zero():
-            assert wedge(one_blade, other).is_zero()
-
-        # covectors: explicit formula, the fill rule, and the signed join identity
-        i = rng.randint(1, d)
-        j = rng.randint(1, d)
-        rest = tuple(r for r in range(1, d + 1) if r != i)
-        assert covector(d, i) == (-1 if (i - 1) & 1 else 1) * blade(d, *rest)
-        fill = wedge(basis_vector(d, j), covector(d, i))
-        assert mv_equal_approx(fill, top if i == j else Multivector.zero(d), tol)
-        kk = rng.randint(1, d - 1)
-        joined = covector(d, kk + 1)
-        for idx in range(kk + 2, d + 1):
-            joined = vee(joined, covector(d, idx))
-        sign = -1 if (kk * (d - kk)) & 1 else 1
-        assert mv_equal_approx(joined, sign * blade(d, *range(1, kk + 1)), tol)
-
-        # complementary-step determinant rows
-        k = rng.randint(0, d)
-        fa, fb = random_factors(rng, d, k), random_factors(rng, d, d - k)
-        det = det_columns(fa.factors + fb.factors, d)
-        assert mv_equal_approx(wedge(expand(fa), expand(fb)), det * top, tol)
-        assert mv_equal_approx(vee(expand(fa), expand(fb)), det * one, tol)
-        sa = expand(fa)
-        scalar = vee(sa, hodge(sa)).coeff_mask(0)
-        assert mv_equal_approx(wedge(sa, hodge(sa)), scalar * top, tol)
-
-        # triple-determinant identity, dual pairing included
-        a_step = rng.randint(0, d - 1)
-        b_step = rng.randint(0, d - a_step)
-        fa, fb, fc = (
-            random_factors(rng, d, s) for s in (a_step, b_step, d - a_step - b_step)
-        )
-        one_r, two_r, three_r = triple_det(fa, fb, fc)
-        assert abs(one_r - three_r) <= tol
-        assert abs(two_r - three_r) <= tol
-    budget.done(f"{trials} randomized trials across d in 2..8 at 1e-10")
+        for relation in RELATIONS:
+            assert relation(rng, d, IDENTITY_TOL), (relation.__name__, d)
+    budget.done(f"{trials} randomized trials across d in 2..8 at {IDENTITY_TOL:g}")
 
 
 # ---- criterion 6: join-definition equivalence ---------------------------------------------------

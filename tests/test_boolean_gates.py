@@ -65,6 +65,8 @@ def test_pseudo_operation_examples():
     assert pseudo_wedge(subset(3, {1, 3}), subset(3, {2})) is None
     with pytest.raises(DimensionError):
         pseudo_wedge(subset(2, {1}), subset(3, {1}))
+    with pytest.raises(DimensionError):
+        subset(2, {True})
 
 
 def test_domains_match_reference_listings():

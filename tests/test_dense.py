@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_coeff, random_vector
 from excalc import dense, extensors, multivector
 from excalc.extensors import ExtensorFactors, expand, is_decomposable
 from excalc.multivector import (
@@ -28,7 +27,7 @@ from excalc.multivector import (
     vee,
     wedge,
 )
-from excalc.verify import run_verification
+from excalc.verify import random_coeff, random_vector, run_verification
 
 EPS = sys.float_info.epsilon
 

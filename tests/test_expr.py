@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mv
 from excalc.errors import ExcalcError, EvalError, ExprSyntaxError, GradeError, IndexRangeError
 from excalc.expr import (
     MAX_NESTING,
@@ -40,6 +40,7 @@ from excalc.multivector import (
     scalar_product,
 )
 from excalc.textform import scalar_to_text
+from excalc.verify import random_mv
 
 
 def test_tokenize_examples():
@@ -135,6 +136,14 @@ def test_environment_bindings():
     assert evaluate_text("x ^ e2", env) == Multivector.top(2)
     with pytest.raises(EvalError):
         env.bind("y", basis_vector(3, 1))
+
+
+@pytest.mark.parametrize("name", ["E", "v", "i", "ip", "e1", "e02", "x y", " x", "\u00e9", ""])
+def test_bind_rejects_a_name_an_expression_cannot_read_back(name):
+    env = Environment(2)
+    with pytest.raises(EvalError, match=f"cannot bind {re.escape(repr(name))}"):
+        env.bind(name, basis_vector(2, 1))
+    assert env.bindings == {}
 
 
 def test_inner_product_usable_inside_expressions():

@@ -7,8 +7,7 @@ from itertools import permutations
 
 import pytest
 
-from conftest import random_coeff, random_factors, random_vector
-from excalc.errors import DimensionError, GradeError, SchemaError
+from excalc.errors import DimensionError, GradeError, IndexRangeError, SchemaError
 from excalc.extensors import (
     ExtensorFactors,
     Split,
@@ -23,6 +22,7 @@ from excalc.extensors import (
 )
 from excalc.multivector import Multivector, mv_equal_approx, vee, wedge
 from excalc.qubits import QubitState
+from excalc.verify import random_coeff, random_factors, random_vector
 
 
 def basis_factors(d, *indices):
@@ -399,4 +399,18 @@ def test_factor_json_schema_errors_are_typed(data):
 )
 def test_state_json_schema_errors_are_typed(cls, data):
     with pytest.raises(SchemaError):
+        cls.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "cls, data, error",
+    [
+        (Multivector, {"dim": True, "terms": [{"blade": [], "re": 1, "im": 0}]}, DimensionError),
+        (Multivector, {"dim": 2, "terms": [{"blade": [True], "re": 1, "im": 0}]}, IndexRangeError),
+        (QubitState, {"d": True, "amps": [{"bits": "1", "re": 1, "im": 0}]}, DimensionError),
+        (ExtensorFactors, {"dim": True, "factors": [[{"re": 1, "im": 0}]]}, DimensionError),
+    ],
+)
+def test_json_rejects_a_bool_as_dimension_or_index(cls, data, error):
+    with pytest.raises(error):
         cls.from_json(data)

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from conftest import random_homogeneous, random_mv
 from excalc.errors import DimensionError, GradeError, IndexRangeError
 from excalc.multivector import (
     Multivector,
@@ -28,6 +27,7 @@ from excalc.multivector import (
     wedge,
 )
 from excalc.textform import scalar_to_text
+from excalc.verify import random_homogeneous, random_mv
 
 
 def blade(d, *indices):
@@ -68,6 +68,11 @@ def test_index_validation():
         Multivector.vacuum(0)
     with pytest.raises(DimensionError):
         Multivector.vacuum(17)
+    # a bool is an int to isinstance, but neither a dimension nor an index
+    with pytest.raises(DimensionError):
+        Multivector.vacuum(True)
+    with pytest.raises(IndexRangeError):
+        Multivector.from_indices(2, (True,))
 
 
 def test_pruning_and_finiteness():

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from conftest import random_coeff
 from excalc.errors import DimensionError, GradeError, IndexRangeError
 from excalc.multivector import (
     Multivector,
@@ -29,6 +28,7 @@ from excalc.qubits import (
     q_wedge,
     qubit_inner_product,
 )
+from excalc.verify import random_coeff
 
 QUBIT_TABLE_D2 = [
     ("00", "00", "|00>", "0"),

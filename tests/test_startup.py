@@ -85,7 +85,7 @@ def loaded_after(argv: list[str], stdin_text: str = "") -> tuple[list, list, int
         ),
         pytest.param(["fock", "--matrix", "create:1", "--dim", "2"], "", ["numpy"], id="fock"),
         pytest.param(
-            ["verify-paper"], "", ["numpy", "excalc.verify", "excalc.extensors"], id="verify-paper"
+            ["verify-paper"], "", ["excalc.verify", "excalc.extensors"], id="verify-paper"
         ),
     ],
 )

@@ -192,6 +192,8 @@ def test_verification_catches_a_flipped_star_sign(monkeypatch):
     # columns of both gate tables go wrong
     assert not results["meet-join-table-d2"].passed
     assert not results["qubit-gate-table-d2"].passed
+    # and so do the star-duality relations
+    assert not results["identity-relations"].passed
 
 
 # ---- CLI ---------------------------------------------------------------------------
@@ -325,3 +327,27 @@ def test_cli_repl_session():
     assert "dimension 3" in out_lines
     assert "-e1^e3" in out_lines
     assert "error:" in done.stderr  # e9 out of range and :bogus both complain
+
+
+def test_cli_repl_matches_whole_command_words_and_rejects_reserved_names():
+    script = ":letter = e1\n:dimension 3\n:let E = e1\nE\nter\n:quit now\ne1\n"
+    done = run_cli("repl", "--dim", "2", stdin_text=script)
+    assert done.returncode == 0
+    assert done.stdout.splitlines() == ["E"]
+    assert done.stderr.splitlines() == [
+        "error: unknown command ':letter'",
+        "error: unknown command ':dimension'",
+        "error: cannot bind 'E': an expression does not read it as a name",
+        "error: unbound name 'ter'",
+    ]
+
+
+def test_cli_factors_reject_a_reserved_name_and_a_bool_dimension():
+    factors = '{"dim": 1, "factors": [[{"re": 1, "im": 0}]]}'
+    done = run_cli("eval", "--dim", "1", "--factors", f"E={factors}", "E")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "error: cannot bind 'E': an expression does not read it as a name\n"
+    factors = '{"dim": true, "factors": [[{"re": 1, "im": 0}]]}'
+    done = run_cli("eval", "--dim", "1", "--factors", f"F={factors}", "--format", "json", "F")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "error: dimension must be an integer in 1..16, got True\n"
