@@ -152,7 +152,10 @@ def cmd_repl(args) -> int:
             if command == ":quit":
                 break
             if command == ":dim":
-                env = Environment(int(line.split()[1]))
+                words = line.split()[1:]
+                if len(words) != 1 or not words[0].isdecimal():
+                    raise ExcalcError(":dim wants one integer dimension")
+                env = Environment(int(words[0]))
                 out.write(f"dimension {env.d}\n")
             elif command == ":let":
                 name, _, expr_text = line[len(":let"):].partition("=")

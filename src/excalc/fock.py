@@ -17,6 +17,7 @@ from typing import Iterable
 from .errors import DimensionError
 from .multivector import (
     Multivector,
+    _result,
     all_blades,
     basis_vector,
     check_dim,
@@ -43,7 +44,7 @@ def apply_annihilation(i: int, a: Multivector) -> Multivector:
         sign = -1 if (mask & below).bit_count() & 1 else 1
         new = mask & ~bit
         out[new] = out.get(new, 0j) + sign * c
-    return Multivector(a.d, out)
+    return _result(a.d, out)
 
 
 def multi_create(indices: Iterable[int], a: Multivector) -> Multivector:

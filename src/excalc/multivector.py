@@ -236,6 +236,32 @@ class Multivector:
         return cls(d, terms)
 
 
+def _result(d: int, terms: dict[int, complex]) -> Multivector:
+    """Multivector from a kernel's output, whose masks are in range and
+    whose values are complex by construction.
+
+    Skips the dimension and mask checks, but prunes as the constructor does
+    and keeps its finiteness and overflow checks: a NaN, infinite or
+    overflowing coefficient goes to the constructor, which raises with its
+    usual message.
+    """
+    clean: dict[int, complex] = {}
+    for mask, c in terms.items():
+        try:
+            size = abs(c)
+        except OverflowError:
+            return Multivector(d, terms)
+        if size <= PRUNE_TOL:
+            continue
+        if not size < math.inf:  # inf, or NaN, which no comparison prunes
+            return Multivector(d, terms)
+        clean[mask] = c
+    out = object.__new__(Multivector)
+    object.__setattr__(out, "d", d)
+    object.__setattr__(out, "_terms", clean)
+    return out
+
+
 def _check_same_dim(a: Multivector, b: Multivector) -> None:
     if a.d != b.d:
         raise DimensionError(f"operands live in different dimensions ({a.d} vs {b.d})")
@@ -302,7 +328,7 @@ def _wedge_dict(a: Multivector, b: Multivector) -> Multivector:
                 continue
             u = s | t
             out[u] = out.get(u, 0j) + merge_sign(s, t) * ca * cb
-    return Multivector(a.d, out)
+    return _result(a.d, out)
 
 
 def hodge(a: Multivector) -> Multivector:
@@ -311,28 +337,50 @@ def hodge(a: Multivector) -> Multivector:
     for mask, c in a:
         sign, comp = hodge_blade(a.d, mask)
         out[comp] = out.get(comp, 0j) + sign * c
-    return Multivector(a.d, out)
+    return _result(a.d, out)
 
 
 def hodge_inverse(a: Multivector) -> Multivector:
-    """Inverse of the star complement; hodge(hodge_inverse(x)) == x."""
-    parts: dict[int, complex] = {}
-    d = a.d
-    for mask, c in a:
-        m = mask.bit_count()
-        sign = -1 if (m * (d - m)) & 1 else 1
-        parts[mask] = sign * c
-    return hodge(Multivector(d, parts))
+    """Inverse of the star complement; hodge(hodge_inverse(x)) == x.
+
+    Blade s goes to its complement with sign merge_sign(full ^ s, s): the
+    star sign of s times the (-1)^(k(d-k)) that undoes a double star on step k.
+    """
+    full = (1 << a.d) - 1
+    out: dict[int, complex] = {}
+    for s, c in a:
+        comp = full ^ s
+        out[comp] = out.get(comp, 0j) + merge_sign(comp, s) * c
+    return _result(a.d, out)
 
 
 def vee(a: Multivector, b: Multivector) -> Multivector:
-    """Regressive product via duality: joins hole systems, 0 when steps fall short of d."""
+    """Regressive product: joins hole systems, 0 when steps fall short of d.
+
+    Defined by duality, hodge_inverse(wedge(hodge(a), hodge(b))).  The dict
+    kernel makes one pass over the pairs with s | t == full, the pairs whose
+    stars are disjoint, and adds merge_sign(full ^ t, full ^ s) * ca * cb
+    into s & t: the two star signs, the wedge's merge sign and the inverse
+    star's sign multiplied out.
+    """
     _check_same_dim(a, b)
     if _dense_pays(a, b):
         from . import dense
 
         return dense.vee(a, b)
-    return hodge_inverse(_wedge_dict(hodge(a), hodge(b)))
+    return _vee_dict(a, b)
+
+
+def _vee_dict(a: Multivector, b: Multivector) -> Multivector:
+    full = (1 << a.d) - 1
+    out: dict[int, complex] = {}
+    for s, ca in a:
+        for t, cb in b:
+            if s | t != full:
+                continue
+            u = s & t
+            out[u] = out.get(u, 0j) + merge_sign(full ^ t, full ^ s) * ca * cb
+    return _result(a.d, out)
 
 
 # Cost model in units of one dense table entry: a dict pair visit costs about
@@ -393,7 +441,11 @@ def covector(d: int, i: int) -> Multivector:
 
 
 def scalar_product(a: Multivector, b: Multivector) -> complex:
-    """Scalar product on a common step k: conjugate(a) joined with hodge(b).
+    """Scalar product on a common step k: the scalar of vee(conjugate(a), hodge(b)).
+
+    On step k that vee pairs blade s of a only with blade s of b, with folded
+    sign +1, so this is the sum of conj(a_s) * b_s in a's term order, pruned
+    at PRUNE_TOL like any coefficient.
 
     Defined only for homogeneous operands of equal step (the zero multivector
     is accepted with any partner and gives 0).
@@ -408,7 +460,12 @@ def scalar_product(a: Multivector, b: Multivector) -> complex:
         return 0j
     if ka != kb:
         raise GradeError(f"scalar product undefined between steps {ka} and {kb}")
-    return vee(conjugate(a), hodge(b)).coeff_mask(0)
+    bt = b._terms
+    total = 0j
+    for s, ca in a:
+        if s in bt:
+            total += ca.conjugate() * bt[s]
+    return _result(a.d, {0: total}).coeff_mask(0)
 
 
 # ---- comparison -------------------------------------------------------------

@@ -109,6 +109,26 @@ def test_overflowing_magnitude_raises_value_error():
     assert combine(big, [(1, Multivector(2, {0b10: 1e308j}))]).terms() == {0b10: 1e308 + 1e308j}
 
 
+def test_kernel_overflow_names_the_result_blade():
+    # an overflowing join names the blade of its result, here the scalar, not
+    # a blade of the starred operands
+    e1, e2 = basis_vector(2, 1), basis_vector(2, 2)
+    scalar_blade = r"^non-finite coefficient \(inf\+0j\) on blade mask 0x0$"
+    with pytest.raises(ValueError, match=scalar_blade):
+        vee(1e200 * e1, 1e200 * e2)
+    with pytest.raises(ValueError, match=scalar_blade):
+        scalar_product(1e200 * e1, 1e200 * e1)
+    with pytest.raises(ValueError, match="on blade mask 0x3 has no finite magnitude$"):
+        wedge(Multivector(2, {1: 1.2e154 + 1.2e154j}), Multivector(2, {2: 1.2e154}))
+
+
+def test_kernel_nan_sum_raises_and_is_not_pruned():
+    # inf - inf on e1^e2: a NaN fails every magnitude comparison, including the cut
+    a = 1e200 * basis_vector(2, 1) + 1e200 * basis_vector(2, 2)
+    with pytest.raises(ValueError, match=r"^non-finite coefficient \(nan\+0j\) on blade mask 0x3$"):
+        wedge(a, a)
+
+
 def test_zero_is_not_the_vacuum():
     assert Multivector.zero(3) != Multivector.vacuum(3)
     assert Multivector.zero(3).is_zero()

@@ -181,19 +181,25 @@ def test_passing_report_text_is_pinned():
 
 
 def test_verification_catches_a_flipped_star_sign(monkeypatch):
-    true_hodge = core.hodge
+    true_hodge_blade = core.hodge_blade
 
-    def flipped(a):
-        return -true_hodge(a)
+    def flipped(d, mask):
+        sign, comp = true_hodge_blade(d, mask)
+        return -sign, comp
 
-    monkeypatch.setattr(core, "hodge", flipped)
-    results = {r.name: r for r in run_verification(trials=5)}
-    # the regressive product routes through the star complement, so the join
-    # columns of both gate tables go wrong
-    assert not results["meet-join-table-d2"].passed
-    assert not results["qubit-gate-table-d2"].passed
-    # and so do the star-duality relations
-    assert not results["identity-relations"].passed
+    monkeypatch.setattr(core, "hodge_blade", flipped)
+    failed = {r.name for r in run_verification(trials=5) if not r.passed}
+    # the star's sign shows in the complement tables, the one-hole fill and
+    # the star-duality relations
+    assert {"complement-table-d2", "complement-table-d3", "one-hole-fill", "identity-relations"} <= failed
+
+
+def test_verification_catches_a_flipped_vee(monkeypatch):
+    true_vee = core._vee_dict
+    monkeypatch.setattr(core, "_vee_dict", lambda a, b: -true_vee(a, b))
+    failed = {r.name for r in run_verification(trials=5) if not r.passed}
+    # the join columns of both gate tables go wrong
+    assert {"meet-join-table-d2", "qubit-gate-table-d2"} <= failed
 
 
 # ---- CLI ---------------------------------------------------------------------------
@@ -327,6 +333,17 @@ def test_cli_repl_session():
     assert "dimension 3" in out_lines
     assert "-e1^e3" in out_lines
     assert "error:" in done.stderr  # e9 out of range and :bogus both complain
+
+
+def test_cli_repl_dim_takes_exactly_one_integer():
+    script = ":dim\n:dim 3 4\n:dim x\n:dim -1\n*(e1)\n:dim 99\n:dim 3\n*(e1)\n"
+    done = run_cli("repl", "--dim", "2", stdin_text=script)
+    assert done.returncode == 0
+    # the bad lines leave the dimension at 2, where *(e1) is e2
+    assert done.stdout.splitlines() == ["e2", "dimension 3", "e2^e3"]
+    assert done.stderr.splitlines() == ["error: :dim wants one integer dimension"] * 4 + [
+        "error: dimension must be an integer in 1..16, got 99"
+    ]
 
 
 def test_cli_repl_matches_whole_command_words_and_rejects_reserved_names():
