@@ -1,54 +1,64 @@
 """Partial set gates induced by the exterior products.
 
-A subset of {1..d} maps to its basis blade; pulling wedge and vee back through
-that map gives two partially defined set operations.  A pair is in-domain
-exactly when the algebra result is a single blade with coefficient +1 (a zero
-or sign-carrying result has no subset preimage).  Plain union / intersection /
-complement gates are provided for side-by-side comparison.
+A subset of {1..d} maps to its basis blade, and is kept as that blade's mask;
+pulling wedge and vee back through the map gives two partially defined set
+operations.  A pair is in-domain exactly when the algebra result is a single
+blade with coefficient +1, matched within PRUNE_TOL (a zero or sign-carrying
+result has no subset preimage).  Plain union / intersection / complement
+gates are provided for side-by-side comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain, combinations
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import DimensionError
-from .multivector import PRUNE_TOL, Multivector, check_dim, indices_from_mask, vee, wedge
+from .multivector import (
+    PRUNE_TOL,
+    Multivector,
+    _result,
+    all_blades,
+    check_dim,
+    indices_from_mask,
+    vee,
+    wedge,
+)
 
 DOMAIN_MAX_DIM = 8
 
 
 @dataclass(frozen=True)
 class SubsetState:
-    """A subset of the index set {1..d}."""
+    """A subset of the index set {1..d}, as the mask of its blade."""
 
     d: int
-    members: frozenset[int] = field(default_factory=frozenset)
+    mask: int
 
     def __post_init__(self):
         check_dim(self.d)
-        members = frozenset(self.members)
-        if not all(type(i) is int and 1 <= i <= self.d for i in members):
-            raise DimensionError(f"members {set(members)} outside 1..{self.d}")
-        object.__setattr__(self, "members", members)
+        if type(self.mask) is not int or not 0 <= self.mask < 1 << self.d:
+            raise DimensionError(f"subset mask {self.mask!r} outside dimension {self.d}")
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(indices_from_mask(self.mask))
 
     def to_text(self) -> str:
-        if not self.members:
-            return "{}"
-        return "{" + ",".join(str(i) for i in sorted(self.members)) + "}"
+        return "{" + ",".join(map(str, indices_from_mask(self.mask))) + "}"
 
 
 def subset(d: int, members: Iterable[int] = ()) -> SubsetState:
-    return SubsetState(d, frozenset(members))
+    members = frozenset(members)
+    check_dim(d)
+    if not all(type(i) is int and 1 <= i <= d for i in members):
+        raise DimensionError(f"members {set(members)} outside 1..{d}")
+    return SubsetState(d, sum(1 << (i - 1) for i in members))
 
 
 def all_subsets(d: int) -> list[SubsetState]:
     """Every subset in (size, ascending members) order."""
-    check_dim(d)
-    items = range(1, d + 1)
-    combos = chain.from_iterable(combinations(items, k) for k in range(d + 1))
-    return [subset(d, c) for c in combos]
+    return [SubsetState(d, mask) for mask in all_blades(d)]
 
 
 # ---- the powerset <-> blade map ----------------------------------------------
@@ -56,41 +66,39 @@ def all_subsets(d: int) -> list[SubsetState]:
 
 def m_map(s: SubsetState) -> Multivector:
     """Subset -> its basis blade ({} -> 1, full set -> E)."""
-    return Multivector.from_indices(s.d, sorted(s.members))
+    return _result(s.d, {s.mask: 1 + 0j})
 
 
-def m_inverse(a: Multivector, tol: float = PRUNE_TOL) -> Optional[SubsetState]:
+def m_inverse(a: Multivector) -> Optional[SubsetState]:
     """Subset whose blade a is, or None when a has no subset preimage.
 
-    Defined only for a single blade with coefficient +1 (within tol); the zero
-    multivector and sign- or scale-carrying blades map to None.
+    Defined only for a single blade with coefficient +1 (within PRUNE_TOL);
+    the zero multivector and sign- or scale-carrying blades map to None.
     """
-    terms = a.terms()
-    if len(terms) != 1:
+    if len(a) != 1:
         return None
-    (mask, c), = terms.items()
-    if abs(c - 1.0) > tol:
+    (mask, c), = a
+    if abs(c - 1.0) > PRUNE_TOL:
         return None
-    return subset(a.d, indices_from_mask(mask))
+    return SubsetState(a.d, mask)
 
 
 # ---- partial pseudo-fermionic operations --------------------------------------
 
 
-def pseudo_wedge(
-    a1: SubsetState, a2: SubsetState, tol: float = PRUNE_TOL
-) -> Optional[SubsetState]:
+def _check_same_dim(a1: SubsetState, a2: SubsetState) -> None:
     if a1.d != a2.d:
         raise DimensionError(f"subsets live in different dimensions ({a1.d} vs {a2.d})")
-    return m_inverse(wedge(m_map(a1), m_map(a2)), tol)
 
 
-def pseudo_vee(
-    a1: SubsetState, a2: SubsetState, tol: float = PRUNE_TOL
-) -> Optional[SubsetState]:
-    if a1.d != a2.d:
-        raise DimensionError(f"subsets live in different dimensions ({a1.d} vs {a2.d})")
-    return m_inverse(vee(m_map(a1), m_map(a2)), tol)
+def pseudo_wedge(a1: SubsetState, a2: SubsetState) -> Optional[SubsetState]:
+    _check_same_dim(a1, a2)
+    return m_inverse(wedge(m_map(a1), m_map(a2)))
+
+
+def pseudo_vee(a1: SubsetState, a2: SubsetState) -> Optional[SubsetState]:
+    _check_same_dim(a1, a2)
+    return m_inverse(vee(m_map(a1), m_map(a2)))
 
 
 def _domain(d: int, op) -> set[tuple[frozenset[int], frozenset[int]]]:
@@ -120,16 +128,14 @@ def domain_d2(d: int) -> set[tuple[frozenset[int], frozenset[int]]]:
 
 
 def bool_or(a1: SubsetState, a2: SubsetState) -> SubsetState:
-    if a1.d != a2.d:
-        raise DimensionError("subsets live in different dimensions")
-    return subset(a1.d, a1.members | a2.members)
+    _check_same_dim(a1, a2)
+    return SubsetState(a1.d, a1.mask | a2.mask)
 
 
 def bool_and(a1: SubsetState, a2: SubsetState) -> SubsetState:
-    if a1.d != a2.d:
-        raise DimensionError("subsets live in different dimensions")
-    return subset(a1.d, a1.members & a2.members)
+    _check_same_dim(a1, a2)
+    return SubsetState(a1.d, a1.mask & a2.mask)
 
 
 def bool_not(a1: SubsetState) -> SubsetState:
-    return subset(a1.d, set(range(1, a1.d + 1)) - a1.members)
+    return SubsetState(a1.d, a1.mask ^ ((1 << a1.d) - 1))

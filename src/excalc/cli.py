@@ -3,8 +3,7 @@
 Subcommands: `eval` one expression, `table` a full pair table, `repl` an
 interactive session, `verify-paper` the bundled verification suite, `fock` a
 ladder-operator matrix dump.  Exit codes: 0 success, 1 evaluation error,
-2 syntax error, 3 verification failure.  EXCALC_TOL overrides the default
-1e-12 comparison tolerance.
+2 syntax error, 3 verification failure.
 
 Each subcommand imports only what it runs.  `eval`, `table` and `repl` load
 numpy only through `excalc.dense`, for dense operands or a `--factors` list
@@ -17,13 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import ExcalcError, ExprSyntaxError
 from .expr import Environment, evaluate_text
 from .fock import operator_matrix
-from .multivector import PRUNE_TOL, Multivector
+from .multivector import Multivector
 from .tables import TABLE_OPS, table_command
 from .textform import format_number, scalar_to_text
 
@@ -31,19 +29,6 @@ EXIT_OK = 0
 EXIT_EVAL = 1
 EXIT_SYNTAX = 2
 EXIT_VERIFY = 3
-
-
-def comparison_tolerance() -> float:
-    raw = os.environ.get("EXCALC_TOL")
-    if raw is None:
-        return PRUNE_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise ExcalcError(f"EXCALC_TOL is not a number: {raw!r}")
-    if not tol > 0:
-        raise ExcalcError(f"EXCALC_TOL must be positive: {raw!r}")
-    return tol
 
 
 def format_result(value: Multivector | complex, fmt: str) -> str:
@@ -99,14 +84,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_table(args) -> int:
-    print(table_command(args.op, args.dim, args.format, comparison_tolerance()), end="")
+    print(table_command(args.op, args.dim, args.format), end="")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     from .verify import format_report, run_verification
 
-    results = run_verification(tol=comparison_tolerance())
+    results = run_verification()
     sys.stdout.write(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
@@ -171,7 +156,7 @@ def cmd_repl(args) -> int:
                 parts = line.split()
                 if len(parts) != 2 or parts[1] not in TABLE_OPS:
                     raise ExcalcError(f":table wants one of {', '.join(TABLE_OPS)}")
-                out.write(table_command(parts[1], env.d, "text", comparison_tolerance()))
+                out.write(table_command(parts[1], env.d, "text"))
             elif command:
                 raise ExcalcError(f"unknown command {command!r}")
             else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, GradeError, SchemaError
+from .errors import DimensionError, GradeError, IndexRangeError, SchemaError
 from .multivector import SINGULAR_TOL, Multivector, basis_vector, check_dim, wedge
 
 Vector = tuple[complex, ...]
@@ -53,9 +53,13 @@ class ExtensorFactors:
 
     @classmethod
     def from_indices(cls, d: int, indices: Iterable[int]) -> ExtensorFactors:
-        """Basis factor list (e_{i1}, ..., e_{ik}) in the order given."""
+        """Basis factor list (e_{i1}, ..., e_{ik}) in the order given; a
+        repeated index gives a dependent list, which expands to 0."""
+        check_dim(d)
         rows = []
         for i in indices:
+            if type(i) is not int or not 1 <= i <= d:
+                raise IndexRangeError(f"basis index {i!r} outside 1..{d}")
             rows.append(tuple(1.0 + 0j if j == i else 0j for j in range(1, d + 1)))
         return cls(d, tuple(rows))
 
@@ -240,22 +244,22 @@ def join_by_splits(
     """
     if a.d != b.d:
         raise DimensionError(f"operands live in different dimensions ({a.d} vs {b.d})")
+    if variant not in ("first", "second"):
+        raise ValueError(f"unknown variant {variant!r}")
     d, k, l = a.d, a.step, b.step
-    if k + l < d:
-        return Multivector.zero(d)
     total = Multivector.zero(d)
+    if k + l < d:
+        return total
     if variant == "first":
         for split in enumerate_splits(a, d - l):
             det = det_columns(split.part1.factors + b.factors, d)
             if det:
                 total = total + split.sign * det * expand(split.part2)
-    elif variant == "second":
+    else:
         for split in enumerate_splits(b, k + l - d):
             det = det_columns(a.factors + split.part2.factors, d)
             if det:
                 total = total + split.sign * det * expand(split.part1)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     return total
 
 

@@ -17,7 +17,7 @@ from .errors import DimensionError, GradeError, IndexRangeError, SchemaError
 
 MAX_DIM = 16
 # Absolute magnitude that counts as zero: stored terms, unit-coefficient
-# matches and default comparisons (EXCALC_TOL overrides the latter two).
+# matches and default comparisons.
 PRUNE_TOL = 1e-12
 # Relative pivot threshold: a pivot at most this times the largest entry
 # (or 1) makes a determinant 0 and does not add to a rank.

@@ -198,4 +198,4 @@ def qubit_inner_product(s1: QubitState, s2: QubitState) -> complex:
     a1, a2 = s1.amplitudes(), s2.amplitudes()
     if len(a2) < len(a1):
         a1, a2 = a2, a1
-    return sum(c.conjugate() * a2[m] for m, c in a1.items() if m in a2)
+    return sum((c.conjugate() * a2[m] for m, c in a1.items() if m in a2), 0j)

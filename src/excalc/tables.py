@@ -11,11 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from functools import partial
 
 from .boolean_gates import all_subsets, pseudo_vee, pseudo_wedge
 from .errors import DimensionError
-from .multivector import PRUNE_TOL, Multivector, all_blades, check_dim, vee, wedge
+from .multivector import Multivector, all_blades, check_dim, vee, wedge
 from .qubits import QubitState, q_vee, q_wedge
 
 TABLE_MAX_DIM = 6
@@ -31,15 +30,15 @@ def _kets(d: int) -> list[QubitState]:
     return [QubitState(d, {m: 1.0}) for m in all_blades(d)]
 
 
-def table_rows(op: str, d: int, tol: float = PRUNE_TOL) -> list[tuple[str, str, str]]:
+def table_rows(op: str, d: int) -> list[tuple[str, str, str]]:
     check_dim(d)
     if d > TABLE_MAX_DIM:
         raise DimensionError(f"full tables limited to d <= {TABLE_MAX_DIM}")
     tables = {  # op -> (basis operands in (step, index) order, binary op)
         "wedge": (_blades, wedge),
         "vee": (_blades, vee),
-        "pseudo-wedge": (all_subsets, partial(pseudo_wedge, tol=tol)),
-        "pseudo-vee": (all_subsets, partial(pseudo_vee, tol=tol)),
+        "pseudo-wedge": (all_subsets, pseudo_wedge),
+        "pseudo-vee": (all_subsets, pseudo_vee),
         "q-wedge": (_kets, q_wedge),
         "q-vee": (_kets, q_vee),
     }
@@ -55,9 +54,9 @@ def table_rows(op: str, d: int, tol: float = PRUNE_TOL) -> list[tuple[str, str, 
     return rows
 
 
-def table_command(op: str, d: int, fmt: str = "text", tol: float = PRUNE_TOL) -> str:
+def table_command(op: str, d: int, fmt: str = "text") -> str:
     """Render the full pair table for one operation as text, json, or csv."""
-    rows = table_rows(op, d, tol)
+    rows = table_rows(op, d)
     header = ("a", "b", op)
     if fmt == "json":
         return json.dumps(

@@ -23,7 +23,6 @@ from .errors import GradeError
 from .extensors import ExtensorFactors, det_columns, expand, join_by_splits, triple_det
 from .fock import apply_annihilation, apply_creation, multi_annihilate, multi_create
 from .multivector import (
-    PRUNE_TOL,
     Multivector,
     basis_vector,
     covector,
@@ -327,7 +326,7 @@ def check_identity_relations(trials: int, rng: random.Random) -> CheckResult:
     return _result("identity-relations", "table", failures, f"{trials} randomized trials")
 
 
-def check_meet_join_table(tol: float) -> CheckResult:
+def check_meet_join_table() -> CheckResult:
     env_blades = {
         "1": Multivector.vacuum(2),
         "e1": basis_vector(2, 1),
@@ -345,7 +344,7 @@ def check_meet_join_table(tol: float) -> CheckResult:
     return _result("meet-join-table-d2", "table", failures, "32 entries")
 
 
-def check_partial_gate_table(tol: float) -> CheckResult:
+def check_partial_gate_table() -> CheckResult:
     failures = []
     d1 = domain_d1(2)
     d2 = domain_d2(2)
@@ -354,17 +353,17 @@ def check_partial_gate_table(tol: float) -> CheckResult:
     if d2 != DOMAIN_D2_REFERENCE:
         failures.append("vee domain mismatch")
     for members1, members2 in DOMAIN_D1_REFERENCE:
-        got = pseudo_wedge(subset(2, members1), subset(2, members2), tol)
+        got = pseudo_wedge(subset(2, members1), subset(2, members2))
         if got is None or got.members != members1 | members2:
             failures.append(f"pseudo-wedge {set(members1)},{set(members2)}")
     for members1, members2 in DOMAIN_D2_REFERENCE:
-        got = pseudo_vee(subset(2, members1), subset(2, members2), tol)
+        got = pseudo_vee(subset(2, members1), subset(2, members2))
         if got is None or got.members != members1 & members2:
             failures.append(f"pseudo-vee {set(members1)},{set(members2)}")
     return _result("partial-set-gate-table-d2", "table", failures, "2x8 domain pairs")
 
 
-def check_qubit_gate_table(tol: float) -> CheckResult:
+def check_qubit_gate_table() -> CheckResult:
     failures = []
     for s1, s2, want_wedge, want_vee in QUBIT_TABLE_D2:
         q1 = QubitState.basis(parse_basis_state(s1))
@@ -381,7 +380,7 @@ def check_qubit_gate_table(tol: float) -> CheckResult:
 # ---- worked example checks ---------------------------------------------------------
 
 
-def check_superposition_meet(tol: float, rng: random.Random) -> CheckResult:
+def check_superposition_meet(rng: random.Random) -> CheckResult:
     failures = []
     for _ in range(25):
         alpha, beta, gamma, delta = random_vector(rng, 4)
@@ -393,7 +392,7 @@ def check_superposition_meet(tol: float, rng: random.Random) -> CheckResult:
     return _result("superposition-meet-d3", "example", failures, "25 random coefficient draws")
 
 
-def check_superposition_join(tol: float, rng: random.Random) -> CheckResult:
+def check_superposition_join(rng: random.Random) -> CheckResult:
     failures = []
     z = ExtensorFactors.from_indices(3, (1, 2))
     for _ in range(25):
@@ -410,7 +409,7 @@ def check_superposition_join(tol: float, rng: random.Random) -> CheckResult:
     )
 
 
-def check_join_examples_d4(tol: float) -> CheckResult:
+def check_join_examples_d4() -> CheckResult:
     e12 = Multivector.from_indices(4, (1, 2))
     e3 = basis_vector(4, 3)
     e34 = Multivector.from_indices(4, (3, 4))
@@ -418,26 +417,25 @@ def check_join_examples_d4(tol: float) -> CheckResult:
     failures = []
     if not vee(e12, e3).is_zero():
         failures.append("step-short join not zero")
-    if not mv_equal_approx(vee(e12, e34), Multivector.vacuum(4), tol):
+    if vee(e12, e34) != Multivector.vacuum(4):
         failures.append("complementary join not the vacuum")
-    if not mv_equal_approx(vee(e12, e341), basis_vector(4, 1), tol):
+    if vee(e12, e341) != basis_vector(4, 1):
         failures.append("overlap join wrong")
     return _result("join-examples-d4", "example", failures, "3 evaluations")
 
 
-def _check_complement_table(d: int, entries, tol: float) -> list[str]:
+def _check_complement_table(d: int, entries) -> list[str]:
     failures = []
     for indices, (sign, comp) in entries.items():
         got = hodge(Multivector.from_indices(d, indices))
-        want = sign * Multivector.from_indices(d, comp)
-        if not mv_equal_approx(got, want, tol):
+        if got != sign * Multivector.from_indices(d, comp):
             failures.append(f"star of {indices} in d={d}")
     return failures
 
 
-def check_complement_tables(tol: float) -> list[CheckResult]:
-    f2 = _check_complement_table(2, COMPLEMENT_ENTRIES_D2, tol)
-    f3 = _check_complement_table(3, COMPLEMENT_ENTRIES_D3, tol)
+def check_complement_tables() -> list[CheckResult]:
+    f2 = _check_complement_table(2, COMPLEMENT_ENTRIES_D2)
+    f3 = _check_complement_table(3, COMPLEMENT_ENTRIES_D3)
     return [
         _result("complement-table-d2", "example", f2, "4 entries"),
         _result("complement-table-d3", "example", f3, "8 entries"),
@@ -448,20 +446,20 @@ def _anticommutator(f, g, x: Multivector) -> Multivector:
     return f(g(x)) + g(f(x))
 
 
-def check_ladder_maps(tol: float) -> CheckResult:
+def check_ladder_maps() -> CheckResult:
     failures = []
     d = 4
     created = multi_create({1, 4}, Multivector.vacuum(d))
-    if not mv_equal_approx(created, Multivector.from_indices(d, (1, 4)), tol):
+    if created != Multivector.from_indices(d, (1, 4)):
         failures.append("creation string on the vacuum")
     emptied = multi_annihilate({1, 4}, Multivector.top(d))
     coeff = emptied.coeff((2, 3))
-    if len(emptied) != 1 or abs(abs(coeff) - 1.0) > tol:
+    if len(emptied) != 1 or abs(coeff) != 1.0:
         failures.append("annihilation string on the top blade")
     for masks in range(1 << d):
         indices = [i + 1 for i in range(d) if masks >> i & 1]
         got = multi_create(indices, Multivector.vacuum(d))
-        if not mv_equal_approx(got, Multivector.from_indices(d, indices), tol):
+        if got != Multivector.from_indices(d, indices):
             failures.append(f"creation string for {indices}")
             break
     # {a_j, a_k^dagger} = delta_jk and {a_j, a_k} = {a_j^dagger, a_k^dagger} = 0,
@@ -482,14 +480,13 @@ def check_ladder_maps(tol: float) -> CheckResult:
     return _result("ladder-vacuum-maps", "example", failures, "strings and anticommutators at d=4")
 
 
-def check_vector_orthonormality(tol: float, rng: random.Random) -> CheckResult:
+def check_vector_orthonormality(rng: random.Random) -> CheckResult:
     failures = []
     for d in (2, 3, 4):
         for i in range(1, d + 1):
             for j in range(1, d + 1):
                 got = scalar_product(basis_vector(d, i), basis_vector(d, j))
-                want = 1.0 if i == j else 0.0
-                if abs(got - want) > tol:
+                if got != (1.0 if i == j else 0.0):
                     failures.append(f"(e{i},e{j}) d={d}")
     d = 4
     for _ in range(20):
@@ -510,15 +507,14 @@ def check_vector_orthonormality(tol: float, rng: random.Random) -> CheckResult:
     )
 
 
-def check_one_hole_fill(tol: float) -> CheckResult:
+def check_one_hole_fill() -> CheckResult:
     failures = []
     for d in range(2, 6):
         top = Multivector.top(d)
         for i in range(1, d + 1):
             for j in range(1, d + 1):
                 got = wedge(basis_vector(d, i), covector(d, j))
-                want = top if i == j else Multivector.zero(d)
-                if not mv_equal_approx(got, want, tol):
+                if got != (top if i == j else Multivector.zero(d)):
                     failures.append(f"e{i}^cov{j} d={d}")
     return _result("one-hole-fill", "example", failures, "all pairs d<=5")
 
@@ -526,22 +522,20 @@ def check_one_hole_fill(tol: float) -> CheckResult:
 # ---- driver -------------------------------------------------------------------------
 
 
-def run_verification(
-    tol: float = PRUNE_TOL, trials: int = 150, seed: int = DEFAULT_SEED
-) -> list[CheckResult]:
+def run_verification(trials: int = 150, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     rng = random.Random(seed)
     results = [
         check_identity_relations(trials, rng),
-        check_meet_join_table(tol),
-        check_partial_gate_table(tol),
-        check_qubit_gate_table(tol),
-        check_superposition_meet(tol, rng),
-        check_superposition_join(tol, rng),
-        check_join_examples_d4(tol),
-        *check_complement_tables(tol),
-        check_ladder_maps(tol),
-        check_vector_orthonormality(tol, rng),
-        check_one_hole_fill(tol),
+        check_meet_join_table(),
+        check_partial_gate_table(),
+        check_qubit_gate_table(),
+        check_superposition_meet(rng),
+        check_superposition_join(rng),
+        check_join_examples_d4(),
+        *check_complement_tables(),
+        check_ladder_maps(),
+        check_vector_orthonormality(rng),
+        check_one_hole_fill(),
     ]
     return results
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from excalc.boolean_gates import (
+    SubsetState,
     all_subsets,
     bool_and,
     bool_not,
@@ -18,7 +21,7 @@ from excalc.boolean_gates import (
     subset,
 )
 from excalc.errors import DimensionError
-from excalc.multivector import Multivector, hodge
+from excalc.multivector import Multivector, all_blades, hodge, merge_sign
 
 D1_REFERENCE = {
     (frozenset(), frozenset()),
@@ -47,6 +50,24 @@ def test_m_map_examples():
     assert m_map(subset(2, {1, 2})) == Multivector.top(2)
     assert m_map(subset(2)) == Multivector.vacuum(2)
     assert m_map(subset(3, {2, 3})) == Multivector.from_indices(3, (2, 3))
+    for a in all_subsets(4):
+        assert m_map(a) == Multivector.from_indices(4, sorted(a.members))
+        assert m_inverse(m_map(a)) == a
+
+
+def test_a_subset_is_kept_as_its_blade_mask():
+    a = subset(4, [3, 1])
+    assert [f.name for f in dataclasses.fields(SubsetState)] == ["d", "mask"]
+    assert a.mask == 0b101 and a.members == frozenset({1, 3})
+    assert all_subsets(3) == [SubsetState(3, m) for m in all_blades(3)]
+    for bad in ({0}, {5}, {True}, {1.0}, {"1"}):
+        with pytest.raises(DimensionError):
+            subset(4, bad)
+    with pytest.raises(DimensionError):
+        subset(0)
+    for mask in (-1, 16, True, 1.0):
+        with pytest.raises(DimensionError):
+            SubsetState(4, mask)
 
 
 def test_m_inverse():
@@ -92,6 +113,25 @@ def test_on_domain_the_gates_are_union_and_intersection(d):
         assert got is not None and got.members == members1 & members2
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_set_gates_follow_the_mask_rule(d):
+    """pseudo_wedge(a, b) is defined iff the masks s, t are disjoint and merge
+    with sign +1, and is then the union.  pseudo_vee(a, b) is defined iff
+    s | t is full and the complements merge, as (full ^ t, full ^ s), with
+    sign +1 (the folded sign of the duality vee), and is then the intersection."""
+    full = (1 << d) - 1
+    states = all_subsets(d)
+    for a in states:
+        for b in states:
+            s, t = a.mask, b.mask
+            meets = s & t == 0 and merge_sign(s, t) == 1
+            want = subset(d, a.members | b.members) if meets else None
+            assert pseudo_wedge(a, b) == want, (a, b)
+            joins = s | t == full and merge_sign(full ^ t, full ^ s) == 1
+            want = subset(d, a.members & b.members) if joins else None
+            assert pseudo_vee(a, b) == want, (a, b)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_domain_necessary_conditions(d):
     full = frozenset(range(1, d + 1))
@@ -120,6 +160,14 @@ def test_plain_set_gates():
     assert bool_or(subset(2, {1}), subset(2, {2})) == subset(2, {1, 2})
     assert bool_and(subset(2, {1}), subset(2, {1, 2})) == subset(2, {1})
     assert bool_not(subset(2)) == subset(2, {1, 2})
+    full = frozenset(range(1, 4))
+    for a in all_subsets(3):
+        assert bool_not(a).members == full - a.members
+        for b in all_subsets(3):
+            assert bool_or(a, b).members == a.members | b.members
+            assert bool_and(a, b).members == a.members & b.members
+    with pytest.raises(DimensionError):
+        bool_or(subset(2), subset(3))
 
 
 def test_domain_enumeration_guard():

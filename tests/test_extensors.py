@@ -95,6 +95,17 @@ def test_expand_dependent_factors_vanish():
     assert expand(ExtensorFactors(3, (e1, e1))).is_zero()
 
 
+def test_from_indices_rejects_an_index_outside_the_dimension():
+    for bad in (0, 4, -1, True, 1.0, "1"):
+        with pytest.raises(IndexRangeError):
+            ExtensorFactors.from_indices(3, (bad,))
+    with pytest.raises(DimensionError):
+        ExtensorFactors.from_indices(0, ())
+    # a repeated index is a dependent list, not an error
+    assert expand(basis_factors(3, 2, 2)).is_zero()
+    assert expand(basis_factors(3, 3, 1)) == -Multivector.from_indices(3, (1, 3))
+
+
 def test_expand_empty_is_vacuum():
     assert expand(ExtensorFactors(4, ())) == Multivector.vacuum(4)
 
@@ -220,6 +231,12 @@ def test_join_complementary_steps_is_determinant():
         got = join_by_splits(a, b)
         det = det_columns(a.factors + b.factors, d)
         assert mv_equal_approx(got, Multivector.scalar(d, det), 1e-9)
+
+
+def test_join_rejects_an_unknown_variant_before_the_step_shortcut():
+    a = basis_factors(3, 1)  # steps 1 + 1 fall short of d = 3
+    with pytest.raises(ValueError, match="bogus"):
+        join_by_splits(a, a, "bogus")
 
 
 def test_join_dimension_mismatch():

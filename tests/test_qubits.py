@@ -125,6 +125,16 @@ def test_inner_product_defined_where_the_algebra_refuses():
     assert abs(qubit_inner_product(ket("10"), ket("10")) - 1.0) <= 1e-12
 
 
+def test_inner_product_of_disjoint_supports_is_complex_zero():
+    for s1, s2 in (
+        (ket("10"), ket("11")),
+        (QubitState.zero(2), ket("00")),
+        (QubitState.zero(2), QubitState.zero(2)),
+    ):
+        got = qubit_inner_product(s1, s2)
+        assert type(got) is complex and got == 0
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionError):
         q_wedge(ket("10"), ket("100"))

@@ -99,8 +99,8 @@ def test_each_subcommand_loads_only_what_it_runs(argv, stdin_text, want):
 def test_command_functions_call_the_names_in_cli(monkeypatch, capsys):
     calls = []
 
-    def fake_table(op, d, fmt, tol):
-        calls.append(("table", op, d, fmt, tol))
+    def fake_table(op, d, fmt):
+        calls.append(("table", op, d, fmt))
         return "patched table\n"
 
     def fake_matrix(d, kind, i):
@@ -116,7 +116,7 @@ def test_command_functions_call_the_names_in_cli(monkeypatch, capsys):
     assert out[:3] == ["patched table", "0 1", "2i 0"]
     assert json.loads(out[3])["matrix"] == [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 2.0], [0.0, 0.0]]]
     assert calls == [
-        ("table", "vee", 2, "text", cli.comparison_tolerance()),
+        ("table", "vee", 2, "text"),
         ("matrix", 1, "annihilate", 1),
         ("matrix", 1, "create", 1),
     ]

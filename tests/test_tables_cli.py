@@ -248,16 +248,16 @@ def test_cli_table_and_tolerance_override():
     assert done.returncode == 0
     rows = list(csv.reader(io.StringIO(done.stdout)))
     assert rows[0] == ["a", "b", "pseudo-vee"]
-    loose = run_cli(
-        "table", "--op", "pseudo-wedge", "--dim", "2", env_extra={"EXCALC_TOL": "0.5"}
-    )
-    assert loose.returncode == 0
-    bad_tol = run_cli("eval", "--dim", "2", "e1", env_extra={"EXCALC_TOL": "x"})
-    assert bad_tol.returncode == 0  # eval does not consult the tolerance
-    bad_tol_table = run_cli(
-        "table", "--op", "pseudo-wedge", "--dim", "2", env_extra={"EXCALC_TOL": "x"}
-    )
-    assert bad_tol_table.returncode == 1
+    # the set gates match a +1 coefficient within PRUNE_TOL and nothing
+    # overrides it: a loose tolerance would accept -E as a defined gate
+    plain = run_cli("table", "--op", "pseudo-wedge", "--dim", "2")
+    assert plain.returncode == 0
+    assert ["{2}", "{1}"] in [line.split() for line in plain.stdout.splitlines()]
+    for value in ("2.5", "x"):
+        done = run_cli(
+            "table", "--op", "pseudo-wedge", "--dim", "2", env_extra={"EXCALC_TOL": value}
+        )
+        assert done.returncode == 0 and done.stdout == plain.stdout
 
 
 def test_cli_eval_factor_bindings(tmp_path):
