@@ -9,20 +9,24 @@ Each subcommand imports only what it runs.  `eval`, `table` and `repl` load
 numpy only through `excalc.dense`, for dense operands or a `--factors` list
 of 32 or more minors; `fock` loads it for its matrices; `verify-paper` does
 not load it.  `table_command` and `operator_matrix` are called through this
-module's names, so a caller can wrap them here.
+module's names, so a caller can wrap them here.  A replacement
+`operator_matrix` may return any 2-D complex ndarray; `fock` prints its
+entries from Python complex values, as the JSON `[re, im]` pairs or in the
+text notation, and formats each distinct entry once.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import struct
 import sys
 
 from .errors import ExcalcError, ExprSyntaxError
 from .expr import Environment, evaluate_text
 from .fock import operator_matrix
 from .multivector import Multivector
-from .tables import TABLE_OPS, table_command
+from .tables import TABLE_FORMATS, TABLE_OPS, table_command
 from .textform import format_number, scalar_to_text
 
 EXIT_OK = 0
@@ -57,6 +61,24 @@ def _format_matrix_entry(c: complex) -> str:
         return format_number(c.imag) + "i"
     sign = "+" if c.imag >= 0 else "-"
     return f"{format_number(c.real)}{sign}{format_number(abs(c.imag))}i"
+
+
+def _matrix_text(rows: list[list[complex]]) -> str:
+    """One line of space-separated entries per row, each distinct entry
+    formatted once: equal entries print alike, 0.0 and -0.0 as "0"."""
+    cells = {c: _format_matrix_entry(c) for c in set().union(*rows)}
+    return "".join(" ".join(map(cells.__getitem__, row)) + "\n" for row in rows)
+
+
+def _matrix_json(matrix) -> str:
+    """`json.dumps` of the [re, im] rows of a complex128 matrix, each
+    distinct entry dumped once.  JSON prints -0.0, so an entry's key is its
+    16 bytes, not its value."""
+    import numpy as np
+
+    keys = matrix.view(np.dtype((np.void, 16))).tolist()
+    cells = {k: json.dumps(struct.unpack("dd", k)) for k in set().union(*keys)}
+    return "[" + ", ".join("[" + ", ".join(map(cells.__getitem__, row)) + "]" for row in keys) + "]"
 
 
 def cmd_eval(args) -> int:
@@ -100,18 +122,16 @@ def cmd_fock(args) -> int:
     kind, _, index = args.matrix.partition(":")
     if kind not in ("create", "annihilate") or not index.isdecimal():
         raise ExcalcError(f"--matrix wants create:<i> or annihilate:<i>, got {args.matrix!r}")
-    matrix = operator_matrix(args.dim, kind, int(index))
+    import numpy as np
+
+    matrix = np.ascontiguousarray(operator_matrix(args.dim, kind, int(index)), dtype=complex)
     if args.format == "json":
-        payload = {
-            "op": kind,
-            "index": int(index),
-            "dim": args.dim,
-            "matrix": [[[c.real, c.imag] for c in row] for row in matrix.tolist()],
-        }
-        print(json.dumps(payload))
+        print(
+            f'{{"op": {json.dumps(kind)}, "index": {int(index)}, "dim": {args.dim}, '
+            f'"matrix": {_matrix_json(matrix)}}}'
+        )
     else:
-        for row in matrix:
-            print(" ".join(_format_matrix_entry(c) for c in row))
+        sys.stdout.write(_matrix_text(matrix.tolist()))
     return EXIT_OK
 
 
@@ -191,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="print a full pair table for one operation")
     p_table.add_argument("--op", choices=TABLE_OPS, required=True)
     p_table.add_argument("--dim", type=int, required=True)
-    p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p_table.add_argument("--format", choices=TABLE_FORMATS, default="text")
     p_table.set_defaults(func=cmd_table)
 
     p_repl = sub.add_parser("repl", help="interactive session")

@@ -11,11 +11,13 @@ A chain of one operator is one n-ary node (`Wedge`, `Vee`, or `Add` with a
 sign per term), so chains of any length parse and evaluate in constant stack
 depth.  Nesting is what costs stack: at most MAX_NESTING open `(`, `ip(` and
 prefix operators (`*`, `~`, `-` and the `*` of `scalar *`), beyond which the
-parser raises ExprSyntaxError at the token that crosses the limit.
+parser raises ExprSyntaxError at the token that crosses the limit.  A
+numeric literal beyond the float range raises it at the literal.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import partial, reduce
@@ -71,7 +73,10 @@ def tokenize(source: str) -> list[Token]:
         elif kind == "unknown":
             raise ExprSyntaxError(f"unknown character {text!r}", line, col)
         elif kind == "scalar":
-            value = complex(0.0, float(text[:-1])) if m["imag"] else complex(float(text))
+            number = float(text[:-1] if m["imag"] else text)
+            if math.isinf(number):
+                raise ExprSyntaxError(f"number {text!r} overflows", line, col)
+            value = complex(0.0, number) if m["imag"] else complex(number)
             tokens.append(Token(kind, text, line, col, value=value))
         elif kind == "basis":
             tokens.append(Token(kind, text, line, col, index=int(m["index"])))

@@ -193,6 +193,10 @@ class Multivector:
             return NotImplemented
         return self.d == other.d and self._terms == other._terms
 
+    def __hash__(self) -> int:
+        # equal coefficients hash equal, 0.0 and -0.0 parts included
+        return hash((self.d, frozenset(self._terms.items())))
+
     def __repr__(self) -> str:
         return f"Multivector(d={self.d}, {self.to_text()!r})"
 

@@ -100,6 +100,9 @@ class QubitState:
             return NotImplemented
         return self._mv == other._mv
 
+    def __hash__(self) -> int:
+        return hash(self._mv)
+
     def __repr__(self) -> str:
         return f"QubitState(d={self.d}, {self.to_text()!r})"
 

@@ -20,6 +20,7 @@ from .qubits import QubitState, q_vee, q_wedge
 TABLE_MAX_DIM = 6
 
 TABLE_OPS = ("wedge", "vee", "pseudo-wedge", "pseudo-vee", "q-wedge", "q-vee")
+TABLE_FORMATS = ("text", "json", "csv")
 
 
 def _blades(d: int) -> list[Multivector]:
@@ -46,26 +47,37 @@ def table_rows(op: str, d: int) -> list[tuple[str, str, str]]:
         raise ValueError(f"unknown table op {op!r}")
     basis, fn = tables[op]
     labelled = [(x, x.to_text()) for x in basis(d)]
+    # result -> its text; equal results render alike, so each renders once
+    cells = {None: ""}
     rows = []
     for a, label_a in labelled:
         for b, label_b in labelled:
             result = fn(a, b)
-            rows.append((label_a, label_b, "" if result is None else result.to_text()))
+            text = cells.get(result)
+            if text is None:
+                text = cells[result] = result.to_text()
+            rows.append((label_a, label_b, text))
     return rows
 
 
 def table_command(op: str, d: int, fmt: str = "text") -> str:
     """Render the full pair table for one operation as text, json, or csv."""
+    if fmt not in TABLE_FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
     rows = table_rows(op, d)
     header = ("a", "b", op)
     if fmt == "json":
-        return json.dumps(
-            {
-                "op": op,
-                "dim": d,
-                "entries": [{"a": a, "b": b, "result": r} for a, b, r in rows],
-            },
-            indent=2,
+        # the layout of json.dumps(..., indent=2), each distinct string quoted once
+        quoted = {s: json.dumps(s) for s in set().union(*rows)}
+        entries = ",\n".join(
+            '    {\n      "a": %s,\n      "b": %s,\n      "result": %s\n    }'
+            % tuple(map(quoted.__getitem__, row))
+            for row in rows
+        )
+        return '{\n  "op": %s,\n  "dim": %d,\n  "entries": [\n%s\n  ]\n}' % (
+            json.dumps(op),
+            d,
+            entries,
         )
     if fmt == "csv":
         buf = io.StringIO()
@@ -73,13 +85,9 @@ def table_command(op: str, d: int, fmt: str = "text") -> str:
         writer.writerow(header)
         writer.writerows(rows)
         return buf.getvalue()
-    if fmt == "text":
-        widths = [
-            max(len(header[i]), max(len(row[i]) for row in rows)) for i in range(3)
-        ]
-        lines = ["  ".join(header[i].ljust(widths[i]) for i in range(3))]
-        lines.append("  ".join("-" * w for w in widths))
-        for row in rows:
-            lines.append("  ".join(row[i].ljust(widths[i]) for i in range(3)).rstrip())
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    widths = [max(len(header[i]), max(len(row[i]) for row in rows)) for i in range(3)]
+    lines = ["  ".join(header[i].ljust(widths[i]) for i in range(3))]
+    lines.append("  ".join("-" * w for w in widths))
+    line = f"{{:<{widths[0]}}}  {{:<{widths[1]}}}  {{}}"
+    lines.extend(line.format(*row).rstrip() for row in rows)
+    return "\n".join(lines) + "\n"

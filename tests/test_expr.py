@@ -216,6 +216,27 @@ def test_number_suffix_and_words():
     assert tokenize("1٣")[0].value == 13
 
 
+@pytest.mark.parametrize(
+    "source, col",
+    [("1e400*e1", 1), ("e1 + 1e400i", 6), ("e2 - 1.8e308 * e1", 6), ("9" * 400 + "i", 1)],
+    ids=["exponent", "imaginary", "mantissa", "400-digits"],
+)
+def test_a_literal_beyond_the_float_range_is_a_syntax_error_at_the_literal(source, col):
+    with pytest.raises(ExprSyntaxError) as err:
+        tokenize(source)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert "overflows" in str(err.value)
+
+
+def test_cli_overflowing_literal_exits_2_at_its_column():
+    done = run_cli("eval", "--dim", "3", "--", "1e400*e1")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "syntax error: number '1e400' overflows at 1:1\n"
+    # the largest finite literal and an underflow to zero still evaluate
+    done = run_cli("eval", "--dim", "3", "--", "1.7e308*e1 + 1e-400i")
+    assert done.returncode == 0 and done.stdout == "1.7e+308 * e1\n"
+
+
 def test_token_positions_across_tabs_and_crlf():
     tokens = tokenize("e1\t+\r\n  e2")
     assert [(t.kind, t.line, t.col) for t in tokens] == [

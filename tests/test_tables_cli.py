@@ -9,12 +9,17 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import excalc.multivector as core
+from excalc import cli, tables
 from excalc.errors import DimensionError
 from excalc.expr import Environment, evaluate_text
-from excalc.tables import table_command, table_rows
+from excalc.qubits import QubitState
+from excalc.tables import TABLE_OPS, table_command, table_rows
 from excalc.verify import format_report, run_verification
 
 WEDGE_COLUMN_D2 = {
@@ -121,11 +126,84 @@ TABLE_DIGESTS_D3 = {
 }
 
 
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("op", sorted(TABLE_DIGESTS_D3))
 def test_table_output_is_pinned(op):
     """Every format of every d=3 table is byte-for-byte the reference output."""
     blob = "".join(table_command(op, 3, fmt) for fmt in ("text", "json", "csv"))
-    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == TABLE_DIGESTS_D3[op]
+    assert digest(blob) == TABLE_DIGESTS_D3[op]
+
+
+# Taken when every table and matrix cell was still rendered on its own:
+# rendering each distinct cell once must not move a byte.
+TABLE_DIGESTS_D6 = {
+    "wedge": "e212851ff7e0d3c3",
+    "vee": "b932784e5bbaab15",
+    "pseudo-wedge": "556085c1c1647000",
+    "pseudo-vee": "3e531e9e1425d833",
+    "q-wedge": "40e0d1c674612b12",
+    "q-vee": "994923005656aac9",
+}
+FOCK_DIGESTS_D8 = {
+    ("create:3", "text"): "db72bc23bee13c45",
+    ("create:3", "json"): "d7d170905a3baef2",
+    ("annihilate:5", "text"): "9e013bcab1ddd28d",
+    ("annihilate:5", "json"): "1711ee5072af7971",
+}
+
+
+@pytest.mark.parametrize("op", sorted(TABLE_DIGESTS_D6))
+def test_d6_table_output_is_pinned(op):
+    blob = "".join(table_command(op, 6, fmt) for fmt in ("text", "json", "csv"))
+    assert digest(blob) == TABLE_DIGESTS_D6[op]
+
+
+@pytest.mark.parametrize("matrix, fmt", sorted(FOCK_DIGESTS_D8))
+def test_d8_fock_output_is_pinned(matrix, fmt, capsys):
+    assert cli.main(["fock", "--matrix", matrix, "--dim", "8", "--format", fmt]) == 0
+    assert digest(capsys.readouterr().out) == FOCK_DIGESTS_D8[matrix, fmt]
+
+
+@pytest.mark.parametrize("op", TABLE_OPS)
+def test_table_json_is_the_indented_dump_of_its_rows(op):
+    rows = table_rows(op, 2)
+    entries = [{"a": a, "b": b, "result": r} for a, b, r in rows]
+    want = json.dumps({"op": op, "dim": 2, "entries": entries}, indent=2)
+    assert table_command(op, 2, "json") == want
+
+
+def test_table_rows_render_each_distinct_result_once(monkeypatch):
+    calls = []
+    to_text = core.Multivector.to_text
+
+    def counted(self):
+        calls.append(self)
+        return to_text(self)
+
+    monkeypatch.setattr(core.Multivector, "to_text", counted)
+    rows = table_rows("wedge", 3)
+    # the 8 basis labels, then one call per distinct product
+    assert len(calls) == 8 + len({r for _, _, r in rows})
+
+
+# parts with signed zeros, so that equal values can differ in their bits
+parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-13]), st.floats(-2, 2))
+
+
+@given(st.integers(1, 6), st.data())
+def test_equal_results_hash_alike_and_render_alike(d, data):
+    terms = data.draw(
+        st.dictionaries(st.integers(0, (1 << d) - 1), st.builds(complex, parts, parts), max_size=6)
+    )
+    flip = lambda x: -x if x == 0 else x  # 0.0 <-> -0.0
+    twin = {m: complex(flip(c.real), flip(c.imag)) for m, c in terms.items()}
+    for cls in (core.Multivector, QubitState):
+        a, b = cls(d, terms), cls(d, twin)
+        assert a == b and hash(a) == hash(b)
+        assert a.to_text() == b.to_text()
 
 
 def test_table_formats():
@@ -143,6 +221,15 @@ def test_table_guards():
         table_command("wedge", 7)
     with pytest.raises(ValueError):
         table_command("meet", 2)
+
+
+def test_unknown_table_format_is_rejected_before_the_table_is_built(monkeypatch):
+    def not_called(op, d):
+        raise AssertionError("table_rows called for an unknown format")
+
+    monkeypatch.setattr(tables, "table_rows", not_called)
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        table_command("wedge", 6, "xml")
 
 
 # ---- verification suite ----------------------------------------------------------
@@ -368,3 +455,22 @@ def test_cli_factors_reject_a_reserved_name_and_a_bool_dimension():
     done = run_cli("eval", "--dim", "1", "--factors", f"F={factors}", "--format", "json", "F")
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr == "error: dimension must be an integer in 1..16, got True\n"
+
+
+def test_cli_fock_text_prints_plain_numbers_from_any_complex_matrix(monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli, "operator_matrix", lambda d, kind, i: np.array([[0.5, 1e20], [1.5j, -0.0]])
+    )
+    assert cli.main(["fock", "--matrix", "create:1", "--dim", "1"]) == 0
+    assert capsys.readouterr().out == "0.5 1e+20\n1.5i 0\n"
+
+
+def test_cli_fock_json_keeps_signed_zeros(monkeypatch, capsys):
+    entries = [[0j, complex(-0.0, 0.0)], [complex(0.0, -0.0), -1], [1, 0j]]
+    monkeypatch.setattr(
+        cli, "operator_matrix", lambda d, kind, i: np.array(entries, dtype=complex)
+    )
+    assert cli.main(["fock", "--matrix", "annihilate:1", "--dim", "1", "--format", "json"]) == 0
+    matrix = [[[complex(c).real, complex(c).imag] for c in row] for row in entries]
+    want = json.dumps({"op": "annihilate", "index": 1, "dim": 1, "matrix": matrix})
+    assert capsys.readouterr().out == want + "\n"
