@@ -100,56 +100,36 @@ class Split:
 # ---- determinants and rank ---------------------------------------------------
 
 
-def _det(matrix: list[list[complex]]) -> complex:
-    """Determinant by Gaussian elimination with partial pivoting by magnitude."""
-    n = len(matrix)
-    if n == 0:
-        return 1.0 + 0j
-    m = [row[:] for row in matrix]
-    biggest = max((abs(c) for row in m for c in row), default=0.0)
-    threshold = SINGULAR_TOL * max(biggest, 1.0)
-    det = 1.0 + 0j
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[pivot][col]) <= threshold:
-            return 0j
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
+def _eliminate(matrix: list[list[complex]]) -> tuple[int, complex]:
+    """(rank, det) by row elimination with partial pivoting.
 
-
-def _rank(matrix: list[list[complex]]) -> int:
-    """Rank by row elimination; pivots measured against the largest entry."""
+    Each column's pivot is the first row of largest magnitude; a pivot at
+    most SINGULAR_TOL times the largest entry (or 1) is no pivot, and the
+    column is skipped.  det is the signed product of the pivots when the rank
+    is full, else 0j.
+    """
     m = [row[:] for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     biggest = max((abs(c) for row in m for c in row), default=0.0)
     threshold = SINGULAR_TOL * max(biggest, 1.0)
-    rank = 0
+    rank, det = 0, 1.0 + 0j
     for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if abs(m[r][col]) > threshold and (
-                pivot is None or abs(m[r][col]) > abs(m[pivot][col])
-            ):
-                pivot = r
-        if pivot is None:
+        if rank == rows:
+            break
+        pivot = max(range(rank, rows), key=lambda r: abs(m[r][col]))
+        if abs(m[pivot][col]) <= threshold:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            det = -det
+        det *= m[rank][col]
         for r in range(rank + 1, rows):
             f = m[r][col] / m[rank][col]
             for c in range(col, cols):
                 m[r][c] -= f * m[rank][c]
         rank += 1
-        if rank == rows:
-            break
-    return rank
+    return rank, det if rank == rows else 0j
 
 
 def det_columns(vectors: Sequence[Vector], d: int | None = None) -> complex:
@@ -164,16 +144,16 @@ def det_columns(vectors: Sequence[Vector], d: int | None = None) -> complex:
         if len(v) != d:
             raise DimensionError("column length differs from dimension")
     rows = [[vectors[j][i] for j in range(d)] for i in range(d)]
-    return _det(rows)
+    return _eliminate(rows)[1]
 
 
 # ---- expansion ---------------------------------------------------------------
 
 
 # From this many minors on, one vectorised elimination over all of them
-# replaces a Python `_det` per minor.  Measured, the batch wins from about 10
-# minors (d=6, k=2); 32 leaves a margin and keeps every expansion at d <= 6
-# (at most 20 minors) on `_det`.
+# replaces a Python `_eliminate` per minor.  Measured, the batch wins from
+# about 10 minors (d=6, k=2); 32 leaves a margin and keeps every expansion at
+# d <= 6 (at most 20 minors) on `_eliminate`.
 _BATCH_MINORS = 32
 
 
@@ -197,7 +177,7 @@ def _expand_minors(x: ExtensorFactors) -> Multivector:
     terms: dict[int, complex] = {}
     for rows in combinations(range(d), k):
         minor = [[x.factors[j][i] for j in range(k)] for i in rows]
-        det = _det(minor)
+        det = _eliminate(minor)[1]
         if det:
             mask = 0
             for i in rows:
@@ -292,10 +272,12 @@ def triple_det(
 
 
 def _column_rank(d: int, vectors: Sequence[Vector]) -> int:
+    check_dim(d)
+    vectors = [make_vector(d, v) for v in vectors]
     if not vectors:
         return 0
     rows = [[v[i] for v in vectors] for i in range(d)]
-    return _rank(rows)
+    return _eliminate(rows)[0]
 
 
 def intersection_dim(d: int, u: Sequence[Vector], w: Sequence[Vector]) -> int:
@@ -332,4 +314,4 @@ def is_decomposable(a: Multivector) -> bool:
         column = wedge(basis_vector(d, i), a)
         for mask, c in column:
             rows[blade_row[mask]][i - 1] = c
-    return d - _rank(rows) == k
+    return d - _eliminate(rows)[0] == k

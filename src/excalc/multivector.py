@@ -67,23 +67,11 @@ def merge_sign(a: int, b: int) -> int:
     return -1 if inv & 1 else 1
 
 
-def _index_sum(mask: int) -> int:
-    s = 0
-    pos = 1
-    while mask:
-        if mask & 1:
-            s += pos
-        mask >>= 1
-        pos += 1
-    return s
-
-
 def hodge_blade(d: int, mask: int) -> tuple[int, int]:
-    """Star complement of one blade: (sign, complement mask)."""
-    k = mask.bit_count()
-    exponent = _index_sum(mask) - k * (k + 1) // 2
-    sign = -1 if exponent & 1 else 1
-    return sign, ((1 << d) - 1) ^ mask
+    """Star complement of one blade: (sign, complement mask), with the sign
+    that makes blade ^ star = E."""
+    comp = ((1 << d) - 1) ^ mask
+    return merge_sign(mask, comp), comp
 
 
 class Multivector:
@@ -421,8 +409,8 @@ def step_of(a: Multivector) -> int | None:
 
 
 def grade_project(a: Multivector, k: int) -> Multivector:
-    if not 0 <= k <= a.d:
-        raise GradeError(f"step {k} outside 0..{a.d}")
+    if type(k) is not int or not 0 <= k <= a.d:
+        raise GradeError(f"step {k!r} outside 0..{a.d}")
     return Multivector(a.d, {m: c for m, c in a if m.bit_count() == k})
 
 

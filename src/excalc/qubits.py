@@ -23,7 +23,7 @@ from .textform import pieces_to_text
 def bits_to_mask(bits: Iterable[int]) -> int:
     mask = 0
     for pos, b in enumerate(bits):
-        if b not in (0, 1):
+        if type(b) is not int or b not in (0, 1):
             raise ValueError(f"bit value {b!r} is not 0 or 1")
         if b:
             mask |= 1 << pos

@@ -1,10 +1,14 @@
 """Built-in verification of the bundled reference tables and identities.
 
-Each check replays frozen reference data (the d=2 product tables, the partial
-set-gate domains, the qubit gate table, the complement tables) or a batch of
-randomized identity trials, and reports pass/fail.  The suite is what the
-`verify-paper` CLI subcommand runs; it exists so a build can prove in one
-command that every published value it claims to reproduce still comes out.
+Each check replays frozen reference data or a batch of randomized identity
+trials, and reports pass/fail.  The suite is what the `verify-paper` CLI
+subcommand runs; it exists so a build can prove in one command that every
+published value it claims to reproduce still comes out.
+
+The d=2 gate tables (meet/join, the partial set gates, the qubit gates) are
+frozen as the rows `excalc table --dim 2` prints and are checked against
+`tables.table_rows`, the loop that prints them.  The d=2 and d=3 complement
+tables are frozen as (blade, star) text rows.
 
 The identities of meet, join and star are stated once, as the named relations
 in RELATIONS, over operands from the seeded generators `random_*`.  The
@@ -18,12 +22,12 @@ import random
 from dataclasses import dataclass
 from functools import partial, reduce
 
-from .boolean_gates import domain_d1, domain_d2, pseudo_vee, pseudo_wedge, subset
 from .errors import GradeError
 from .extensors import ExtensorFactors, det_columns, expand, join_by_splits, triple_det
 from .fock import apply_annihilation, apply_creation, multi_annihilate, multi_create
 from .multivector import (
     Multivector,
+    all_blades,
     basis_vector,
     covector,
     hodge,
@@ -33,7 +37,9 @@ from .multivector import (
     vee,
     wedge,
 )
-from .qubits import QubitState, parse_basis_state, q_vee, q_wedge
+# bound at import, so a wrapper put on `tables.table_rows` later (perfbench's
+# traced mode) times the `table` command alone
+from .tables import table_rows
 
 DEFAULT_SEED = 1118
 # Absolute tolerance of a randomized identity whose two sides are summed in
@@ -57,8 +63,12 @@ def _result(name: str, kind: str, failures: list[str], passed_detail: str) -> Ch
 
 
 # ---- frozen reference data ------------------------------------------------------
+#
+# The d=2 gate tables, as `excalc table --dim 2` prints them: rows (a, b,
+# left-op cell, right-op cell) in (step, index) order, with "" where a partial
+# set gate is undefined.
 
-# d=2 basis order: 1, e1, e2, E.  Entries are (a, b, a^b, a v b) in text form.
+# wedge and vee on 1, e1, e2, E
 MEET_JOIN_TABLE_D2 = [
     ("1", "1", "1", "0"),
     ("1", "e1", "e1", "0"),
@@ -78,65 +88,58 @@ MEET_JOIN_TABLE_D2 = [
     ("E", "E", "0", "E"),
 ]
 
-# Subset pairs (as frozensets) on which the induced partial operations are defined.
-DOMAIN_D1_REFERENCE = {
-    (frozenset(), frozenset()),
-    (frozenset({1}), frozenset()),
-    (frozenset({2}), frozenset()),
-    (frozenset({1, 2}), frozenset()),
-    (frozenset(), frozenset({1})),
-    (frozenset(), frozenset({2})),
-    (frozenset({1}), frozenset({2})),
-    (frozenset(), frozenset({1, 2})),
-}
-DOMAIN_D2_REFERENCE = {
-    (frozenset({1, 2}), frozenset()),
-    (frozenset({1, 2}), frozenset({1})),
-    (frozenset({1}), frozenset({2})),
-    (frozenset({1, 2}), frozenset({2})),
-    (frozenset(), frozenset({1, 2})),
-    (frozenset({1}), frozenset({1, 2})),
-    (frozenset({2}), frozenset({1, 2})),
-    (frozenset({1, 2}), frozenset({1, 2})),
-}
-
-# d=2 qubit basis order: |00>, |10>, |01>, |11>.  Entries (s1, s2, s1^s2, s1 v s2).
-QUBIT_TABLE_D2 = [
-    ("00", "00", "|00>", "0"),
-    ("00", "10", "|10>", "0"),
-    ("00", "01", "|01>", "0"),
-    ("00", "11", "|11>", "|00>"),
-    ("10", "00", "|10>", "0"),
-    ("10", "10", "0", "0"),
-    ("10", "01", "|11>", "|00>"),
-    ("10", "11", "0", "|10>"),
-    ("01", "00", "|01>", "0"),
-    ("01", "10", "-|11>", "-|00>"),
-    ("01", "01", "0", "0"),
-    ("01", "11", "0", "|01>"),
-    ("11", "00", "|11>", "|00>"),
-    ("11", "10", "0", "|10>"),
-    ("11", "01", "0", "|01>"),
-    ("11", "11", "0", "|11>"),
+# pseudo-wedge and pseudo-vee on {}, {1}, {2}, {1,2}
+PARTIAL_GATE_TABLE_D2 = [
+    ("{}", "{}", "{}", ""),
+    ("{}", "{1}", "{1}", ""),
+    ("{}", "{2}", "{2}", ""),
+    ("{}", "{1,2}", "{1,2}", "{}"),
+    ("{1}", "{}", "{1}", ""),
+    ("{1}", "{1}", "", ""),
+    ("{1}", "{2}", "{1,2}", "{}"),
+    ("{1}", "{1,2}", "", "{1}"),
+    ("{2}", "{}", "{2}", ""),
+    ("{2}", "{1}", "", ""),
+    ("{2}", "{2}", "", ""),
+    ("{2}", "{1,2}", "", "{2}"),
+    ("{1,2}", "{}", "{1,2}", "{}"),
+    ("{1,2}", "{1}", "", "{1}"),
+    ("{1,2}", "{2}", "", "{2}"),
+    ("{1,2}", "{1,2}", "", "{1,2}"),
 ]
 
-# blade -> (sign, complement blade)
-COMPLEMENT_ENTRIES_D2 = {
-    (): (1, (1, 2)),
-    (1,): (1, (2,)),
-    (2,): (-1, (1,)),
-    (1, 2): (1, ()),
-}
-COMPLEMENT_ENTRIES_D3 = {
-    (): (1, (1, 2, 3)),
-    (1,): (1, (2, 3)),
-    (2,): (-1, (1, 3)),
-    (3,): (1, (1, 2)),
-    (1, 2): (1, (3,)),
-    (1, 3): (-1, (2,)),
-    (2, 3): (1, (1,)),
-    (1, 2, 3): (1, ()),
-}
+# q-wedge and q-vee on |00>, |10>, |01>, |11>
+QUBIT_TABLE_D2 = [
+    ("|00>", "|00>", "|00>", "0"),
+    ("|00>", "|10>", "|10>", "0"),
+    ("|00>", "|01>", "|01>", "0"),
+    ("|00>", "|11>", "|11>", "|00>"),
+    ("|10>", "|00>", "|10>", "0"),
+    ("|10>", "|10>", "0", "0"),
+    ("|10>", "|01>", "|11>", "|00>"),
+    ("|10>", "|11>", "0", "|10>"),
+    ("|01>", "|00>", "|01>", "0"),
+    ("|01>", "|10>", "-|11>", "-|00>"),
+    ("|01>", "|01>", "0", "0"),
+    ("|01>", "|11>", "0", "|01>"),
+    ("|11>", "|00>", "|11>", "|00>"),
+    ("|11>", "|10>", "0", "|10>"),
+    ("|11>", "|01>", "0", "|01>"),
+    ("|11>", "|11>", "0", "|11>"),
+]
+
+# (blade, star of the blade) over `all_blades(d)`
+COMPLEMENT_TABLE_D2 = [("1", "E"), ("e1", "e2"), ("e2", "-e1"), ("E", "1")]
+COMPLEMENT_TABLE_D3 = [
+    ("1", "E"),
+    ("e1", "e2^e3"),
+    ("e2", "-e1^e3"),
+    ("e3", "e1^e2"),
+    ("e1^e2", "e3"),
+    ("e1^e3", "-e2"),
+    ("e2^e3", "e1"),
+    ("E", "1"),
+]
 
 
 # ---- seeded random values ---------------------------------------------------------
@@ -326,55 +329,32 @@ def check_identity_relations(trials: int, rng: random.Random) -> CheckResult:
     return _result("identity-relations", "table", failures, f"{trials} randomized trials")
 
 
-def check_meet_join_table() -> CheckResult:
-    env_blades = {
-        "1": Multivector.vacuum(2),
-        "e1": basis_vector(2, 1),
-        "e2": basis_vector(2, 2),
-        "E": Multivector.top(2),
-    }
+def _check_gate_table(name: str, left: str, right: str, frozen, detail: str) -> CheckResult:
+    """Both result columns of a frozen d=2 table against the rows of `table_rows`."""
     failures = []
-    for a, b, want_wedge, want_vee in MEET_JOIN_TABLE_D2:
-        got_w = wedge(env_blades[a], env_blades[b]).to_text()
-        got_v = vee(env_blades[a], env_blades[b]).to_text()
-        if got_w != want_wedge:
-            failures.append(f"{a}^{b}: got {got_w}, want {want_wedge}")
-        if got_v != want_vee:
-            failures.append(f"{a} v {b}: got {got_v}, want {want_vee}")
-    return _result("meet-join-table-d2", "table", failures, "32 entries")
+    rows = zip(frozen, table_rows(left, 2), table_rows(right, 2), strict=True)
+    for (a, b, *cells), *got in rows:
+        for op, cell, row in zip((left, right), cells, got):
+            if row != (a, b, cell):
+                failures.append(f"{op} {a},{b}: got {row!r}, want {(a, b, cell)!r}")
+    return _result(name, "table", failures, detail)
+
+
+def check_meet_join_table() -> CheckResult:
+    return _check_gate_table("meet-join-table-d2", "wedge", "vee", MEET_JOIN_TABLE_D2, "32 entries")
 
 
 def check_partial_gate_table() -> CheckResult:
-    failures = []
-    d1 = domain_d1(2)
-    d2 = domain_d2(2)
-    if d1 != DOMAIN_D1_REFERENCE:
-        failures.append(f"wedge domain mismatch: {sorted(map(sorted, d1 - DOMAIN_D1_REFERENCE))}")
-    if d2 != DOMAIN_D2_REFERENCE:
-        failures.append("vee domain mismatch")
-    for members1, members2 in DOMAIN_D1_REFERENCE:
-        got = pseudo_wedge(subset(2, members1), subset(2, members2))
-        if got is None or got.members != members1 | members2:
-            failures.append(f"pseudo-wedge {set(members1)},{set(members2)}")
-    for members1, members2 in DOMAIN_D2_REFERENCE:
-        got = pseudo_vee(subset(2, members1), subset(2, members2))
-        if got is None or got.members != members1 & members2:
-            failures.append(f"pseudo-vee {set(members1)},{set(members2)}")
-    return _result("partial-set-gate-table-d2", "table", failures, "2x8 domain pairs")
+    return _check_gate_table(
+        "partial-set-gate-table-d2", "pseudo-wedge", "pseudo-vee", PARTIAL_GATE_TABLE_D2,
+        "2x8 domain pairs",
+    )
 
 
 def check_qubit_gate_table() -> CheckResult:
-    failures = []
-    for s1, s2, want_wedge, want_vee in QUBIT_TABLE_D2:
-        q1 = QubitState.basis(parse_basis_state(s1))
-        q2 = QubitState.basis(parse_basis_state(s2))
-        got_w = q_wedge(q1, q2).to_text()
-        got_v = q_vee(q1, q2).to_text()
-        if got_w != want_wedge:
-            failures.append(f"|{s1}>^|{s2}>: got {got_w}, want {want_wedge}")
-        if got_v != want_vee:
-            failures.append(f"|{s1}> v |{s2}>: got {got_v}, want {want_vee}")
-    return _result("qubit-gate-table-d2", "table", failures, "32 entries")
+    return _check_gate_table(
+        "qubit-gate-table-d2", "q-wedge", "q-vee", QUBIT_TABLE_D2, "32 entries"
+    )
 
 
 # ---- worked example checks ---------------------------------------------------------
@@ -424,21 +404,20 @@ def check_join_examples_d4() -> CheckResult:
     return _result("join-examples-d4", "example", failures, "3 evaluations")
 
 
-def _check_complement_table(d: int, entries) -> list[str]:
+def _check_complement_table(d: int, frozen) -> CheckResult:
     failures = []
-    for indices, (sign, comp) in entries.items():
-        got = hodge(Multivector.from_indices(d, indices))
-        if got != sign * Multivector.from_indices(d, comp):
-            failures.append(f"star of {indices} in d={d}")
-    return failures
+    for mask, want in zip(all_blades(d), frozen, strict=True):
+        x = Multivector(d, {mask: 1.0})
+        got = (x.to_text(), hodge(x).to_text())
+        if got != want:
+            failures.append(f"star of {want[0]} in d={d}: got {got[1]}, want {want[1]}")
+    return _result(f"complement-table-d{d}", "example", failures, f"{len(frozen)} entries")
 
 
 def check_complement_tables() -> list[CheckResult]:
-    f2 = _check_complement_table(2, COMPLEMENT_ENTRIES_D2)
-    f3 = _check_complement_table(3, COMPLEMENT_ENTRIES_D3)
     return [
-        _result("complement-table-d2", "example", f2, "4 entries"),
-        _result("complement-table-d3", "example", f3, "8 entries"),
+        _check_complement_table(2, COMPLEMENT_TABLE_D2),
+        _check_complement_table(3, COMPLEMENT_TABLE_D3),
     ]
 
 

@@ -1,7 +1,7 @@
 """Dense kernels against the routes they replace on large operands.
 
 The dense wedge and vee and the batched `expand` form the same products as
-the dict kernel and the per-minor `_det`, but add them in another order, so
+the dict kernel and the per-minor `_eliminate`, but add them in another order, so
 the routes agree to a float64 rounding bound fixed here, not bit for bit.
 """
 
@@ -95,6 +95,19 @@ def test_dense_kernel_past_the_table_cut_off():
     tol = sum_bound(d, a, b)
     assert mv_equal_approx(dense.wedge(a, b), multivector._wedge_dict(a, b), tol)
     assert mv_equal_approx(dense.vee(a, b), dict_vee(a, b), tol)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_dense_star_signs_are_the_index_sum_and_double_star_formulas(d):
+    """The star sign (-1)^(i1 + ... + ik - k(k+1)/2) of each mask, and the
+    inverse star's sign: the star sign times (-1)^(k(d-k))."""
+    star, inverse = dense._star_signs(d)
+    for m in range(1 << d):
+        k = m.bit_count()
+        index_sum = sum(i + 1 for i in range(d) if m >> i & 1)
+        want = -1.0 if (index_sum - k * (k + 1) // 2) & 1 else 1.0
+        assert star[m] == want
+        assert inverse[m] == want * (-1) ** (k * (d - k))
 
 
 # ---- dispatch ------------------------------------------------------------------------

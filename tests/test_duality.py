@@ -19,9 +19,17 @@ from excalc.multivector import (
     hodge,
     hodge_blade,
     hodge_inverse,
+    indices_from_mask,
     merge_sign,
     scalar_product,
 )
+
+
+def index_sum_star_sign(mask: int) -> int:
+    """(-1)^(i1 + ... + ik - k(k+1)/2): the star sign as an index sum."""
+    k = mask.bit_count()
+    exponent = sum(indices_from_mask(mask)) - k * (k + 1) // 2
+    return -1 if exponent & 1 else 1
 
 
 def double_star_sign(d: int, mask: int) -> int:
@@ -98,6 +106,15 @@ def test_folded_hodge_inverse_is_the_duality_route(pair):
 def test_folded_scalar_product_is_the_duality_route(pair):
     a, b = pair
     assert bits(scalar_product(a, b)) == bits(duality_vee(conjugate(a), hodge(b)).coeff_mask(0))
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_star_sign_is_the_index_sum_formula(d):
+    """Every blade of d <= 10: the merge sign that makes blade ^ star = E is
+    the index-sum sign."""
+    full = (1 << d) - 1
+    for mask in range(full + 1):
+        assert hodge_blade(d, mask) == (index_sum_star_sign(mask), full ^ mask)
 
 
 @pytest.mark.parametrize("d", range(1, 9))

@@ -6,11 +6,14 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excalc.errors import DimensionError, GradeError, IndexRangeError, SchemaError
 from excalc.extensors import (
     ExtensorFactors,
     Split,
+    _eliminate,
     det_columns,
     enumerate_splits,
     expand,
@@ -20,7 +23,7 @@ from excalc.extensors import (
     span_covers,
     triple_det,
 )
-from excalc.multivector import Multivector, mv_equal_approx, vee, wedge
+from excalc.multivector import SINGULAR_TOL, Multivector, mv_equal_approx, vee, wedge
 from excalc.qubits import QubitState
 from excalc.verify import random_coeff, random_factors, random_vector
 
@@ -75,6 +78,62 @@ def test_det_singular_and_count_errors():
         det_columns([v, v], 3)
     with pytest.raises(DimensionError):
         det_columns([], None)
+
+
+def pivot_rank(matrix: list[list[complex]]) -> int:
+    """The rank-only elimination that `_eliminate` replaced, kept as an oracle:
+    in each column, the first row of largest magnitude above the threshold pivots."""
+    m = [row[:] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    biggest = max((abs(c) for row in m for c in row), default=0.0)
+    threshold = SINGULAR_TOL * max(biggest, 1.0)
+    rank = 0
+    for col in range(cols):
+        pivot = None
+        for r in range(rank, rows):
+            if abs(m[r][col]) > threshold and (
+                pivot is None or abs(m[r][col]) > abs(m[pivot][col])
+            ):
+                pivot = r
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, rows):
+            f = m[r][col] / m[rank][col]
+            for c in range(col, cols):
+                m[r][c] -= f * m[rank][c]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+# few distinct entries, so repeated and zero rows and columns are common
+ENTRIES = st.sampled_from([0j, 1 + 0j, -1 + 0j, 2 + 0j, 1j, 0.5 - 1.5j, 1e-13 + 0j])
+
+
+@st.composite
+def matrices(draw):
+    """Square and rectangular matrices up to 6 x 6, often rank-deficient."""
+    rows = draw(st.integers(0, 6))
+    cols = rows if draw(st.booleans()) else draw(st.integers(1, 6))
+    entries = st.one_of(ENTRIES, st.complex_numbers(max_magnitude=2, allow_nan=False))
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    matrix = draw(st.lists(row, min_size=rows, max_size=rows))
+    if rows >= 2 and draw(st.booleans()):
+        scale = draw(ENTRIES)
+        matrix[-1] = [scale * c for c in matrix[0]]
+    return matrix
+
+
+@settings(max_examples=200)
+@given(matrices())
+def test_one_elimination_gives_the_old_rank_and_a_det_zero_exactly_below_full_rank(matrix):
+    rank, det = _eliminate(matrix)
+    assert rank == pivot_rank(matrix)
+    if len(matrix) == len(matrix[0] if matrix else []):
+        assert (det == 0) == (rank < len(matrix))
 
 
 # ---- expansion ----------------------------------------------------------------------
@@ -281,6 +340,22 @@ def test_intersection_examples():
     assert intersection_dim(3, u, w) == 1
     assert span_covers(3, u, w)
     assert not span_covers(3, basis_factors(3, 1).factors, basis_factors(3, 2).factors)
+
+
+@pytest.mark.parametrize("query", [intersection_dim, span_covers])
+def test_subspace_queries_check_their_vectors(query):
+    with pytest.raises(DimensionError):
+        query(0, [], [])
+    with pytest.raises(DimensionError):
+        query(2, [(1,)], [])
+    with pytest.raises(DimensionError):
+        query(2, [(1, 2, 3)], [])
+    with pytest.raises(DimensionError):
+        query(2, [], [(1, 0), (0, 1, 0)])
+    with pytest.raises(ValueError, match="non-finite"):
+        query(2, [(1, float("nan"))], [])
+    with pytest.raises(ValueError, match="non-finite"):
+        query(2, [(1, 0)], [(float("inf"), 0)])
 
 
 def _factors_with_shared(rng, d, k, l, shared):

@@ -412,6 +412,13 @@ def test_grade_project():
         grade_project(a, 4)
 
 
+@pytest.mark.parametrize("k", [1.5, 1.0, True, False, "1", None])
+def test_grade_project_wants_an_int_step(k):
+    a = Multivector.vacuum(3) + blade(3, 1)
+    with pytest.raises(GradeError, match="outside 0..3"):
+        grade_project(a, k)
+
+
 def test_mv_equal_approx():
     a = blade(3, 1)
     assert mv_equal_approx(a, a, 1e-12)

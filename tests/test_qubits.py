@@ -64,6 +64,16 @@ def test_basis_map_examples():
     assert n_map_basis((1, 1)) == Multivector.top(2)
 
 
+@pytest.mark.parametrize("bit", [True, False, 1.0, 0.0, "1", None])
+def test_a_bit_is_the_int_0_or_1(bit):
+    with pytest.raises(ValueError, match="is not 0 or 1"):
+        QubitState.basis([bit, 0])
+    with pytest.raises(ValueError, match="is not 0 or 1"):
+        n_map_basis([0, bit])
+    with pytest.raises(ValueError, match="is not 0 or 1"):
+        QubitState.zero(2).amplitude([bit, 1])
+
+
 def test_superpositions_map_componentwise():
     a, b, c, d = (random_coeff(random.Random(i)) for i in range(4))
     state = QubitState(2, {0b00: a, 0b01: b, 0b10: c, 0b11: d})

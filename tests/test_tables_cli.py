@@ -289,6 +289,52 @@ def test_verification_catches_a_flipped_vee(monkeypatch):
     assert {"meet-join-table-d2", "qubit-gate-table-d2"} <= failed
 
 
+def _break_one_cell(monkeypatch, op_name: str, pair: tuple[str, str], change):
+    """Patch one table op of `excalc.tables` so that `change` rewrites its
+    result on one labelled pair."""
+    true_op = getattr(tables, op_name)
+
+    def patched(a, b):
+        result = true_op(a, b)
+        return change(result) if (a.to_text(), b.to_text()) == pair else result
+
+    monkeypatch.setattr(tables, op_name, patched)
+
+
+def test_verification_catches_one_wrong_pseudo_cell(monkeypatch):
+    _break_one_cell(monkeypatch, "pseudo_vee", ("{1,2}", "{1}"), lambda result: None)
+    failed = [r for r in run_verification(trials=5) if not r.passed]
+    assert [r.name for r in failed] == ["partial-set-gate-table-d2"]
+    assert failed[0].detail == (
+        "pseudo-vee {1,2},{1}: got ('{1,2}', '{1}', ''), want ('{1,2}', '{1}', '{1}')"
+    )
+
+
+def test_verification_catches_one_wrong_qubit_cell(monkeypatch):
+    def negated(state):
+        return QubitState(state.d, {m: -c for m, c in state})
+
+    _break_one_cell(monkeypatch, "q_wedge", ("|01>", "|10>"), negated)
+    failed = [r for r in run_verification(trials=5) if not r.passed]
+    assert [r.name for r in failed] == ["qubit-gate-table-d2"]
+    assert failed[0].detail == (
+        "q-wedge |01>,|10>: got ('|01>', '|10>', '|11>'), want ('|01>', '|10>', '-|11>')"
+    )
+
+
+def test_verification_catches_one_wrong_star_sign(monkeypatch):
+    true_hodge_blade = core.hodge_blade
+
+    def flipped(d, mask):
+        sign, comp = true_hodge_blade(d, mask)
+        return (-sign if (d, mask) == (3, 0b101) else sign), comp
+
+    monkeypatch.setattr(core, "hodge_blade", flipped)
+    failed = {r.name: r.detail for r in run_verification(trials=5) if not r.passed}
+    assert failed["complement-table-d3"] == "star of e1^e3 in d=3: got e2, want -e2"
+    assert "complement-table-d2" not in failed
+
+
 # ---- CLI ---------------------------------------------------------------------------
 
 
