@@ -10,6 +10,7 @@ Gaussian elimination.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -25,9 +26,9 @@ def make_vector(d: int, components: Sequence[complex]) -> Vector:
     check_dim(d)
     if len(components) != d:
         raise DimensionError(f"vector has {len(components)} components, expected {d}")
-    out = tuple(complex(c) for c in components)
+    out = tuple(map(complex, components))
     for c in out:
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        if not cmath.isfinite(c):
             raise ValueError(f"non-finite component {c!r}")
     return out
 
@@ -140,10 +141,8 @@ def det_columns(vectors: Sequence[Vector], d: int | None = None) -> complex:
         d = len(vectors[0])
     if len(vectors) != d:
         raise DimensionError(f"need exactly {d} column vectors, got {len(vectors)}")
-    for v in vectors:
-        if len(v) != d:
-            raise DimensionError("column length differs from dimension")
-    rows = [[vectors[j][i] for j in range(d)] for i in range(d)]
+    columns = [make_vector(d, v) for v in vectors]
+    rows = [[columns[j][i] for j in range(d)] for i in range(d)]
     return _eliminate(rows)[1]
 
 
@@ -192,8 +191,8 @@ def _expand_minors(x: ExtensorFactors) -> Multivector:
 def enumerate_splits(x: ExtensorFactors, h: int) -> list[Split]:
     """All C(k, h) class-(h, k-h) splits of the factor list, with signs."""
     k = x.step
-    if not 0 <= h <= k:
-        raise GradeError(f"split class {h} outside 0..{k}")
+    if type(h) is not int or not 0 <= h <= k:
+        raise GradeError(f"split class {h!r} outside 0..{k}")
     out = []
     positions = range(k)
     for first in combinations(positions, h):

@@ -5,10 +5,11 @@ modes whose qubit reads 1, so |0...0> is the scalar 1 and |1...1> is the top
 blade.  A QubitState is a view of the Multivector with the same masks and
 coefficients: it stores nothing else, `n_map` and `n_inverse` only unwrap and
 wrap, and wedge, vee and the star complement run the multivector kernels
-directly.  A zero result marks the operation as physically impossible for the
-states involved.  States are not normalized: the transferred operations do not
-preserve norms, and the all-basis inner product kept here is bookkeeping for
-norms and tests only, separate from the exterior-calculus scalar product.
+directly.  A zero result (`is_zero`) marks the operation as physically
+impossible for the states involved.  States are not normalized: the
+transferred operations do not preserve norms, and the all-basis inner product
+kept here is bookkeeping for norms and tests only, separate from the
+exterior-calculus scalar product.
 """
 
 from __future__ import annotations
@@ -151,12 +152,6 @@ class QubitState:
 # ---- the bijection with blades -------------------------------------------------
 
 
-def n_map_basis(bits: Iterable[int]) -> Multivector:
-    """One basis state to its blade: qubit i reads 1 iff index i is occupied."""
-    bits = tuple(bits)
-    return Multivector(len(bits), {bits_to_mask(bits): 1.0})
-
-
 def n_map(s: QubitState) -> Multivector:
     return s._mv
 
@@ -188,11 +183,6 @@ def q_vee(s1: QubitState, s2: QubitState) -> QubitState:
 
 def q_star(s: QubitState) -> QubitState:
     return n_inverse(hodge(n_map(s)))
-
-
-def is_physically_impossible(s: QubitState) -> bool:
-    """A zero state: the operation that produced it has no physical outcome."""
-    return s.is_zero()
 
 
 def qubit_inner_product(s1: QubitState, s2: QubitState) -> complex:

@@ -7,8 +7,10 @@ published value it claims to reproduce still comes out.
 
 The d=2 gate tables (meet/join, the partial set gates, the qubit gates) are
 frozen as the rows `excalc table --dim 2` prints and are checked against
-`tables.table_rows`, the loop that prints them.  The d=2 and d=3 complement
-tables are frozen as (blade, star) text rows.
+`tables.table_rows`, the loop that prints them.  The worked examples with
+exact answers are frozen as (d, expression, printed result) rows, checked by
+printing each expression as `excalc eval --dim d` does, so a failing row can
+be pasted into that command.
 
 The identities of meet, join and star are stated once, as the named relations
 in RELATIONS, over operands from the seeded generators `random_*`.  The
@@ -22,12 +24,13 @@ import random
 from dataclasses import dataclass
 from functools import partial, reduce
 
+from .cli import format_result
 from .errors import GradeError
+from .expr import Environment, evaluate_text
 from .extensors import ExtensorFactors, det_columns, expand, join_by_splits, triple_det
 from .fock import apply_annihilation, apply_creation, multi_annihilate, multi_create
 from .multivector import (
     Multivector,
-    all_blades,
     basis_vector,
     covector,
     hodge,
@@ -44,7 +47,7 @@ from .tables import table_rows
 DEFAULT_SEED = 1118
 # Absolute tolerance of a randomized identity whose two sides are summed in
 # different orders (associativity, star duality, antisymmetry, the determinant
-# routes and the worked examples); coefficient parts lie in (-2, 2).
+# routes and the superposition examples); coefficient parts lie in (-2, 2).
 IDENTITY_TOL = 1e-10
 
 
@@ -60,6 +63,17 @@ def _result(name: str, kind: str, failures: list[str], passed_detail: str) -> Ch
     """Pass with passed_detail, or fail naming the first 4 failures."""
     detail = "; ".join(failures[:4]) if failures else passed_detail
     return CheckResult(name, kind, not failures, detail)
+
+
+def _row_failures(rows) -> list[str]:
+    """The (d, expression, printed) rows that `excalc eval --dim d` does not
+    print as frozen, each named so it can be pasted into that command."""
+    failures = []
+    for d, source, want in rows:
+        got = format_result(evaluate_text(source, Environment(d)), "text")
+        if got != want:
+            failures.append(f"{source} at d={d}: got {got}, want {want}")
+    return failures
 
 
 # ---- frozen reference data ------------------------------------------------------
@@ -128,17 +142,37 @@ QUBIT_TABLE_D2 = [
     ("|11>", "|11>", "0", "|11>"),
 ]
 
-# (blade, star of the blade) over `all_blades(d)`
-COMPLEMENT_TABLE_D2 = [("1", "E"), ("e1", "e2"), ("e2", "-e1"), ("E", "1")]
+# The worked examples, as `excalc eval --dim d` prints them: rows (d,
+# expression, printed result).  First the star of each blade of `all_blades(d)`.
+COMPLEMENT_TABLE_D2 = [(2, "*(1)", "E"), (2, "*(e1)", "e2"), (2, "*(e2)", "-e1"), (2, "*(E)", "1")]
 COMPLEMENT_TABLE_D3 = [
-    ("1", "E"),
-    ("e1", "e2^e3"),
-    ("e2", "-e1^e3"),
-    ("e3", "e1^e2"),
-    ("e1^e2", "e3"),
-    ("e1^e3", "-e2"),
-    ("e2^e3", "e1"),
-    ("E", "1"),
+    (3, "*(1)", "E"),
+    (3, "*(e1)", "e2^e3"),
+    (3, "*(e2)", "-e1^e3"),
+    (3, "*(e3)", "e1^e2"),
+    (3, "*(e1^e2)", "e3"),
+    (3, "*(e1^e3)", "-e2"),
+    (3, "*(e2^e3)", "e1"),
+    (3, "*(E)", "1"),
+]
+
+# a join of steps summing below d vanishes, to d is a scalar, above d overlaps
+JOIN_EXAMPLES_D4 = [
+    (4, "e1^e2 v e3", "0"),
+    (4, "e1^e2 v e3^e4", "1"),
+    (4, "e1^e2 v e3^e4^e1", "e1"),
+]
+
+# e_i fills the hole of mode j to E when i = j and meets an occupied mode otherwise
+ONE_HOLE_FILL_ROWS = [
+    (d, f"e{i} ^ *e{j}", "E" if i == j else "0")
+    for d in range(2, 6) for i in range(1, d + 1) for j in range(1, d + 1)
+]
+
+# the basis vectors are orthonormal
+BASIS_PRODUCT_ROWS = [
+    (d, f"ip(e{i}, e{j})", "1" if i == j else "0")
+    for d in (2, 3, 4) for i in range(1, d + 1) for j in range(1, d + 1)
 ]
 
 
@@ -179,13 +213,13 @@ def random_factors(rng: random.Random, d: int, k: int) -> ExtensorFactors:
 # ---- identity relations -------------------------------------------------------------
 #
 # Each relation draws its operands from rng in dimension d >= 1 and returns
-# whether it holds.  Sides reached by different summation orders are compared
-# within tol; sides that differ only by factors of +-1 are compared exactly.
+# whether it holds.  Sides summed in different orders are compared within
+# IDENTITY_TOL; sides that differ only by factors of +-1 are compared exactly.
 # `check_identity_relations`, the property tests and the acceptance suite all
 # loop over RELATIONS.
 
 
-def unit_rows(rng: random.Random, d: int, tol: float) -> bool:
+def unit_rows(rng: random.Random, d: int) -> bool:
     """1 and E are the units of wedge and vee; 1 v 1 and E ^ E vanish."""
     a = random_mv(rng, d)
     one, top = Multivector.vacuum(d), Multivector.top(d)
@@ -198,41 +232,41 @@ def unit_rows(rng: random.Random, d: int, tol: float) -> bool:
     )
 
 
-def associativity(rng: random.Random, d: int, tol: float) -> bool:
+def associativity(rng: random.Random, d: int) -> bool:
     a, b, c = (random_mv(rng, d) for _ in range(3))
     return (
-        mv_equal_approx(wedge(wedge(a, b), c), wedge(a, wedge(b, c)), tol)
-        and mv_equal_approx(vee(vee(a, b), c), vee(a, vee(b, c)), tol)
+        mv_equal_approx(wedge(wedge(a, b), c), wedge(a, wedge(b, c)), IDENTITY_TOL)
+        and mv_equal_approx(vee(vee(a, b), c), vee(a, vee(b, c)), IDENTITY_TOL)
     )
 
 
-def star_duality(rng: random.Random, d: int, tol: float) -> bool:
+def star_duality(rng: random.Random, d: int) -> bool:
     """The star turns wedge into vee and vee into wedge."""
     a, b = random_mv(rng, d), random_mv(rng, d)
     return (
-        mv_equal_approx(hodge(wedge(a, b)), vee(hodge(a), hodge(b)), tol)
-        and mv_equal_approx(hodge(vee(a, b)), wedge(hodge(a), hodge(b)), tol)
+        mv_equal_approx(hodge(wedge(a, b)), vee(hodge(a), hodge(b)), IDENTITY_TOL)
+        and mv_equal_approx(hodge(vee(a, b)), wedge(hodge(a), hodge(b)), IDENTITY_TOL)
     )
 
 
-def star_inverse(rng: random.Random, d: int, tol: float) -> bool:
+def star_inverse(rng: random.Random, d: int) -> bool:
     a = random_mv(rng, d)
     return hodge_inverse(hodge(a)) == a == hodge(hodge_inverse(a))
 
 
-def graded_antisymmetry(rng: random.Random, d: int, tol: float) -> bool:
+def graded_antisymmetry(rng: random.Random, d: int) -> bool:
     """For steps k and l: a ^ b = (-1)^(kl) b ^ a, a v b = (-1)^((d-k)(d-l))
     b v a, and **a = (-1)^(k(d-k)) a."""
     k, l = rng.randint(0, d), rng.randint(0, d)
     a, b = random_homogeneous(rng, d, k), random_homogeneous(rng, d, l)
     return (
-        mv_equal_approx(wedge(a, b), (-1) ** (k * l) * wedge(b, a), tol)
-        and mv_equal_approx(vee(a, b), (-1) ** ((d - k) * (d - l)) * vee(b, a), tol)
+        mv_equal_approx(wedge(a, b), (-1) ** (k * l) * wedge(b, a), IDENTITY_TOL)
+        and mv_equal_approx(vee(a, b), (-1) ** ((d - k) * (d - l)) * vee(b, a), IDENTITY_TOL)
         and hodge(hodge(a)) == (-1) ** (k * (d - k)) * a
     )
 
 
-def pauli_rows(rng: random.Random, d: int, tol: float) -> bool:
+def pauli_rows(rng: random.Random, d: int) -> bool:
     """A blade of positive step vanishes against E and itself under wedge,
     and, below step d, against 1 and itself under vee."""
     mask = rng.randrange(1, 1 << d)
@@ -243,7 +277,7 @@ def pauli_rows(rng: random.Random, d: int, tol: float) -> bool:
     return all(x.is_zero() for x in killed)
 
 
-def exclusion_corollary(rng: random.Random, d: int, tol: float) -> bool:
+def exclusion_corollary(rng: random.Random, d: int) -> bool:
     """A shared fermion forbids the meet: two blades whose join survives also
     meet exactly when they are complementary, that is when their steps sum to
     at most d."""
@@ -256,21 +290,21 @@ def exclusion_corollary(rng: random.Random, d: int, tol: float) -> bool:
     return met == complementary == (mask.bit_count() + other.bit_count() <= d)
 
 
-def covector_formula(rng: random.Random, d: int, tol: float) -> bool:
+def covector_formula(rng: random.Random, d: int) -> bool:
     """The one-hole state of mode i is (-1)^(i-1) times the blade of the other modes."""
     i = rng.randint(1, d)
     rest = [r for r in range(1, d + 1) if r != i]
     return covector(d, i) == (-1) ** (i - 1) * Multivector.from_indices(d, rest)
 
 
-def one_hole_fill(rng: random.Random, d: int, tol: float) -> bool:
+def one_hole_fill(rng: random.Random, d: int) -> bool:
     """e_j fills the hole of mode i to E when j = i and meets an occupied mode otherwise."""
     i, j = rng.randint(1, d), rng.randint(1, d)
     want = Multivector.top(d) if i == j else Multivector.zero(d)
     return wedge(basis_vector(d, j), covector(d, i)) == want
 
 
-def covector_join(rng: random.Random, d: int, tol: float) -> bool:
+def covector_join(rng: random.Random, d: int) -> bool:
     """The one-hole states of modes k+1..d join to (-1)^(k(d-k)) e_1^...^e_k;
     for k = 0, all d of them join to the vacuum."""
     k = rng.randrange(d)
@@ -278,7 +312,7 @@ def covector_join(rng: random.Random, d: int, tol: float) -> bool:
     return joined == (-1) ** (k * (d - k)) * Multivector.from_indices(d, range(1, k + 1))
 
 
-def complementary_determinant(rng: random.Random, d: int, tol: float) -> bool:
+def complementary_determinant(rng: random.Random, d: int) -> bool:
     """Expansions x, y of steps k and d-k: x ^ y = det(x, y) E, x v y =
     det(x, y) 1, and x ^ *x is E times the scalar x v *x."""
     k = rng.randint(0, d)
@@ -287,19 +321,19 @@ def complementary_determinant(rng: random.Random, d: int, tol: float) -> bool:
     x, y = expand(fx), expand(fy)
     one, top, star_x = Multivector.vacuum(d), Multivector.top(d), hodge(x)
     return (
-        mv_equal_approx(wedge(x, y), det * top, tol)
-        and mv_equal_approx(vee(x, y), det * one, tol)
-        and mv_equal_approx(wedge(x, star_x), vee(x, star_x).coeff_mask(0) * top, tol)
+        mv_equal_approx(wedge(x, y), det * top, IDENTITY_TOL)
+        and mv_equal_approx(vee(x, y), det * one, IDENTITY_TOL)
+        and mv_equal_approx(wedge(x, star_x), vee(x, star_x).coeff_mask(0) * top, IDENTITY_TOL)
     )
 
 
-def triple_determinant(rng: random.Random, d: int, tol: float) -> bool:
+def triple_determinant(rng: random.Random, d: int) -> bool:
     """The three routes of `triple_det` agree on steps summing to d."""
     a_step = rng.randint(0, d - 1)
     b_step = rng.randint(0, d - a_step)
     steps = (a_step, b_step, d - a_step - b_step)
     first, second, third = triple_det(*(random_factors(rng, d, s) for s in steps))
-    return abs(first - third) <= tol and abs(second - third) <= tol
+    return abs(first - third) <= IDENTITY_TOL and abs(second - third) <= IDENTITY_TOL
 
 
 RELATIONS = (
@@ -325,7 +359,7 @@ def check_identity_relations(trials: int, rng: random.Random) -> CheckResult:
     failures = []
     for _ in range(trials):
         d = rng.randint(2, 6)
-        failures += [f"{r.__name__} (d={d})" for r in RELATIONS if not r(rng, d, IDENTITY_TOL)]
+        failures += [f"{r.__name__} (d={d})" for r in RELATIONS if not r(rng, d)]
     return _result("identity-relations", "table", failures, f"{trials} randomized trials")
 
 
@@ -390,34 +424,13 @@ def check_superposition_join(rng: random.Random) -> CheckResult:
 
 
 def check_join_examples_d4() -> CheckResult:
-    e12 = Multivector.from_indices(4, (1, 2))
-    e3 = basis_vector(4, 3)
-    e34 = Multivector.from_indices(4, (3, 4))
-    e341 = wedge(e34, basis_vector(4, 1))
-    failures = []
-    if not vee(e12, e3).is_zero():
-        failures.append("step-short join not zero")
-    if vee(e12, e34) != Multivector.vacuum(4):
-        failures.append("complementary join not the vacuum")
-    if vee(e12, e341) != basis_vector(4, 1):
-        failures.append("overlap join wrong")
-    return _result("join-examples-d4", "example", failures, "3 evaluations")
-
-
-def _check_complement_table(d: int, frozen) -> CheckResult:
-    failures = []
-    for mask, want in zip(all_blades(d), frozen, strict=True):
-        x = Multivector(d, {mask: 1.0})
-        got = (x.to_text(), hodge(x).to_text())
-        if got != want:
-            failures.append(f"star of {want[0]} in d={d}: got {got[1]}, want {want[1]}")
-    return _result(f"complement-table-d{d}", "example", failures, f"{len(frozen)} entries")
+    return _result("join-examples-d4", "example", _row_failures(JOIN_EXAMPLES_D4), "3 evaluations")
 
 
 def check_complement_tables() -> list[CheckResult]:
     return [
-        _check_complement_table(2, COMPLEMENT_TABLE_D2),
-        _check_complement_table(3, COMPLEMENT_TABLE_D3),
+        _result(f"complement-table-d{d}", "example", _row_failures(rows), f"{len(rows)} entries")
+        for d, rows in ((2, COMPLEMENT_TABLE_D2), (3, COMPLEMENT_TABLE_D3))
     ]
 
 
@@ -460,13 +473,7 @@ def check_ladder_maps() -> CheckResult:
 
 
 def check_vector_orthonormality(rng: random.Random) -> CheckResult:
-    failures = []
-    for d in (2, 3, 4):
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                got = scalar_product(basis_vector(d, i), basis_vector(d, j))
-                if got != (1.0 if i == j else 0.0):
-                    failures.append(f"(e{i},e{j}) d={d}")
+    failures = _row_failures(BASIS_PRODUCT_ROWS)
     d = 4
     for _ in range(20):
         avec, bvec = random_vector(rng, d), random_vector(rng, d)
@@ -487,15 +494,7 @@ def check_vector_orthonormality(rng: random.Random) -> CheckResult:
 
 
 def check_one_hole_fill() -> CheckResult:
-    failures = []
-    for d in range(2, 6):
-        top = Multivector.top(d)
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                got = wedge(basis_vector(d, i), covector(d, j))
-                if got != (top if i == j else Multivector.zero(d)):
-                    failures.append(f"e{i}^cov{j} d={d}")
-    return _result("one-hole-fill", "example", failures, "all pairs d<=5")
+    return _result("one-hole-fill", "example", _row_failures(ONE_HOLE_FILL_ROWS), "all pairs d<=5")
 
 
 # ---- driver -------------------------------------------------------------------------

@@ -263,7 +263,7 @@ def test_criterion_identity_suite():
     for _ in range(trials):
         d = rng.randint(2, 8)
         for relation in RELATIONS:
-            assert relation(rng, d, IDENTITY_TOL), (relation.__name__, d)
+            assert relation(rng, d), (relation.__name__, d)
     budget.done(f"{trials} randomized trials across d in 2..8 at {IDENTITY_TOL:g}")
 
 

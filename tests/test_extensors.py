@@ -80,6 +80,15 @@ def test_det_singular_and_count_errors():
         det_columns([], None)
 
 
+def test_det_columns_checks_each_column():
+    for bad in (float("nan"), float("inf"), complex(0, float("-inf"))):
+        with pytest.raises(ValueError, match="non-finite component"):
+            det_columns([(1, bad), (3, 4)], 2)
+    with pytest.raises(DimensionError, match="vector has 3 components, expected 2"):
+        det_columns([(1, 2), (3, 4, 5)], 2)
+    assert det_columns([(1, 2), (3, 4)], 2) == -2
+
+
 def pivot_rank(matrix: list[list[complex]]) -> int:
     """The rank-only elimination that `_eliminate` replaced, kept as an oracle:
     in each column, the first row of largest magnitude above the threshold pivots."""
@@ -228,6 +237,13 @@ def test_enumerate_splits_extremes():
     assert only == Split(1, ExtensorFactors(4, ()), x)
     only, = enumerate_splits(x, 3)
     assert only == Split(1, x, ExtensorFactors(4, ()))
+
+
+@pytest.mark.parametrize("h", [True, False, 1.0, 0.0, "1", None])
+def test_split_class_is_an_int(h):
+    x = random_factors(random.Random(207), 3, 2)
+    with pytest.raises(GradeError, match=f"split class {h!r} outside 0..2"):
+        enumerate_splits(x, h)
 
 
 def test_split_signs_restore_original_order():

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from excalc.verify import IDENTITY_TOL, RELATIONS
+from excalc.verify import RELATIONS
 
 
 @pytest.mark.parametrize("relation", RELATIONS, ids=lambda r: r.__name__)
 @given(rng=st.randoms(use_true_random=False), d=st.integers(1, 6))
 def test_relation_holds(relation, rng, d):
-    assert relation(rng, d, IDENTITY_TOL)
+    assert relation(rng, d)
 
 
 def test_relation_names_are_pinned():

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import excalc.multivector as core
-from excalc import cli, tables
+from excalc import cli, tables, verify
 from excalc.errors import DimensionError
 from excalc.expr import Environment, evaluate_text
 from excalc.qubits import QubitState
@@ -331,8 +331,24 @@ def test_verification_catches_one_wrong_star_sign(monkeypatch):
 
     monkeypatch.setattr(core, "hodge_blade", flipped)
     failed = {r.name: r.detail for r in run_verification(trials=5) if not r.passed}
-    assert failed["complement-table-d3"] == "star of e1^e3 in d=3: got e2, want -e2"
+    assert failed["complement-table-d3"] == "*(e1^e3) at d=3: got e2, want -e2"
     assert "complement-table-d2" not in failed
+
+
+EXAMPLE_ROWS = (
+    verify.COMPLEMENT_TABLE_D2
+    + verify.COMPLEMENT_TABLE_D3
+    + verify.JOIN_EXAMPLES_D4
+    + verify.ONE_HOLE_FILL_ROWS
+    + verify.BASIS_PRODUCT_ROWS
+)
+
+
+def test_worked_example_rows_are_what_eval_prints(capsys):
+    assert len(EXAMPLE_ROWS) == 98
+    for d, source, printed in EXAMPLE_ROWS:
+        assert cli.main(["eval", "--dim", str(d), source]) == 0
+        assert capsys.readouterr().out == printed + "\n", (d, source)
 
 
 # ---- CLI ---------------------------------------------------------------------------
