@@ -13,19 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import DimensionError
 from .multivector import (
     PRUNE_TOL,
     Multivector,
     _result,
     all_blades,
     check_dim,
+    check_index,
+    check_mask,
+    check_same_dim,
     indices_from_mask,
     vee,
     wedge,
 )
-
-DOMAIN_MAX_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,7 @@ class SubsetState:
     mask: int
 
     def __post_init__(self):
-        check_dim(self.d)
-        if type(self.mask) is not int or not 0 <= self.mask < 1 << self.d:
-            raise DimensionError(f"subset mask {self.mask!r} outside dimension {self.d}")
+        check_mask(check_dim(self.d), self.mask)
 
     @property
     def members(self) -> frozenset[int]:
@@ -49,11 +47,12 @@ class SubsetState:
 
 
 def subset(d: int, members: Iterable[int] = ()) -> SubsetState:
-    members = frozenset(members)
+    """The subset of the given indices; a repeated index counts once."""
     check_dim(d)
-    if not all(type(i) is int and 1 <= i <= d for i in members):
-        raise DimensionError(f"members {set(members)} outside 1..{d}")
-    return SubsetState(d, sum(1 << (i - 1) for i in members))
+    mask = 0
+    for i in members:
+        mask |= 1 << (check_index(d, i) - 1)
+    return SubsetState(d, mask)
 
 
 def all_subsets(d: int) -> list[SubsetState]:
@@ -86,54 +85,24 @@ def m_inverse(a: Multivector) -> Optional[SubsetState]:
 # ---- partial pseudo-fermionic operations --------------------------------------
 
 
-def _check_same_dim(a1: SubsetState, a2: SubsetState) -> None:
-    if a1.d != a2.d:
-        raise DimensionError(f"subsets live in different dimensions ({a1.d} vs {a2.d})")
-
-
 def pseudo_wedge(a1: SubsetState, a2: SubsetState) -> Optional[SubsetState]:
-    _check_same_dim(a1, a2)
     return m_inverse(wedge(m_map(a1), m_map(a2)))
 
 
 def pseudo_vee(a1: SubsetState, a2: SubsetState) -> Optional[SubsetState]:
-    _check_same_dim(a1, a2)
     return m_inverse(vee(m_map(a1), m_map(a2)))
-
-
-def _domain(d: int, op) -> set[tuple[frozenset[int], frozenset[int]]]:
-    check_dim(d)
-    if d > DOMAIN_MAX_DIM:
-        raise DimensionError(f"domain enumeration limited to d <= {DOMAIN_MAX_DIM}")
-    states = all_subsets(d)
-    return {
-        (a.members, b.members)
-        for a in states
-        for b in states
-        if op(a, b) is not None
-    }
-
-
-def domain_d1(d: int) -> set[tuple[frozenset[int], frozenset[int]]]:
-    """All subset pairs on which pseudo_wedge is defined."""
-    return _domain(d, pseudo_wedge)
-
-
-def domain_d2(d: int) -> set[tuple[frozenset[int], frozenset[int]]]:
-    """All subset pairs on which pseudo_vee is defined."""
-    return _domain(d, pseudo_vee)
 
 
 # ---- ordinary Boolean set gates -----------------------------------------------
 
 
 def bool_or(a1: SubsetState, a2: SubsetState) -> SubsetState:
-    _check_same_dim(a1, a2)
+    check_same_dim(a1, a2)
     return SubsetState(a1.d, a1.mask | a2.mask)
 
 
 def bool_and(a1: SubsetState, a2: SubsetState) -> SubsetState:
-    _check_same_dim(a1, a2)
+    check_same_dim(a1, a2)
     return SubsetState(a1.d, a1.mask & a2.mask)
 
 

@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .extensors import ExtensorFactors
-from .multivector import PRUNE_TOL, SINGULAR_TOL, Multivector, hodge_blade, merge_sign
+from .multivector import PRUNE_TOL, SINGULAR_TOL, Multivector, _result, hodge_blade, merge_sign
 
 # A 3^9-entry table (0.6 MB) beat a 3^10 one by 1.4-1.8x at d=12 and d=14
 # and tied it at d=10.
@@ -124,9 +124,9 @@ def _to_array(a: Multivector):
 
 
 def _from_array(d: int, values) -> Multivector:
-    # NaN stays, so the constructor's finiteness check raises on it
+    # NaN stays, so _result passes it to the constructor, which raises on it
     keep = np.flatnonzero(~(np.abs(values) <= PRUNE_TOL))
-    return Multivector(d, dict(zip(keep.tolist(), values[keep].tolist())))
+    return _result(d, dict(zip(keep.tolist(), values[keep].tolist())))
 
 
 # ---- batched expand --------------------------------------------------------------
@@ -137,7 +137,7 @@ def expand(x: ExtensorFactors) -> Multivector:
     row_sets = np.array(list(combinations(range(x.d), x.step)))
     minors = np.array(x.factors).T[row_sets]
     masks = (1 << row_sets).sum(axis=1)
-    return Multivector(x.d, dict(zip(masks.tolist(), _det_stack(minors).tolist())))
+    return _result(x.d, dict(zip(masks.tolist(), _det_stack(minors).tolist())))
 
 
 def _det_stack(minors):

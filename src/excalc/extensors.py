@@ -16,17 +16,22 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, GradeError, IndexRangeError, SchemaError
-from .multivector import SINGULAR_TOL, Multivector, basis_vector, check_dim, wedge
+from .errors import DimensionError, GradeError, SchemaError
+from .multivector import SINGULAR_TOL, Multivector, _json_coeff, _result, basis_vector, wedge
+from .multivector import check_coeff, check_dim, check_index, check_same_dim, check_step
 
 Vector = tuple[complex, ...]
+
+# complex() reads these as the numbers they are, with no need for check_coeff
+_NUMBER_TYPES = frozenset((int, float, complex))
 
 
 def make_vector(d: int, components: Sequence[complex]) -> Vector:
     check_dim(d)
     if len(components) != d:
         raise DimensionError(f"vector has {len(components)} components, expected {d}")
-    out = tuple(map(complex, components))
+    convert = complex if _NUMBER_TYPES.issuperset(map(type, components)) else check_coeff
+    out = tuple(map(convert, components))
     for c in out:
         if not cmath.isfinite(c):
             raise ValueError(f"non-finite component {c!r}")
@@ -41,9 +46,7 @@ class ExtensorFactors:
     factors: tuple[Vector, ...]
 
     def __post_init__(self):
-        check_dim(self.d)
-        if len(self.factors) > self.d:
-            raise GradeError(f"{len(self.factors)} factors exceed dimension {self.d}")
+        check_step(len(self.factors), check_dim(self.d), "factor count")
         object.__setattr__(
             self, "factors", tuple(make_vector(self.d, f) for f in self.factors)
         )
@@ -57,12 +60,8 @@ class ExtensorFactors:
         """Basis factor list (e_{i1}, ..., e_{ik}) in the order given; a
         repeated index gives a dependent list, which expands to 0."""
         check_dim(d)
-        rows = []
-        for i in indices:
-            if type(i) is not int or not 1 <= i <= d:
-                raise IndexRangeError(f"basis index {i!r} outside 1..{d}")
-            rows.append(tuple(1.0 + 0j if j == i else 0j for j in range(1, d + 1)))
-        return cls(d, tuple(rows))
+        units = [tuple(1.0 + 0j if j == i else 0j for j in range(d)) for i in range(d)]
+        return cls(d, tuple(units[check_index(d, i) - 1] for i in indices))
 
     def to_json(self) -> dict:
         return {
@@ -74,9 +73,7 @@ class ExtensorFactors:
     def from_json(cls, data) -> ExtensorFactors:
         try:
             d = data["dim"]
-            factors = tuple(
-                tuple(complex(c["re"], c["im"]) for c in f) for f in data["factors"]
-            )
+            factors = tuple(tuple(map(_json_coeff, f)) for f in data["factors"])
         except (KeyError, TypeError) as err:
             raise SchemaError(
                 'a factor list is {"dim": d, "factors": [[{"re": x, "im": y}, ...], ...]}'
@@ -135,11 +132,9 @@ def _eliminate(matrix: list[list[complex]]) -> tuple[int, complex]:
 
 def det_columns(vectors: Sequence[Vector], d: int | None = None) -> complex:
     """Determinant of the d x d matrix whose columns are the given vectors."""
-    if d is None:
-        if not vectors:
-            raise DimensionError("empty column list with no dimension given")
+    if d is None and vectors:
         d = len(vectors[0])
-    if len(vectors) != d:
+    if len(vectors) != check_dim(d):
         raise DimensionError(f"need exactly {d} column vectors, got {len(vectors)}")
     columns = [make_vector(d, v) for v in vectors]
     rows = [[columns[j][i] for j in range(d)] for i in range(d)]
@@ -182,7 +177,7 @@ def _expand_minors(x: ExtensorFactors) -> Multivector:
             for i in rows:
                 mask |= 1 << i
             terms[mask] = det
-    return Multivector(d, terms)
+    return _result(d, terms)
 
 
 # ---- splits and the split-sum join -------------------------------------------
@@ -191,8 +186,7 @@ def _expand_minors(x: ExtensorFactors) -> Multivector:
 def enumerate_splits(x: ExtensorFactors, h: int) -> list[Split]:
     """All C(k, h) class-(h, k-h) splits of the factor list, with signs."""
     k = x.step
-    if type(h) is not int or not 0 <= h <= k:
-        raise GradeError(f"split class {h!r} outside 0..{k}")
+    check_step(h, k, "split class")
     out = []
     positions = range(k)
     for first in combinations(positions, h):
@@ -221,8 +215,7 @@ def join_by_splits(
     operand into (k+l-d, d-k) pieces and sums sign * det(a, part2) * expand(part1).
     Both give 0 outright when the steps together fall short of d.
     """
-    if a.d != b.d:
-        raise DimensionError(f"operands live in different dimensions ({a.d} vs {b.d})")
+    check_same_dim(a, b)
     if variant not in ("first", "second"):
         raise ValueError(f"unknown variant {variant!r}")
     d, k, l = a.d, a.step, b.step
@@ -253,9 +246,9 @@ def triple_det(
     """
     from .multivector import hodge, vee
 
+    check_same_dim(a, b)
+    check_same_dim(a, c)
     d = a.d
-    if b.d != d or c.d != d:
-        raise DimensionError("operands live in different dimensions")
     if a.step + b.step + c.step != d:
         raise GradeError(
             f"steps {a.step}+{b.step}+{c.step} must sum to the dimension {d}"
@@ -273,8 +266,6 @@ def triple_det(
 def _column_rank(d: int, vectors: Sequence[Vector]) -> int:
     check_dim(d)
     vectors = [make_vector(d, v) for v in vectors]
-    if not vectors:
-        return 0
     rows = [[v[i] for v in vectors] for i in range(d)]
     return _eliminate(rows)[0]
 

@@ -21,6 +21,7 @@ from .multivector import (
     all_blades,
     basis_vector,
     check_dim,
+    check_index,
     mask_from_indices,
     wedge,
 )
@@ -49,14 +50,14 @@ def apply_annihilation(i: int, a: Multivector) -> Multivector:
 
 def multi_create(indices: Iterable[int], a: Multivector) -> Multivector:
     """Ascending creation string, rightmost operator applied first."""
-    for i in sorted(set(indices), reverse=True):
+    for i in sorted({check_index(a.d, i) for i in indices}, reverse=True):
         a = apply_creation(i, a)
     return a
 
 
 def multi_annihilate(indices: Iterable[int], a: Multivector) -> Multivector:
     """Ascending annihilation string, rightmost operator applied first."""
-    for i in sorted(set(indices), reverse=True):
+    for i in sorted({check_index(a.d, i) for i in indices}, reverse=True):
         a = apply_annihilation(i, a)
     return a
 
@@ -78,7 +79,7 @@ def operator_matrix(d: int, kind: str, i: int) -> np.ndarray:
     index_of = {mask: col for col, mask in enumerate(basis)}
     matrix = np.zeros((1 << d, 1 << d), dtype=np.complex128)
     for col, mask in enumerate(basis):
-        image = op(i, Multivector(d, {mask: 1.0}))
+        image = op(i, Multivector(d, {mask: 1 + 0j}))
         for out_mask, c in image:
             matrix[index_of[out_mask], col] = c
     return matrix

@@ -9,8 +9,8 @@ zero multivector has no terms and is distinct from the vacuum scalar 1.
 
 from __future__ import annotations
 
+import cmath
 import math
-from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DimensionError, GradeError, IndexRangeError, SchemaError
@@ -24,28 +24,77 @@ PRUNE_TOL = 1e-12
 SINGULAR_TOL = 1e-12
 
 
+# ---- argument kinds: one checker each; a bool is never an int of these kinds ----
+
+
 def check_dim(d: int) -> int:
-    # `type(..) is int`, not isinstance: a bool is an int to isinstance
+    """A space dimension: an int in 1..MAX_DIM, else DimensionError."""
     if type(d) is not int or not 1 <= d <= MAX_DIM:
         raise DimensionError(f"dimension must be an integer in 1..{MAX_DIM}, got {d!r}")
     return d
 
 
+def check_index(d: int, i: int) -> int:
+    """A 1-based mode index: an int in 1..d, else IndexRangeError."""
+    if type(i) is not int or not 1 <= i <= d:
+        raise IndexRangeError(f"basis index {i!r} outside 1..{d}")
+    return i
+
+
+def check_step(k: int, top: int, what: str) -> int:
+    """A step (grade or split class): an int in 0..top, else GradeError."""
+    if type(k) is not int or not 0 <= k <= top:
+        raise GradeError(f"{what} {k!r} outside 0..{top}")
+    return k
+
+
+def check_mask(d: int, mask: int) -> int:
+    """A blade mask: an int in 0..2^d - 1, else IndexRangeError."""
+    if type(mask) is not int or not 0 <= mask < 1 << d:
+        raise IndexRangeError(f"blade mask {mask!r} outside dimension {d}")
+    return mask
+
+
+def check_coeff(c: complex) -> complex:
+    """A finite complex from what complex() takes, but not a bool or a str, else ValueError."""
+    if type(c) is not complex:
+        if isinstance(c, (bool, str)):  # complex() reads these as numbers
+            raise ValueError(f"coefficient {c!r} is not a number")
+        try:
+            c = complex(c)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"coefficient {c!r} is not a number") from None
+    if not cmath.isfinite(c):
+        raise ValueError(f"non-finite coefficient {c!r}")
+    return c
+
+
+def check_same_dim(a, b) -> None:
+    """Operands of one space: equal `.d`, else DimensionError."""
+    if a.d != b.d:
+        raise DimensionError(f"operands live in different dimensions ({a.d} vs {b.d})")
+
+
 def mask_from_indices(d: int, indices: Iterable[int]) -> int:
     """Bitmask of a set of 1-based basis indices; duplicates rejected."""
+    check_dim(d)
     mask = 0
     for i in indices:
-        if type(i) is not int or not 1 <= i <= d:
-            raise IndexRangeError(f"basis index {i!r} outside 1..{d}")
-        bit = 1 << (i - 1)
+        bit = 1 << (check_index(d, i) - 1)
         if mask & bit:
             raise IndexRangeError(f"basis index {i} repeated")
         mask |= bit
     return mask
 
 
+def _canonical(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Sort key of the canonical blade order: step, then index tuple."""
+    return mask.bit_count(), indices_from_mask(mask)
+
+
 def indices_from_mask(mask: int) -> tuple[int, ...]:
-    """Ascending 1-based indices of a blade mask."""
+    """Ascending 1-based indices of a blade mask of any dimension."""
+    check_mask(MAX_DIM, mask)
     out = []
     i = 1
     while mask:
@@ -82,23 +131,14 @@ class Multivector:
     def __init__(self, d: int, terms: Mapping[int, complex]):
         check_dim(d)
         full = (1 << d) - 1
-        clean: dict[int, complex] = {}
+        checked: dict[int, complex] = {}
         for mask, c in terms.items():
-            c = complex(c)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError(f"non-finite coefficient {c!r} on blade mask {mask:#x}")
-            if mask & ~full:
-                raise IndexRangeError(f"blade mask {mask:#x} outside dimension {d}")
-            try:
-                size = abs(c)
-            except OverflowError:
-                raise ValueError(
-                    f"coefficient {c!r} on blade mask {mask:#x} has no finite magnitude"
-                ) from None
-            if size > PRUNE_TOL:
-                clean[mask] = c
+            # the checkers run only on what is not an in-range int mask and a complex
+            if type(mask) is not int or mask & ~full:
+                check_mask(d, mask)
+            checked[mask] = c if type(c) is complex else check_coeff(c)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", _pruned(checked))
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -111,24 +151,22 @@ class Multivector:
 
     @classmethod
     def scalar(cls, d: int, value: complex) -> Multivector:
-        return cls(d, {0: complex(value)})
+        return cls(d, {0: value})
 
     @classmethod
     def vacuum(cls, d: int) -> Multivector:
         """The scalar 1: no fermions, every state a hole."""
-        return cls(d, {0: 1.0})
+        return cls(d, {0: 1 + 0j})
 
     @classmethod
     def top(cls, d: int) -> Multivector:
         """The top blade E = e_1^...^e_d: every state occupied."""
-        check_dim(d)
-        return cls(d, {(1 << d) - 1: 1.0})
+        return cls(d, {(1 << check_dim(d)) - 1: 1 + 0j})
 
     @classmethod
-    def from_indices(cls, d: int, indices: Iterable[int], coeff: complex = 1.0) -> Multivector:
+    def from_indices(cls, d: int, indices: Iterable[int], coeff: complex = 1 + 0j) -> Multivector:
         """Single basis blade from a set of 1-based indices."""
-        check_dim(d)
-        return cls(d, {mask_from_indices(d, indices): complex(coeff)})
+        return cls(d, {mask_from_indices(d, indices): coeff})
 
     # ---- term access ---------------------------------------------------
 
@@ -140,11 +178,11 @@ class Multivector:
         return self._terms.get(mask_from_indices(self.d, indices), 0j)
 
     def coeff_mask(self, mask: int) -> complex:
-        return self._terms.get(mask, 0j)
+        return self._terms.get(check_mask(self.d, mask), 0j)
 
     def sorted_masks(self) -> list[int]:
         """Blade masks in canonical (step, ascending index tuple) order."""
-        return sorted(self._terms, key=lambda m: (m.bit_count(), indices_from_mask(m)))
+        return sorted(self._terms, key=_canonical)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -164,12 +202,13 @@ class Multivector:
         return combine(self, ((-1, other),))
 
     def __neg__(self) -> Multivector:
-        return Multivector(self.d, {m: -c for m, c in self._terms.items()})
+        return _result(self.d, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, scalar: complex) -> Multivector:
         if isinstance(scalar, Multivector):
             return NotImplemented
-        return Multivector(self.d, {m: c * scalar for m, c in self._terms.items()})
+        scalar = check_coeff(scalar)
+        return _result(self.d, {m: c * scalar for m, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -215,11 +254,11 @@ class Multivector:
     @classmethod
     def from_json(cls, data: Mapping) -> Multivector:
         try:
-            d = check_dim(data["dim"])
+            d = data["dim"]
             terms: dict[int, complex] = {}
             for t in data["terms"]:
                 mask = mask_from_indices(d, t["blade"])
-                terms[mask] = terms.get(mask, 0j) + complex(t["re"], t["im"])
+                terms[mask] = terms.get(mask, 0j) + _json_coeff(t)
         except (KeyError, TypeError) as err:
             raise SchemaError(
                 'a multivector is {"dim": d, "terms": [{"blade": [...], "re": x, "im": y}, ...]}'
@@ -228,35 +267,40 @@ class Multivector:
         return cls(d, terms)
 
 
-def _result(d: int, terms: dict[int, complex]) -> Multivector:
-    """Multivector from a kernel's output, whose masks are in range and
-    whose values are complex by construction.
+def _json_coeff(entry: Mapping) -> complex:
+    """complex(re, im) of a serialized entry; TypeError, which from_json
+    reports as SchemaError, unless each part is an int or a float."""
+    if not {type(entry["re"]), type(entry["im"])} <= {int, float}:
+        raise TypeError("re and im must be int or float numbers")
+    return complex(entry["re"], entry["im"])
 
-    Skips the dimension and mask checks, but prunes as the constructor does
-    and keeps its finiteness and overflow checks: a NaN, infinite or
-    overflowing coefficient goes to the constructor, which raises with its
-    usual message.
-    """
+
+def _pruned(terms: dict[int, complex]) -> dict[int, complex]:
+    """The terms above PRUNE_TOL; a NaN, inf or overflowing one is a ValueError naming its mask."""
     clean: dict[int, complex] = {}
     for mask, c in terms.items():
         try:
             size = abs(c)
         except OverflowError:
-            return Multivector(d, terms)
+            raise ValueError(
+                f"coefficient {c!r} on blade mask {mask:#x} has no finite magnitude"
+            ) from None
         if size <= PRUNE_TOL:
             continue
         if not size < math.inf:  # inf, or NaN, which no comparison prunes
-            return Multivector(d, terms)
+            raise ValueError(f"non-finite coefficient {c!r} on blade mask {mask:#x}")
         clean[mask] = c
+    return clean
+
+
+def _result(d: int, terms: dict[int, complex]) -> Multivector:
+    """Multivector from a kernel's output, whose masks are in range and
+    whose values are complex by construction: the constructor without its
+    dimension, mask and coefficient-type checks."""
     out = object.__new__(Multivector)
     object.__setattr__(out, "d", d)
-    object.__setattr__(out, "_terms", clean)
+    object.__setattr__(out, "_terms", _pruned(terms))
     return out
-
-
-def _check_same_dim(a: Multivector, b: Multivector) -> None:
-    if a.d != b.d:
-        raise DimensionError(f"operands live in different dimensions ({a.d} vs {b.d})")
 
 
 def combine(first: Multivector, rest: Iterable[tuple[int, Multivector]]) -> Multivector:
@@ -269,7 +313,9 @@ def combine(first: Multivector, rest: Iterable[tuple[int, Multivector]]) -> Mult
     """
     out = dict(first._terms)
     for sign, term in rest:
-        _check_same_dim(first, term)
+        check_same_dim(first, term)
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"sign {sign!r} is not the int 1 or -1")
         for m, c in term._terms.items():
             out[m] = out.get(m, 0j) + (c if sign > 0 else -c)
         for m in term._terms:
@@ -280,8 +326,8 @@ def combine(first: Multivector, rest: Iterable[tuple[int, Multivector]]) -> Mult
             if size <= PRUNE_TOL:
                 del out[m]
             elif not size < math.inf:
-                return Multivector(first.d, out)  # raises, naming the coefficient
-    return Multivector(first.d, out)
+                return _result(first.d, out)  # raises, naming the coefficient
+    return _result(first.d, out)
 
 
 def basis_vector(d: int, i: int) -> Multivector:
@@ -291,12 +337,7 @@ def basis_vector(d: int, i: int) -> Multivector:
 
 def all_blades(d: int) -> list[int]:
     """All 2^d blade masks in canonical (step, index tuple) order."""
-    check_dim(d)
-    out = []
-    for k in range(d + 1):
-        for combo in combinations(range(1, d + 1), k):
-            out.append(mask_from_indices(d, combo))
-    return out
+    return sorted(range(1 << check_dim(d)), key=_canonical)
 
 
 # ---- the three exterior operations ------------------------------------------
@@ -304,7 +345,7 @@ def all_blades(d: int) -> list[int]:
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Progressive product: joins two fermion systems, 0 on any shared state."""
-    _check_same_dim(a, b)
+    check_same_dim(a, b)
     if _dense_pays(a, b):
         from . import dense
 
@@ -355,7 +396,7 @@ def vee(a: Multivector, b: Multivector) -> Multivector:
     into s & t: the two star signs, the wedge's merge sign and the inverse
     star's sign multiplied out.
     """
-    _check_same_dim(a, b)
+    check_same_dim(a, b)
     if _dense_pays(a, b):
         from . import dense
 
@@ -394,7 +435,7 @@ def _dense_pays(a: Multivector, b: Multivector) -> bool:
 
 def conjugate(a: Multivector) -> Multivector:
     """Complex-conjugate every coefficient; blades unchanged."""
-    return Multivector(a.d, {m: c.conjugate() for m, c in a})
+    return _result(a.d, {m: c.conjugate() for m, c in a})
 
 
 # ---- grade structure ---------------------------------------------------------
@@ -409,9 +450,8 @@ def step_of(a: Multivector) -> int | None:
 
 
 def grade_project(a: Multivector, k: int) -> Multivector:
-    if type(k) is not int or not 0 <= k <= a.d:
-        raise GradeError(f"step {k!r} outside 0..{a.d}")
-    return Multivector(a.d, {m: c for m, c in a if m.bit_count() == k})
+    check_step(k, a.d, "step")
+    return _result(a.d, {m: c for m, c in a if m.bit_count() == k})
 
 
 def parity_sector(a: Multivector) -> str:
@@ -442,7 +482,7 @@ def scalar_product(a: Multivector, b: Multivector) -> complex:
     Defined only for homogeneous operands of equal step (the zero multivector
     is accepted with any partner and gives 0).
     """
-    _check_same_dim(a, b)
+    check_same_dim(a, b)
     ka, kb = step_of(a), step_of(b)
     if not a.is_zero() and ka is None:
         raise GradeError("left operand is not homogeneous")
@@ -457,16 +497,18 @@ def scalar_product(a: Multivector, b: Multivector) -> complex:
     for s, ca in a:
         if s in bt:
             total += ca.conjugate() * bt[s]
-    return _result(a.d, {0: total}).coeff_mask(0)
+    return _result(a.d, {0: total})._terms.get(0, 0j)
 
 
 # ---- comparison -------------------------------------------------------------
 
 
 def mv_equal_approx(a: Multivector, b: Multivector, tol: float = PRUNE_TOL) -> bool:
-    """True when the largest coefficient difference is at most tol."""
-    _check_same_dim(a, b)
-    for m in set(a.terms()) | set(b.terms()):
-        if abs(a.coeff_mask(m) - b.coeff_mask(m)) > tol:
+    """True when no coefficient differs by more than tol, a non-negative real, else ValueError."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol >= 0:
+        raise ValueError(f"tolerance {tol!r} is not a non-negative real")
+    check_same_dim(a, b)
+    for m in a._terms.keys() | b._terms.keys():
+        if abs(a._terms.get(m, 0j) - b._terms.get(m, 0j)) > tol:
             return False
     return True

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .errors import DimensionError, SchemaError
-from .multivector import Multivector, check_dim, hodge, vee, wedge
+from .multivector import Multivector, _json_coeff, check_same_dim, hodge, vee, wedge
 from .textform import pieces_to_text
 
 
@@ -50,7 +50,9 @@ def parse_basis_state(text: str) -> tuple[int, ...]:
 
 
 def format_basis_state(bits: Iterable[int]) -> str:
-    return "|" + "".join(str(b) for b in bits) + ">"
+    bits = tuple(bits)
+    bits_to_mask(bits)  # each bit is the int 0 or 1
+    return "|" + "".join(map(str, bits)) + ">"
 
 
 class QubitState:
@@ -108,10 +110,10 @@ class QubitState:
         return f"QubitState(d={self.d}, {self.to_text()!r})"
 
     def to_text(self) -> str:
-        d = self.d
+        d, amps = self.d, self._mv.terms()
         return pieces_to_text(
             (
-                (self._mv.coeff_mask(m), format_basis_state(mask_to_bits(d, m)))
+                (amps[m], format_basis_state(mask_to_bits(d, m)))
                 for m in self._mv.sorted_masks()
             ),
             " ",
@@ -133,14 +135,14 @@ class QubitState:
     @classmethod
     def from_json(cls, data) -> QubitState:
         try:
-            d = check_dim(data["d"])
+            d = data["d"]  # the constructor checks it
             amps: dict[int, complex] = {}
             for entry in data["amps"]:
                 bits = parse_basis_state(entry["bits"])
                 if len(bits) != d:
-                    raise DimensionError(f"bit string {entry['bits']!r} is not {d} bits")
+                    raise DimensionError(f"bit string {entry['bits']!r} is not {d!r} bits")
                 mask = bits_to_mask(bits)
-                amps[mask] = amps.get(mask, 0j) + complex(entry["re"], entry["im"])
+                amps[mask] = amps.get(mask, 0j) + _json_coeff(entry)
         except (KeyError, TypeError, AttributeError) as err:
             raise SchemaError(
                 'a qubit state is {"d": d, "amps": [{"bits": "01", "re": x, "im": y}, ...]}'
@@ -166,18 +168,11 @@ def n_inverse(a: Multivector) -> QubitState:
 # ---- transferred operations ----------------------------------------------------
 
 
-def _check_same_d(s1: QubitState, s2: QubitState) -> None:
-    if s1.d != s2.d:
-        raise DimensionError(f"states live on different qubit counts ({s1.d} vs {s2.d})")
-
-
 def q_wedge(s1: QubitState, s2: QubitState) -> QubitState:
-    _check_same_d(s1, s2)
     return n_inverse(wedge(n_map(s1), n_map(s2)))
 
 
 def q_vee(s1: QubitState, s2: QubitState) -> QubitState:
-    _check_same_d(s1, s2)
     return n_inverse(vee(n_map(s1), n_map(s2)))
 
 
@@ -187,7 +182,7 @@ def q_star(s: QubitState) -> QubitState:
 
 def qubit_inner_product(s1: QubitState, s2: QubitState) -> complex:
     """Plain all-basis inner product <s1|s2>; bookkeeping, not the exterior one."""
-    _check_same_d(s1, s2)
+    check_same_dim(s1, s2)
     a1, a2 = s1.amplitudes(), s2.amplitudes()
     if len(a2) < len(a1):
         a1, a2 = a2, a1

@@ -55,7 +55,8 @@ def pieces_to_text(items: Iterable[tuple[complex, str]], sep: str = " * ") -> st
 
 
 def multivector_to_text(a: Multivector) -> str:
-    return pieces_to_text((a.coeff_mask(m), blade_to_text(a.d, m)) for m in a.sorted_masks())
+    terms = a.terms()
+    return pieces_to_text((terms[m], blade_to_text(a.d, m)) for m in a.sorted_masks())
 
 
 def scalar_to_text(value: complex) -> str:

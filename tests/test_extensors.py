@@ -517,6 +517,13 @@ def test_state_json_schema_errors_are_typed(cls, data):
         (Multivector, {"dim": 2, "terms": [{"blade": [True], "re": 1, "im": 0}]}, IndexRangeError),
         (QubitState, {"d": True, "amps": [{"bits": "1", "re": 1, "im": 0}]}, DimensionError),
         (ExtensorFactors, {"dim": True, "factors": [[{"re": 1, "im": 0}]]}, DimensionError),
+        (Multivector, {"dim": 2, "terms": [{"blade": [1], "re": True, "im": 0}]}, SchemaError),
+        (QubitState, {"d": 2, "amps": [{"bits": "10", "re": 0, "im": False}]}, SchemaError),
+        (
+            ExtensorFactors,
+            {"dim": 2, "factors": [[{"re": True, "im": 0}, {"re": 0, "im": 0}]]},
+            SchemaError,
+        ),
     ],
 )
 def test_json_rejects_a_bool_as_dimension_or_index(cls, data, error):

@@ -75,6 +75,24 @@ def test_index_validation():
         Multivector.from_indices(2, (True,))
 
 
+def test_a_negative_mask_raises_instead_of_looping():
+    # `while mask:` never ends on a negative int: each shift leaves it negative
+    for mask in (-1, -8):
+        with pytest.raises(IndexRangeError):
+            indices_from_mask(mask)
+    assert indices_from_mask(0b1010) == (2, 4)
+
+
+def test_tolerance_is_a_non_negative_real():
+    # every `abs(...) > nan` is False, so a NaN tolerance passed any pair
+    e1, e2 = blade(2, 1), blade(2, 2)
+    for tol in (float("nan"), -1e-12, True, "x", None, 1j):
+        with pytest.raises(ValueError):
+            mv_equal_approx(e1, e2, tol)
+    assert not mv_equal_approx(e1, e2, 0.5)
+    assert mv_equal_approx(e1, e2, 1) and mv_equal_approx(e1, e2, float("inf"))
+
+
 def test_pruning_and_finiteness():
     assert Multivector(2, {1: 1e-13}).is_zero()
     with pytest.raises(ValueError):
