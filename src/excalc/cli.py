@@ -6,9 +6,9 @@ ladder-operator matrix dump.  Exit codes: 0 success, 1 evaluation error,
 2 syntax error, 3 verification failure.
 
 Each subcommand imports only what it runs.  `eval`, `table` and `repl` load
-numpy only through `excalc.dense`, for dense operands or a `--factors` list
-of 32 or more minors; `fock` loads it for its matrices; `verify-paper` does
-not load it.  `table_command` and `operator_matrix` are called through this
+numpy only through `excalc.dense`, for dense operands, never for a
+`--factors` list; `fock` loads it for its matrices; `verify-paper` does not
+load it.  `table_command` and `operator_matrix` are called through this
 module's names, so a caller can wrap them here.  A replacement
 `operator_matrix` may return any 2-D complex ndarray; `fock` prints its
 entries from Python complex values, as the JSON `[re, im]` pairs or in the

@@ -1,9 +1,8 @@
 """Dense numpy kernels for large operands, loaded on first use.
 
-`multivector.wedge`, `multivector.vee` and `extensors.expand` call into this
-module only when their operands are large enough for it to pay (see
-`multivector._dense_pays` and `extensors._BATCH_MINORS`), so few-term work
-never imports or compiles it.
+`multivector.wedge` and `multivector.vee` call into this module only when
+their operands are large enough for it to pay (see
+`multivector._dense_pays`), so few-term work never imports or compiles it.
 
 A dense operand is an array of 2^d complex coefficients indexed by blade
 mask.  The wedge sums sign(s, t) * A[s] * B[t] into s|t over the 3^d pairs of
@@ -18,12 +17,10 @@ complement is a signed reversal of the array.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
 
 import numpy as np
 
-from .extensors import ExtensorFactors
-from .multivector import PRUNE_TOL, SINGULAR_TOL, Multivector, _result, hodge_blade, merge_sign
+from .multivector import PRUNE_TOL, Multivector, _result, hodge_blade, merge_sign
 
 # A 3^9-entry table (0.6 MB) beat a 3^10 one by 1.4-1.8x at d=12 and d=14
 # and tied it at d=10.
@@ -128,43 +125,3 @@ def _from_array(d: int, values) -> Multivector:
     keep = np.flatnonzero(~(np.abs(values) <= PRUNE_TOL))
     return _result(d, dict(zip(keep.tolist(), values[keep].tolist())))
 
-
-# ---- batched expand --------------------------------------------------------------
-
-
-def expand(x: ExtensorFactors) -> Multivector:
-    """`extensors.expand` with all C(d, k) minors in one elimination."""
-    row_sets = np.array(list(combinations(range(x.d), x.step)))
-    minors = np.array(x.factors).T[row_sets]
-    masks = (1 << row_sets).sum(axis=1)
-    return _result(x.d, dict(zip(masks.tolist(), _det_stack(minors).tolist())))
-
-
-def _det_stack(minors):
-    """The det of `extensors._eliminate` for every matrix in an (n, k, k)
-    stack, in one elimination.
-
-    Same pivot choice (first largest magnitude), same per-matrix singular
-    threshold and the same exact zero for a matrix found singular.
-    """
-    m = np.array(minors, complex)
-    n, k = m.shape[:2]
-    every = np.arange(n)
-    threshold = SINGULAR_TOL * np.maximum(np.abs(m).max(axis=(1, 2)), 1.0)
-    det = np.ones(n, complex)
-    alive = np.ones(n, bool)
-    for col in range(k):
-        magnitude = np.abs(m[:, col:, col])
-        pivot = col + magnitude.argmax(axis=1)
-        alive &= magnitude.max(axis=1) > threshold
-        swapped = pivot != col
-        det[swapped] = -det[swapped]
-        pivot_rows = m[every, pivot]
-        m[every, pivot] = m[:, col]
-        m[:, col] = pivot_rows
-        det *= m[:, col, col]
-        # a singular matrix is done; divide its rows by 1, not by its tiny pivot
-        diagonal = np.where(alive, m[:, col, col], 1.0)
-        factor = m[:, col + 1:, col] / diagonal[:, None]
-        m[:, col + 1:, col:] -= factor[:, :, None] * m[:, None, col, col:]
-    return np.where(alive, det, 0j)

@@ -1,23 +1,23 @@
 """Decomposable elements as ordered factor lists of complex vectors.
 
 An extensor x_1^...^x_k is kept unexpanded as its k factor vectors.  This
-module expands factor lists into multivectors through k x k minors, enumerates
-signed splits of the factor list, evaluates the regressive product as the two
-split sums (cross-checked elsewhere against the duality route), and answers
-subspace questions (rank, intersection dimension, decomposability) with plain
-Gaussian elimination.
+module expands a factor list into its multivector as the wedge of its
+factors, enumerates signed splits of the factor list, evaluates the
+regressive product as the two split sums (cross-checked elsewhere against the
+duality route), and answers subspace questions (rank, intersection
+dimension, decomposability) and determinants with plain Gaussian elimination.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, GradeError, SchemaError
-from .multivector import SINGULAR_TOL, Multivector, _json_coeff, _result, basis_vector, wedge
+from .multivector import SINGULAR_TOL, Multivector, _json_coeff, _result
+from .multivector import basis_vector, wedge
 from .multivector import check_coeff, check_dim, check_index, check_same_dim, check_step
 
 Vector = tuple[complex, ...]
@@ -31,7 +31,10 @@ def make_vector(d: int, components: Sequence[complex]) -> Vector:
     if len(components) != d:
         raise DimensionError(f"vector has {len(components)} components, expected {d}")
     convert = complex if _NUMBER_TYPES.issuperset(map(type, components)) else check_coeff
-    out = tuple(map(convert, components))
+    try:
+        out = tuple(map(convert, components))
+    except OverflowError:  # an int past the float range: check_coeff's ValueError
+        out = tuple(map(check_coeff, components))
     for c in out:
         if not cmath.isfinite(c):
             raise ValueError(f"non-finite component {c!r}")
@@ -144,40 +147,44 @@ def det_columns(vectors: Sequence[Vector], d: int | None = None) -> complex:
 # ---- expansion ---------------------------------------------------------------
 
 
-# From this many minors on, one vectorised elimination over all of them
-# replaces a Python `_eliminate` per minor.  Measured, the batch wins from
-# about 10 minors (d=6, k=2); 32 leaves a margin and keeps every expansion at
-# d <= 6 (at most 20 minors) on `_eliminate`.
-_BATCH_MINORS = 32
-
-
 def expand(x: ExtensorFactors) -> Multivector:
-    """Multivector of x: the k x k minor over rows S becomes the blade-S term.
+    """Multivector of x = x_1 ^ ... ^ x_k: the k x k minor over rows S is
+    the blade-S coefficient.
 
-    Linearly dependent factors expand to the zero multivector.
+    A fold from the vacuum that wedges on one factor vector at a time, with
+    the pair order and sums of the dict `wedge`.  Only exact zeros are
+    dropped on the way and `_result` prunes once, at the end, so a badly
+    scaled list keeps coefficients that a pruned partial product would lose,
+    in any factor order.  expand(x) equals the iterated wedge of the
+    factors' Multivectors whenever no component and no partial coefficient
+    lies in (0, PRUNE_TOL], and products and sums keep Gaussian-integer
+    factors exact.  A list whose rank (the rank `_column_rank` takes) is
+    below its step expands to the zero multivector.
     """
-    d, k = x.d, x.step
-    if k == 0:
-        return Multivector.vacuum(d)
-    if math.comb(d, k) >= _BATCH_MINORS:
-        from . import dense
-
-        return dense.expand(x)
-    return _expand_minors(x)
-
-
-def _expand_minors(x: ExtensorFactors) -> Multivector:
-    d, k = x.d, x.step
-    terms: dict[int, complex] = {}
-    for rows in combinations(range(d), k):
-        minor = [[x.factors[j][i] for j in range(k)] for i in rows]
-        det = _eliminate(minor)[1]
-        if det:
-            mask = 0
-            for i in rows:
-                mask |= 1 << i
-            terms[mask] = det
-    return _result(d, terms)
+    if _rank(x.d, x.factors) < x.step:
+        return Multivector.zero(x.d)
+    # not `_wedge_dict`, which calls merge_sign once per pair: walking the
+    # sign inline ran the dense-kernels benchmark at 1.2x its calls/s
+    terms = {0: 1 + 0j}
+    for f in x.factors:
+        vector = [(1 << i, c) for i, c in enumerate(f)]
+        out: dict[int, complex] = {}
+        get = out.get
+        for s, a in terms.items():
+            if not a:
+                continue
+            # s ^ e_i has the sign (-1)^popcount(s >> i+1): start from the
+            # parity of s and flip it at each mode of s passed on the way up
+            if s.bit_count() & 1:
+                a = -a
+            for bit, c in vector:
+                if s & bit:
+                    a = -a
+                elif c:
+                    u = s | bit
+                    out[u] = get(u, 0j) + a * c
+        terms = out
+    return _result(x.d, terms)
 
 
 # ---- splits and the split-sum join -------------------------------------------
@@ -265,9 +272,12 @@ def triple_det(
 
 def _column_rank(d: int, vectors: Sequence[Vector]) -> int:
     check_dim(d)
-    vectors = [make_vector(d, v) for v in vectors]
-    rows = [[v[i] for v in vectors] for i in range(d)]
-    return _eliminate(rows)[0]
+    return _rank(d, [make_vector(d, v) for v in vectors])
+
+
+def _rank(d: int, vectors: Sequence[Vector]) -> int:
+    """Rank of checked d-component vectors, by `_eliminate` on their columns."""
+    return _eliminate([[v[i] for v in vectors] for i in range(d)])[0]
 
 
 def intersection_dim(d: int, u: Sequence[Vector], w: Sequence[Vector]) -> int:

@@ -269,10 +269,14 @@ class Multivector:
 
 def _json_coeff(entry: Mapping) -> complex:
     """complex(re, im) of a serialized entry; TypeError, which from_json
-    reports as SchemaError, unless each part is an int or a float."""
+    reports as SchemaError, unless each part is an int or a float, and the
+    ValueError of check_coeff on an int past the float range."""
     if not {type(entry["re"]), type(entry["im"])} <= {int, float}:
         raise TypeError("re and im must be int or float numbers")
-    return complex(entry["re"], entry["im"])
+    try:
+        return complex(entry["re"], entry["im"])
+    except OverflowError:
+        raise ValueError(f"coefficient {entry['re']!r} + {entry['im']!r}j is not a number") from None
 
 
 def _pruned(terms: dict[int, complex]) -> dict[int, complex]:

@@ -64,7 +64,9 @@ def ints(top):
 
 
 def coeffs():
-    return [True, False, NAN, INF, -INF, complex(NAN, 0), complex(0, INF), "1", b"1", None, [1]]
+    return [
+        True, False, NAN, INF, -INF, complex(NAN, 0), complex(0, INF), 10**400, "1", b"1", None, [1]
+    ]
 
 
 def bits():
@@ -77,10 +79,11 @@ def vectors():
 
 
 def json_parts(layout):
-    """Serialized forms whose re or im part is not an int or a float."""
+    """Serialized forms whose re or im part is not an int or a float, or
+    not a finite one."""
     return [(layout(re, 0), SchemaError) for re in (True, "1", None, [1])] + [
         (layout(0, im), SchemaError) for im in (False, "0", None)
-    ] + [(layout(NAN, 0), ValueError)]
+    ] + [(layout(x, y), ValueError) for x, y in ((NAN, 0), (10**400, 0), (0, 10**400))]
 
 
 # kind -> function of the row's argument -> [(hostile value, the error it raises)]

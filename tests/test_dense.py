@@ -1,8 +1,8 @@
 """Dense kernels against the routes they replace on large operands.
 
-The dense wedge and vee and the batched `expand` form the same products as
-the dict kernel and the per-minor `_eliminate`, but add them in another order, so
-the routes agree to a float64 rounding bound fixed here, not bit for bit.
+The dense wedge and vee form the same products as the dict kernel, but add
+them in another order, so the routes agree to a float64 rounding bound fixed
+here, not bit for bit.
 """
 
 from __future__ import annotations
@@ -10,14 +10,12 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
-from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excalc import dense, extensors, multivector
-from excalc.extensors import ExtensorFactors, expand, is_decomposable
+from excalc import dense, multivector
 from excalc.multivector import (
     PRUNE_TOL,
     Multivector,
@@ -27,7 +25,7 @@ from excalc.multivector import (
     vee,
     wedge,
 )
-from excalc.verify import random_coeff, random_vector, run_verification
+from excalc.verify import random_coeff, run_verification
 
 EPS = sys.float_info.epsilon
 
@@ -115,9 +113,9 @@ def test_dense_star_signs_are_the_index_sum_and_double_star_formulas(d):
 
 @pytest.fixture
 def dense_calls(monkeypatch):
-    """Count the calls that reach the dense kernels and the batched expand."""
+    """Count the calls that reach the dense kernels."""
     calls: Counter = Counter()
-    for name in ("wedge", "vee", "expand"):
+    for name in ("wedge", "vee"):
         def counted(*args, real=getattr(dense, name), name=name):
             calls[name] += 1
             return real(*args)
@@ -132,76 +130,14 @@ def test_dispatch_follows_operand_size(dense_calls):
     full = random_operand(rng, d, 1 << d)
     few = random_operand(rng, d, 4)
     wedge(few, few), vee(few, full), wedge(full, few)
-    expand(ExtensorFactors(6, tuple(random_vector(rng, 6) for _ in range(3))))  # 20 minors
     assert not dense_calls
     wedge(full, full), vee(full, full)
-    expand(ExtensorFactors(8, tuple(random_vector(rng, 8) for _ in range(4))))  # 70 minors
-    assert dense_calls == {"wedge": 1, "vee": 1, "expand": 1}
+    assert dense_calls == {"wedge": 1, "vee": 1}
 
 
 def test_verify_paper_stays_on_the_small_kernels(dense_calls):
     assert all(r.passed for r in run_verification())
     assert not dense_calls
-
-
-# ---- batched expand ------------------------------------------------------------------
-
-
-@st.composite
-def factor_lists(draw, min_dim: int = 1):
-    """Generic, rank-deficient and near-singular factor lists, and whether
-    every minor is singular.
-
-    The last factor is replaced by a combination of two others plus a
-    perturbation of the given size: 0 is exactly dependent, 1e-14 falls under
-    the SINGULAR_TOL cut-off and 1e-9 stays well above it.
-    """
-    d = draw(st.integers(min_dim, 10))
-    k = draw(st.integers(1, d))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    factors = [random_vector(rng, d) for _ in range(k)]
-    size = draw(st.sampled_from((None, 0.0, 1e-14, 1e-9)))
-    if size is not None and k >= 3:
-        u, w = factors[0], factors[1]
-        p, q = random_coeff(rng), random_coeff(rng)
-        factors[-1] = tuple(
-            p * x + q * y + size * random_coeff(rng) for x, y in zip(u, w)
-        )
-    singular = size is not None and size < 1e-12 and k >= 3
-    return ExtensorFactors(d, tuple(factors)), singular
-
-
-def det_bound(x: ExtensorFactors) -> float:
-    """k^2 eps times the Hadamard bound on every k x k minor."""
-    k = x.step
-    hadamard = prod(sum(abs(c) ** 2 for c in f) ** 0.5 for f in x.factors)
-    return PRUNE_TOL + k * k * EPS * max(1.0, hadamard)
-
-
-@given(factor_lists())
-def test_batched_expand_matches_the_per_minor_determinants(case):
-    x, singular = case
-    batched, per_minor = dense.expand(x), extensors._expand_minors(x)
-    assert mv_equal_approx(batched, per_minor, det_bound(x))
-    assert mv_equal_approx(expand(x), batched, det_bound(x))
-    if singular:
-        assert batched.is_zero() and per_minor.is_zero()
-
-
-@given(factor_lists(min_dim=4), st.integers(0, 2**32 - 1))
-def test_batched_expand_keeps_decomposability_verdicts(case, seed):
-    x, _ = case
-    rng = random.Random(seed)
-    y = ExtensorFactors(x.d, tuple(random_vector(rng, x.d) for _ in range(x.step)))
-    single = [route(x) for route in (dense.expand, extensors._expand_minors)]
-    summed = [
-        route(x) + route(y) for route in (dense.expand, extensors._expand_minors)
-    ]
-    for batched, per_minor in (single, summed):
-        if batched.is_zero() or per_minor.is_zero():
-            assert batched.is_zero() and per_minor.is_zero()
-            continue
-        assert is_decomposable(batched) == is_decomposable(per_minor)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+import sys
+from functools import cache
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from excalc.errors import DimensionError, GradeError, IndexRangeError, SchemaErr
 from excalc.extensors import (
     ExtensorFactors,
     Split,
+    _column_rank,
     _eliminate,
     det_columns,
     enumerate_splits,
@@ -23,9 +27,18 @@ from excalc.extensors import (
     span_covers,
     triple_det,
 )
-from excalc.multivector import SINGULAR_TOL, Multivector, mv_equal_approx, vee, wedge
+from excalc.multivector import (
+    PRUNE_TOL,
+    SINGULAR_TOL,
+    Multivector,
+    mv_equal_approx,
+    vee,
+    wedge,
+)
 from excalc.qubits import QubitState
 from excalc.verify import random_coeff, random_factors, random_vector
+
+EPS = sys.float_info.epsilon
 
 
 def basis_factors(d, *indices):
@@ -180,15 +193,22 @@ def test_expand_empty_is_vacuum():
 
 def test_expand_equals_iterated_wedge():
     rng = random.Random(202)
-    for _ in range(60):
-        d = rng.randint(2, 6)
+    for trial in range(60):
+        d = rng.randint(1, 10)
         k = rng.randint(1, d)
         x = random_factors(rng, d, k)
+        if trial % 2:  # zero components, which the factor's Multivector drops
+            x = ExtensorFactors(
+                d, tuple(tuple(c if rng.random() < 0.7 else 0j for c in f) for f in x.factors)
+            )
         chain = Multivector.vacuum(d)
         for f in x.factors:
             vec = Multivector(d, {1 << i: c for i, c in enumerate(f)})
             chain = wedge(chain, vec)
-        assert mv_equal_approx(expand(x), chain, 1e-9)
+        if _column_rank(d, x.factors) < k:
+            assert expand(x).is_zero()
+        else:
+            assert expand(x) == chain
 
 
 def test_expand_multilinear_and_alternating():
@@ -219,6 +239,127 @@ def test_expand_multilinear_and_alternating():
         shuffled = ExtensorFactors(d, tuple(base.factors[p] for p in perm))
         assert mv_equal_approx(expand(shuffled), sign * expand(base), 1e-10)
 
+
+@st.composite
+def factor_lists(draw):
+    """Generic, rank-deficient and near-singular factor lists, and whether
+    every minor is singular.
+
+    The last factor is replaced by a combination of two others plus a
+    perturbation of the given size: 0 is exactly dependent, 1e-14 falls under
+    the SINGULAR_TOL cut-off and 1e-9 stays well above it.
+    """
+    d = draw(st.integers(1, 10))
+    k = draw(st.integers(1, d))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    factors = [random_vector(rng, d) for _ in range(k)]
+    size = draw(st.sampled_from((None, 0.0, 1e-14, 1e-9)))
+    if size is not None and k >= 3:
+        u, w = factors[0], factors[1]
+        p, q = random_coeff(rng), random_coeff(rng)
+        factors[-1] = tuple(
+            p * x + q * y + size * random_coeff(rng) for x, y in zip(u, w)
+        )
+    singular = size is not None and size < 1e-12 and k >= 3
+    return ExtensorFactors(d, tuple(factors)), singular
+
+
+def det_bound(x: ExtensorFactors) -> float:
+    """k^2 eps times the Hadamard bound on every k x k minor."""
+    k = x.step
+    hadamard = prod(sum(abs(c) ** 2 for c in f) ** 0.5 for f in x.factors)
+    return PRUNE_TOL + k * k * EPS * max(1.0, hadamard)
+
+
+def minor_masks(d: int, k: int):
+    """(blade mask, rows) of every k-row subset of d rows."""
+    for rows in combinations(range(d), k):
+        yield sum(1 << i for i in rows), rows
+
+
+@given(factor_lists())
+def test_expand_matches_the_per_minor_determinants(case):
+    x, singular = case
+    d, k = x.d, x.step
+    per_minor = Multivector(d, {
+        mask: det_columns([tuple(f[i] for i in rows) for f in x.factors], k)
+        for mask, rows in minor_masks(d, k)
+    })
+    got = expand(x)
+    assert mv_equal_approx(got, per_minor, det_bound(x))
+    if singular:
+        assert got.is_zero() and per_minor.is_zero()
+
+
+def test_expand_keeps_badly_scaled_lists_in_every_order():
+    """No partial product is pruned: a full-rank list with two 1e-6 factors
+    and a 1e3 one expands to its ~1e-9 minors, not to zero, and every order
+    of the factors gives the same result up to the permutation's sign."""
+    rng = random.Random(204)
+    cases = [ExtensorFactors(3, ((1e-6, 0, 0), (0, 1e-6, 0), (0, 0, 1e3)))]
+    for _ in range(12):
+        d = rng.randint(3, 6)
+        scales = (1e-6, 1e-6, 1e3, 1.0, 1.0)[: rng.randint(3, min(d, 5))]
+        cases.append(ExtensorFactors(
+            d, tuple(tuple(s * c for c in random_vector(rng, d)) for s in scales)
+        ))
+    for x in cases:
+        d, k = x.d, x.step
+        base = expand(x)
+        per_minor = Multivector(d, {
+            mask: det_columns([tuple(f[i] for i in rows) for f in x.factors], k)
+            for mask, rows in minor_masks(d, k)
+        })
+        assert not base.is_zero()
+        assert mv_equal_approx(base, per_minor, det_bound(x))
+        tol = 1e-9 * max(abs(c) for _, c in base)
+        for sign, perm in signed_permutations(k):
+            shuffled = ExtensorFactors(d, tuple(x.factors[p] for p in perm))
+            assert mv_equal_approx(expand(shuffled), sign * base, tol)
+
+
+@cache
+def signed_permutations(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    return [
+        ((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)), p)
+        for p in permutations(range(n))
+    ]
+
+
+def leibniz_det(matrix: list[list[tuple[int, int]]]) -> tuple[int, int]:
+    """Exact determinant of a matrix of Gaussian integers held as (re, im)
+    pairs of Python ints: the Leibniz sum over permutations."""
+    total_re = total_im = 0
+    for sign, p in signed_permutations(len(matrix)):
+        re, im = sign, 0
+        for row, col in enumerate(p):
+            a, b = matrix[row][col]
+            re, im = re * a - im * b, re * b + im * a
+        total_re += re
+        total_im += im
+    return total_re, total_im
+
+
+@st.composite
+def gaussian_factor_lists(draw):
+    """(d, factors): k <= 5 factors of d <= 8 Gaussian integers with parts in -3..3."""
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(d, 5)))
+    part = st.integers(-3, 3)
+    vector = st.lists(st.tuples(part, part), min_size=d, max_size=d)
+    return d, draw(st.lists(vector, min_size=k, max_size=k))
+
+
+@given(gaussian_factor_lists())
+def test_expand_is_exact_on_gaussian_integers(case):
+    d, factors = case
+    x = ExtensorFactors(d, tuple(tuple(complex(*c) for c in f) for f in factors))
+    want = {}
+    for mask, rows in minor_masks(d, len(factors)):
+        det = leibniz_det([[f[i] for f in factors] for i in rows])
+        if det != (0, 0):
+            want[mask] = complex(*det)
+    assert expand(x).terms() == want
 
 # ---- splits --------------------------------------------------------------------------
 

@@ -72,7 +72,7 @@ def loaded_after(argv: list[str], stdin_text: str = "") -> tuple[list, list, int
         pytest.param(
             ["repl", "--dim", "3"], ":let x = e1 + e2\nx ^ e3\n:table wedge\n", [], id="repl"
         ),
-        # 6 minors take the per-minor route; C(7, 3) = 35 >= 32 take the batched one
+        # C(4, 2) = 6 or C(7, 3) = 35 minors: one fold of wedges either way, no numpy
         pytest.param(
             ["eval", "--dim", "4", "--factors", f"F={factor_list(4, 2)}", "F"], "",
             ["excalc.extensors"],
@@ -80,7 +80,7 @@ def loaded_after(argv: list[str], stdin_text: str = "") -> tuple[list, list, int
         ),
         pytest.param(
             ["eval", "--dim", "7", "--factors", f"F={factor_list(7, 3)}", "F"], "",
-            ["numpy", "excalc.extensors", "excalc.dense"],
+            ["excalc.extensors"],
             id="factors-35-minors",
         ),
         pytest.param(["fock", "--matrix", "create:1", "--dim", "2"], "", ["numpy"], id="fock"),
