@@ -10,13 +10,13 @@ gates are provided for side-by-side comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .multivector import (
     PRUNE_TOL,
     Multivector,
     _result,
+    _Value,
     all_blades,
     check_dim,
     check_index,
@@ -28,15 +28,18 @@ from .multivector import (
 )
 
 
-@dataclass(frozen=True)
-class SubsetState:
-    """A subset of the index set {1..d}, as the mask of its blade."""
+class SubsetState(_Value):
+    """Immutable subset of the index set {1..d}, as the mask of its blade."""
 
-    d: int
-    mask: int
+    __slots__ = __match_args__ = ("d", "mask")
 
-    def __post_init__(self):
-        check_mask(check_dim(self.d), self.mask)
+    def __init__(self, d: int, mask: int):
+        check_mask(check_dim(d), mask)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "mask", mask)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SubsetState is immutable")
 
     @property
     def members(self) -> frozenset[int]:
@@ -46,18 +49,27 @@ class SubsetState:
         return "{" + ",".join(map(str, indices_from_mask(self.mask))) + "}"
 
 
+def _subset(d: int, mask: int) -> SubsetState:
+    """SubsetState of a checked dimension and a mask in range by
+    construction: the constructor without its checks."""
+    out = object.__new__(SubsetState)
+    object.__setattr__(out, "d", d)
+    object.__setattr__(out, "mask", mask)
+    return out
+
+
 def subset(d: int, members: Iterable[int] = ()) -> SubsetState:
     """The subset of the given indices; a repeated index counts once."""
     check_dim(d)
     mask = 0
     for i in members:
         mask |= 1 << (check_index(d, i) - 1)
-    return SubsetState(d, mask)
+    return _subset(d, mask)
 
 
 def all_subsets(d: int) -> list[SubsetState]:
     """Every subset in (size, ascending members) order."""
-    return [SubsetState(d, mask) for mask in all_blades(d)]
+    return [_subset(d, mask) for mask in all_blades(d)]
 
 
 # ---- the powerset <-> blade map ----------------------------------------------
@@ -79,7 +91,7 @@ def m_inverse(a: Multivector) -> Optional[SubsetState]:
     (mask, c), = a
     if abs(c - 1.0) > PRUNE_TOL:
         return None
-    return SubsetState(a.d, mask)
+    return _subset(a.d, mask)
 
 
 # ---- partial pseudo-fermionic operations --------------------------------------
@@ -98,13 +110,13 @@ def pseudo_vee(a1: SubsetState, a2: SubsetState) -> Optional[SubsetState]:
 
 def bool_or(a1: SubsetState, a2: SubsetState) -> SubsetState:
     check_same_dim(a1, a2)
-    return SubsetState(a1.d, a1.mask | a2.mask)
+    return _subset(a1.d, a1.mask | a2.mask)
 
 
 def bool_and(a1: SubsetState, a2: SubsetState) -> SubsetState:
     check_same_dim(a1, a2)
-    return SubsetState(a1.d, a1.mask & a2.mask)
+    return _subset(a1.d, a1.mask & a2.mask)
 
 
 def bool_not(a1: SubsetState) -> SubsetState:
-    return SubsetState(a1.d, a1.mask ^ ((1 << a1.d) - 1))
+    return _subset(a1.d, a1.mask ^ ((1 << a1.d) - 1))

@@ -13,18 +13,24 @@ depth.  Nesting is what costs stack: at most MAX_NESTING open `(`, `ip(` and
 prefix operators (`*`, `~`, `-` and the `*` of `scalar *`), beyond which the
 parser raises ExprSyntaxError at the token that crosses the limit.  A
 numeric literal beyond the float range raises it at the literal.
+
+Tokens are named tuples and the tree nodes plain value classes: nodes with
+equal fields are equal and hash alike, and nothing assigns to a node once
+the parser has built it.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import partial, reduce
+from typing import NamedTuple
 
 from .errors import EvalError, ExprSyntaxError, IndexRangeError
 from .multivector import (
     Multivector,
+    _result,
+    _Value,
     check_dim,
     combine,
     conjugate,
@@ -49,8 +55,7 @@ _TOKEN = re.compile(
 _KEYWORDS = {"E": ("top", 0j), "v": ("op", 0j), "i": ("scalar", 1j), "ip": ("ip", 0j)}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # basis | top | scalar | op | lparen | rparen | comma | ident | ip | end
     text: str
     line: int
@@ -90,63 +95,84 @@ def tokenize(source: str) -> list[Token]:
 
 
 # ---- syntax tree ----------------------------------------------------------------
+# Each node class lists its fields in __match_args__, which _Value compares,
+# hashes and prints.
 
 
-@dataclass(frozen=True)
-class BasisVector:
-    index: int
+class BasisVector(_Value):
+    __match_args__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
 
 
-@dataclass(frozen=True)
-class TopBlade:
+class TopBlade(_Value):
     pass
 
 
-@dataclass(frozen=True)
-class ScalarLit:
-    value: complex
+class ScalarLit(_Value):
+    __match_args__ = ("value",)
+
+    def __init__(self, value: complex):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(_Value):
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Wedge:
-    operands: tuple  # two or more, folded left to right
+class Wedge(_Value):
+    __match_args__ = ("operands",)
+
+    def __init__(self, operands: tuple):
+        self.operands = operands  # two or more, folded left to right
 
 
-@dataclass(frozen=True)
-class Vee:
-    operands: tuple  # two or more, folded left to right
+class Vee(_Value):
+    __match_args__ = ("operands",)
+
+    def __init__(self, operands: tuple):
+        self.operands = operands  # two or more, folded left to right
 
 
-@dataclass(frozen=True)
-class Star:
-    operand: object
+class Star(_Value):
+    __match_args__ = ("operand",)
+
+    def __init__(self, operand):
+        self.operand = operand
 
 
-@dataclass(frozen=True)
-class Conj:
-    operand: object
+class Conj(_Value):
+    __match_args__ = ("operand",)
+
+    def __init__(self, operand):
+        self.operand = operand
 
 
-@dataclass(frozen=True)
-class Add:
-    terms: tuple  # (sign, node) pairs, two or more; the first sign is +1
+class Add(_Value):
+    __match_args__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        self.terms = terms  # (sign, node) pairs, two or more; the first sign is +1
 
 
-@dataclass(frozen=True)
-class ScalarMul:
-    coeff: complex
-    operand: object
+class ScalarMul(_Value):
+    __match_args__ = ("coeff", "operand")
+
+    def __init__(self, coeff: complex, operand):
+        self.coeff = coeff
+        self.operand = operand
 
 
-@dataclass(frozen=True)
-class InnerProduct:
-    left: object
-    right: object
+class InnerProduct(_Value):
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
 
 
 _PREFIX = {"*": Star, "~": Conj, "-": partial(ScalarMul, -1.0 + 0j)}
@@ -265,13 +291,16 @@ def parse_text(source: str):
 # ---- evaluation -------------------------------------------------------------------
 
 
-@dataclass
-class Environment:
-    d: int
-    bindings: dict[str, Multivector] = field(default_factory=dict)
+class Environment(_Value):
+    """The dimension and the name bindings an expression is evaluated in."""
 
-    def __post_init__(self):
-        check_dim(self.d)
+    __match_args__ = ("d", "bindings")
+    __hash__ = None  # bind() changes the bindings
+
+    def __init__(self, d: int, bindings: dict[str, Multivector] | None = None):
+        self.d = d
+        self.bindings = {} if bindings is None else bindings
+        check_dim(d)
 
     def bind(self, name: str, value: Multivector) -> None:
         """Bind a name the lexer reads back as one `ident` token; keywords
@@ -301,7 +330,7 @@ def _evaluate(node, env: Environment) -> Multivector:
         case BasisVector(index=i):
             if not 1 <= i <= d:
                 raise IndexRangeError(f"e{i} does not exist in dimension {d}")
-            return Multivector.from_indices(d, (i,))
+            return _result(d, {1 << (i - 1): 1 + 0j})
         case TopBlade():
             return Multivector.top(d)
         case ScalarLit(value=v):

@@ -11,12 +11,11 @@ dimension, decomposability) and determinants with plain Gaussian elimination.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, GradeError, SchemaError
-from .multivector import SINGULAR_TOL, Multivector, _json_coeff, _result
+from .multivector import SINGULAR_TOL, Multivector, _json_coeff, _result, _Value
 from .multivector import basis_vector, wedge
 from .multivector import check_coeff, check_dim, check_index, check_same_dim, check_step
 
@@ -41,18 +40,18 @@ def make_vector(d: int, components: Sequence[complex]) -> Vector:
     return out
 
 
-@dataclass(frozen=True)
-class ExtensorFactors:
-    """Ordered factor list x_1, ..., x_k of d-dimensional complex vectors."""
+class ExtensorFactors(_Value):
+    """Immutable ordered factor list x_1, ..., x_k of d-dimensional complex vectors."""
 
-    d: int
-    factors: tuple[Vector, ...]
+    __slots__ = __match_args__ = ("d", "factors")
 
-    def __post_init__(self):
-        check_step(len(self.factors), check_dim(self.d), "factor count")
-        object.__setattr__(
-            self, "factors", tuple(make_vector(self.d, f) for f in self.factors)
-        )
+    def __init__(self, d: int, factors: tuple[Vector, ...]):
+        check_step(len(factors), check_dim(d), "factor count")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "factors", tuple(make_vector(d, f) for f in factors))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExtensorFactors is immutable")
 
     @property
     def step(self) -> int:
@@ -85,8 +84,16 @@ class ExtensorFactors:
         return cls(d, factors)
 
 
-@dataclass(frozen=True)
-class Split:
+def _factors(d: int, factors: tuple[Vector, ...]) -> ExtensorFactors:
+    """ExtensorFactors of vectors already checked in dimension d: the
+    constructor without its checks."""
+    out = object.__new__(ExtensorFactors)
+    object.__setattr__(out, "d", d)
+    object.__setattr__(out, "factors", factors)
+    return out
+
+
+class Split(NamedTuple):
     """Signed partition of a factor list into (part1, part2).
 
     The sign is the parity of the permutation that restores the original
@@ -205,8 +212,8 @@ def enumerate_splits(x: ExtensorFactors, h: int) -> list[Split]:
         out.append(
             Split(
                 sign,
-                ExtensorFactors(x.d, tuple(x.factors[p] for p in first)),
-                ExtensorFactors(x.d, tuple(x.factors[p] for p in second)),
+                _factors(x.d, tuple(x.factors[p] for p in first)),
+                _factors(x.d, tuple(x.factors[p] for p in second)),
             )
         )
     return out

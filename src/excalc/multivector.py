@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DimensionError, GradeError, IndexRangeError, SchemaError
@@ -121,6 +122,35 @@ def hodge_blade(d: int, mask: int) -> tuple[int, int]:
     that makes blade ^ star = E."""
     comp = ((1 << d) - 1) ^ mask
     return merge_sign(mask, comp), comp
+
+
+class _Value:
+    """Equality, hash and repr over the fields named in `__match_args__`;
+    an instance equals only an instance of its own class."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # the class and every field in one C call, as tables hash each cell
+        cls._key = property(attrgetter("__class__", *cls.__match_args__))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: an immutable
+        # subclass refuses the setattr they would otherwise use
+        return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
 
 
 class Multivector:

@@ -21,8 +21,8 @@ hypothesis properties and in a longer seeded run.  Nothing here loads numpy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial, reduce
+from typing import NamedTuple
 
 from .cli import format_result
 from .errors import GradeError
@@ -51,8 +51,7 @@ DEFAULT_SEED = 1118
 IDENTITY_TOL = 1e-10
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     kind: str  # "table" or "example"
     passed: bool

@@ -1,7 +1,8 @@
 """Start-up: each CLI subcommand loads only the modules it runs.
 
 numpy, `verify`, `extensors` and `dense` are imported by the code that uses
-them, so `eval`, `table` and `repl` start without them.  The command
+them, so `eval`, `table` and `repl` start without them.  No subcommand loads
+`dataclasses`: the library's records are plain classes.  The command
 functions reach `table_command` and `operator_matrix` through the names in
 `excalc.cli`, so a caller can wrap or replace them there.
 """
@@ -21,7 +22,7 @@ import excalc
 from excalc import cli
 
 SRC = str(Path(excalc.__file__).resolve().parents[1])
-LAZY = ("numpy", "excalc.verify", "excalc.extensors", "excalc.dense")
+LAZY = ("numpy", "excalc.verify", "excalc.extensors", "excalc.dense", "dataclasses")
 
 # Runs `cli.main(argv)` in a fresh interpreter, with its output captured, and
 # prints as JSON which of LAZY were loaded after `import excalc.cli` and after

@@ -1,0 +1,122 @@
+"""Value semantics of the library's records.
+
+The expression tokens and tree nodes, `Environment`, `SubsetState`,
+`ExtensorFactors`, `Split` and `CheckResult`: equal fields give equal
+objects with equal hashes and equal reprs, an object never equals one of
+another class, copies and pickles come back equal, and the immutable ones
+refuse assignment.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from excalc.boolean_gates import SubsetState, all_subsets, subset
+from excalc.expr import (
+    Add,
+    BasisVector,
+    Conj,
+    Environment,
+    InnerProduct,
+    ScalarLit,
+    ScalarMul,
+    Star,
+    Token,
+    TopBlade,
+    Var,
+    Vee,
+    Wedge,
+    parse_text,
+    tokenize,
+)
+from excalc.extensors import ExtensorFactors, Split, enumerate_splits
+from excalc.verify import CheckResult
+
+
+def e(i: int) -> BasisVector:
+    return BasisVector(i)
+
+
+def f(*indices: int) -> ExtensorFactors:
+    return ExtensorFactors.from_indices(3, indices)
+
+
+# (build, a build with one field or the class changed); build() twice gives equal objects
+VALUES = {
+    "Token": (
+        lambda: Token("basis", "e1", 1, 4, index=1),
+        lambda: Token("basis", "e1", 1, 4, index=2),
+    ),
+    "BasisVector": (lambda: e(1), lambda: e(2)),
+    "TopBlade": (TopBlade, lambda: ScalarLit(1 + 0j)),
+    "ScalarLit": (lambda: ScalarLit(2j), lambda: ScalarLit(3j)),
+    "Var": (lambda: Var("x"), lambda: Var("y")),
+    "Wedge": (lambda: Wedge((e(1), e(2))), lambda: Wedge((e(2), e(1)))),
+    "Vee": (lambda: Vee((e(1), e(2))), lambda: Wedge((e(1), e(2)))),
+    "Star": (lambda: Star(e(1)), lambda: Conj(e(1))),
+    "Conj": (lambda: Conj(e(1)), lambda: Conj(e(2))),
+    "Add": (lambda: Add(((1, e(1)), (-1, e(2)))), lambda: Add(((1, e(1)), (1, e(2))))),
+    "ScalarMul": (lambda: ScalarMul(2j, e(1)), lambda: ScalarMul(2j, TopBlade())),
+    "InnerProduct": (lambda: InnerProduct(e(1), e(2)), lambda: InnerProduct(e(2), e(1))),
+    "SubsetState": (lambda: SubsetState(3, 0b101), lambda: SubsetState(3, 0b110)),
+    "ExtensorFactors": (lambda: f(1, 2), lambda: f(2, 1)),
+    "Split": (lambda: Split(1, f(1), f(2, 3)), lambda: Split(-1, f(1), f(2, 3))),
+    "CheckResult": (
+        lambda: CheckResult("rows", "table", True),
+        lambda: CheckResult("rows", "table", True, "detail"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_equal_fields_give_equal_objects_and_hashes(name):
+    build, other = VALUES[name]
+    a, b, c = build(), build(), other()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) and repr(a).startswith(f"{name}(")
+    assert a != c
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+def test_built_and_parsed_values_agree():
+    assert parse_text("e1 ^ e2 - 2 * E") == Add(
+        ((1, Wedge((e(1), e(2)))), (-1, ScalarMul(2 + 0j, TopBlade())))
+    )
+    assert parse_text("ip(x, *~e3) v e1") == parse_text("ip( x , * ~ e3 )v e1")
+    assert repr(e(1)) == "BasisVector(index=1)"
+    assert tokenize("e1")[0] == Token("basis", "e1", 1, 1, index=1)
+    # the trusted builds of the library equal the checked constructors
+    assert subset(3, (3, 1)) == SubsetState(3, 0b101)
+    assert all_subsets(2) == [SubsetState(2, m) for m in (0, 1, 2, 3)]
+    assert enumerate_splits(f(1, 2), 1)[0] == Split(1, f(1), f(2))
+
+
+def test_environment_compares_its_fields_and_is_not_hashable():
+    assert Environment(3) == Environment(3, {})
+    assert Environment(3) != Environment(4)
+    assert copy.deepcopy(Environment(3)) == Environment(3)
+    with pytest.raises(TypeError):
+        hash(Environment(3))
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (Token("end", "", 1, 1), "kind"),
+        (SubsetState(3, 1), "mask"),
+        (f(1), "factors"),
+        (Split(1, f(1), f()), "sign"),
+    ],
+    ids=["Token", "SubsetState", "ExtensorFactors", "Split"],
+)
+def test_immutable_values_refuse_assignment(value, field):
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, field) == before
