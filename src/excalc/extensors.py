@@ -10,7 +10,6 @@ dimension, decomposability) and determinants with plain Gaussian elimination.
 
 from __future__ import annotations
 
-import cmath
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -21,23 +20,14 @@ from .multivector import check_coeff, check_dim, check_index, check_same_dim, ch
 
 Vector = tuple[complex, ...]
 
-# complex() reads these as the numbers they are, with no need for check_coeff
-_NUMBER_TYPES = frozenset((int, float, complex))
-
 
 def make_vector(d: int, components: Sequence[complex]) -> Vector:
+    """A d-component vector, each component through check_coeff.  Vectors
+    are checked here, where they enter the module, and trusted inside it."""
     check_dim(d)
     if len(components) != d:
         raise DimensionError(f"vector has {len(components)} components, expected {d}")
-    convert = complex if _NUMBER_TYPES.issuperset(map(type, components)) else check_coeff
-    try:
-        out = tuple(map(convert, components))
-    except OverflowError:  # an int past the float range: check_coeff's ValueError
-        out = tuple(map(check_coeff, components))
-    for c in out:
-        if not cmath.isfinite(c):
-            raise ValueError(f"non-finite component {c!r}")
-    return out
+    return tuple(map(check_coeff, components))
 
 
 class ExtensorFactors(_Value):
@@ -63,7 +53,9 @@ class ExtensorFactors(_Value):
         repeated index gives a dependent list, which expands to 0."""
         check_dim(d)
         units = [tuple(1.0 + 0j if j == i else 0j for j in range(d)) for i in range(d)]
-        return cls(d, tuple(units[check_index(d, i) - 1] for i in indices))
+        factors = tuple(units[check_index(d, i) - 1] for i in indices)
+        check_step(len(factors), d, "factor count")
+        return _factors(d, factors)
 
     def to_json(self) -> dict:
         return {
@@ -108,15 +100,17 @@ class Split(NamedTuple):
 # ---- determinants and rank ---------------------------------------------------
 
 
-def _eliminate(matrix: list[list[complex]]) -> tuple[int, complex]:
-    """(rank, det) by row elimination with partial pivoting.
+def _eliminate(matrix: Sequence[Sequence[complex]]) -> tuple[int, complex]:
+    """(rank, det) by row elimination with partial pivoting, on a copy of
+    the rows.  A matrix and its transpose share both, so callers pass their
+    vectors as the rows.
 
     Each column's pivot is the first row of largest magnitude; a pivot at
     most SINGULAR_TOL times the largest entry (or 1) is no pivot, and the
     column is skipped.  det is the signed product of the pivots when the rank
     is full, else 0j.
     """
-    m = [row[:] for row in matrix]
+    m = [list(row) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     biggest = max((abs(c) for row in m for c in row), default=0.0)
@@ -140,15 +134,10 @@ def _eliminate(matrix: list[list[complex]]) -> tuple[int, complex]:
     return rank, det if rank == rows else 0j
 
 
-def det_columns(vectors: Sequence[Vector], d: int | None = None) -> complex:
-    """Determinant of the d x d matrix whose columns are the given vectors."""
-    if d is None and vectors:
-        d = len(vectors[0])
-    if len(vectors) != check_dim(d):
-        raise DimensionError(f"need exactly {d} column vectors, got {len(vectors)}")
-    columns = [make_vector(d, v) for v in vectors]
-    rows = [[columns[j][i] for j in range(d)] for i in range(d)]
-    return _eliminate(rows)[1]
+def det_columns(vectors: Sequence[Vector]) -> complex:
+    """Determinant of the d x d matrix whose columns are the d given vectors."""
+    d = check_dim(len(vectors))
+    return _eliminate([make_vector(d, v) for v in vectors])[1]
 
 
 # ---- expansion ---------------------------------------------------------------
@@ -168,7 +157,7 @@ def expand(x: ExtensorFactors) -> Multivector:
     factors exact.  A list whose rank (the rank `_column_rank` takes) is
     below its step expands to the zero multivector.
     """
-    if _rank(x.d, x.factors) < x.step:
+    if _eliminate(x.factors)[0] < x.step:
         return Multivector.zero(x.d)
     # not `_wedge_dict`, which calls merge_sign once per pair: walking the
     # sign inline ran the dense-kernels benchmark at 1.2x its calls/s
@@ -238,12 +227,12 @@ def join_by_splits(
         return total
     if variant == "first":
         for split in enumerate_splits(a, d - l):
-            det = det_columns(split.part1.factors + b.factors, d)
+            det = _eliminate(split.part1.factors + b.factors)[1]
             if det:
                 total = total + split.sign * det * expand(split.part2)
     else:
         for split in enumerate_splits(b, k + l - d):
-            det = det_columns(a.factors + split.part2.factors, d)
+            det = _eliminate(a.factors + split.part2.factors)[1]
             if det:
                 total = total + split.sign * det * expand(split.part1)
     return total
@@ -270,7 +259,7 @@ def triple_det(
     am, bm, cm = expand(a), expand(b), expand(c)
     first = vee(am, wedge(bm, cm)).coeff_mask(0)
     second = wedge(hodge(am), vee(hodge(bm), hodge(cm))).coeff_mask((1 << d) - 1)
-    third = det_columns(a.factors + b.factors + c.factors, d)
+    third = _eliminate(a.factors + b.factors + c.factors)[1]
     return first, second, third
 
 
@@ -278,13 +267,9 @@ def triple_det(
 
 
 def _column_rank(d: int, vectors: Sequence[Vector]) -> int:
+    """Rank of the given vectors, each checked as a d-component vector."""
     check_dim(d)
-    return _rank(d, [make_vector(d, v) for v in vectors])
-
-
-def _rank(d: int, vectors: Sequence[Vector]) -> int:
-    """Rank of checked d-component vectors, by `_eliminate` on their columns."""
-    return _eliminate([[v[i] for v in vectors] for i in range(d)])[0]
+    return _eliminate([make_vector(d, v) for v in vectors])[0]
 
 
 def intersection_dim(d: int, u: Sequence[Vector], w: Sequence[Vector]) -> int:

@@ -173,6 +173,10 @@ class Multivector:
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, as for _Value
+        return Multivector, (self.d, self.terms())
+
     # ---- constructors -------------------------------------------------
 
     @classmethod

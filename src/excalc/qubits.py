@@ -70,6 +70,10 @@ class QubitState:
     def __setattr__(self, name, value):
         raise AttributeError("QubitState is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, as for Multivector
+        return QubitState, (self.d, self.amplitudes())
+
     @classmethod
     def basis(cls, bits: Iterable[int]) -> QubitState:
         bits = tuple(bits)

@@ -316,7 +316,7 @@ def complementary_determinant(rng: random.Random, d: int) -> bool:
     det(x, y) 1, and x ^ *x is E times the scalar x v *x."""
     k = rng.randint(0, d)
     fx, fy = random_factors(rng, d, k), random_factors(rng, d, d - k)
-    det = det_columns(fx.factors + fy.factors, d)
+    det = det_columns(fx.factors + fy.factors)
     x, y = expand(fx), expand(fy)
     one, top, star_x = Multivector.vacuum(d), Multivector.top(d), hodge(x)
     return (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 from math import prod
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from excalc import extensors
 from excalc.errors import DimensionError, GradeError, IndexRangeError, SchemaError
 from excalc.extensors import (
     ExtensorFactors,
@@ -81,25 +83,25 @@ def test_det_matches_cofactor_oracle():
         n = rng.randint(1, 5)
         cols = [random_vector(rng, n) for _ in range(n)]
         rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-        assert abs(det_columns(cols, n) - cofactor_det(rows)) <= 1e-9
+        assert abs(det_columns(cols) - cofactor_det(rows)) <= 1e-9
 
 
 def test_det_singular_and_count_errors():
     v = (1 + 0j, 2 + 0j, 3 + 0j)
-    assert det_columns([v, v, (0j, 1 + 0j, 0j)], 3) == 0j
+    assert det_columns([v, v, (0j, 1 + 0j, 0j)]) == 0j
     with pytest.raises(DimensionError):
-        det_columns([v, v], 3)
+        det_columns([v, v])
     with pytest.raises(DimensionError):
-        det_columns([], None)
+        det_columns([])
 
 
 def test_det_columns_checks_each_column():
     for bad in (float("nan"), float("inf"), complex(0, float("-inf"))):
-        with pytest.raises(ValueError, match="non-finite component"):
-            det_columns([(1, bad), (3, 4)], 2)
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            det_columns([(1, bad), (3, 4)])
     with pytest.raises(DimensionError, match="vector has 3 components, expected 2"):
-        det_columns([(1, 2), (3, 4, 5)], 2)
-    assert det_columns([(1, 2), (3, 4)], 2) == -2
+        det_columns([(1, 2), (3, 4, 5)])
+    assert det_columns([(1, 2), (3, 4)]) == -2
 
 
 def pivot_rank(matrix: list[list[complex]]) -> int:
@@ -156,6 +158,124 @@ def test_one_elimination_gives_the_old_rank_and_a_det_zero_exactly_below_full_ra
     assert rank == pivot_rank(matrix)
     if len(matrix) == len(matrix[0] if matrix else []):
         assert (det == 0) == (rank < len(matrix))
+
+
+class GaussianRational:
+    """re + i im with Fraction parts: exact arithmetic for Gaussian-integer matrices."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __sub__(self, other):
+        return GaussianRational(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return GaussianRational(
+            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+        )
+
+    def __truediv__(self, other):
+        norm = other.re * other.re + other.im * other.im
+        return GaussianRational(
+            (self.re * other.re + self.im * other.im) / norm,
+            (self.im * other.re - self.re * other.im) / norm,
+        )
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
+def exact_quotient(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    assert r == 0, "a Bareiss division left a remainder"
+    return q
+
+
+def bareiss(matrix: list[list], divide) -> tuple[int, object]:
+    """Exact (rank, det) of a square matrix by fraction-free elimination
+    (Bareiss), skipping a column with no nonzero entry left.  Every entry
+    stays a minor of the matrix, so `divide` by the last pivot is exact."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    rank, odd, last = 0, False, None
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if m[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            odd = not odd
+        p = m[rank][col]
+        for r in range(rank + 1, n):
+            for c in range(col + 1, n):
+                entry = p * m[r][c] - m[r][col] * m[rank][c]
+                m[r][c] = entry if last is None else divide(entry, last)
+        last, rank = p, rank + 1
+    if rank < n:
+        return rank, 0
+    return rank, -last if odd else last
+
+
+def test_bareiss_oracle_on_known_matrices():
+    assert bareiss([[2, 1], [4, 2]], exact_quotient) == (1, 0)
+    assert bareiss([[0, 1], [1, 0]], exact_quotient) == (2, -1)
+    vandermonde = [[(r + 1) ** c for c in range(4)] for r in range(4)]
+    assert bareiss(vandermonde, exact_quotient) == (4, 12)
+    rank, det = bareiss(
+        [[GaussianRational(0, 1), GaussianRational(1)], [GaussianRational(1), GaussianRational(0, 1)]],
+        GaussianRational.__truediv__,
+    )
+    assert rank == 2 and complex(det) == -2  # i * i - 1 * 1
+
+
+@st.composite
+def exact_matrices(draw):
+    """(n, entries as (re, im) int pairs, Gaussian or not): n <= 7, parts in
+    -3..3, and often some rows made integer combinations of the others."""
+    n = draw(st.integers(1, 7))
+    gaussian = draw(st.booleans())
+    part = st.integers(-3, 3)
+    entry = st.tuples(part, part if gaussian else st.just(0))
+    matrix = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    for r in range(n - draw(st.integers(0, n - 1)), n):
+        weights = draw(st.lists(entry, min_size=r, max_size=r))
+        matrix[r] = [
+            (
+                sum(w[0] * row[c][0] - w[1] * row[c][1] for w, row in zip(weights, matrix)),
+                sum(w[0] * row[c][1] + w[1] * row[c][0] for w, row in zip(weights, matrix)),
+            )
+            for c in range(n)
+        ]
+    return n, matrix, gaussian
+
+
+@settings(max_examples=300)
+@given(exact_matrices())
+def test_eliminate_matches_the_exact_rank_and_det(case):
+    n, matrix, gaussian = case
+    if gaussian:
+        rank, det = bareiss(
+            [[GaussianRational(*e) for e in row] for row in matrix], GaussianRational.__truediv__
+        )
+    else:
+        rank, det = bareiss([[e[0] for e in row] for row in matrix], exact_quotient)
+    want = complex(det)
+    rows = [[complex(*e) for e in row] for row in matrix]
+    columns = [list(col) for col in zip(*rows)]
+    for given_matrix in (rows, columns):
+        got_rank, got_det = _eliminate(given_matrix)
+        assert got_rank == rank
+        assert (got_det == 0j) == (rank < n)
+        if rank == n:
+            assert abs(got_det - want) <= 1e-11 * abs(want)
 
 
 # ---- expansion ----------------------------------------------------------------------
@@ -282,7 +402,7 @@ def test_expand_matches_the_per_minor_determinants(case):
     x, singular = case
     d, k = x.d, x.step
     per_minor = Multivector(d, {
-        mask: det_columns([tuple(f[i] for i in rows) for f in x.factors], k)
+        mask: det_columns([tuple(f[i] for i in rows) for f in x.factors])
         for mask, rows in minor_masks(d, k)
     })
     got = expand(x)
@@ -307,7 +427,7 @@ def test_expand_keeps_badly_scaled_lists_in_every_order():
         d, k = x.d, x.step
         base = expand(x)
         per_minor = Multivector(d, {
-            mask: det_columns([tuple(f[i] for i in rows) for f in x.factors], k)
+            mask: det_columns([tuple(f[i] for i in rows) for f in x.factors])
             for mask, rows in minor_masks(d, k)
         })
         assert not base.is_zero()
@@ -445,7 +565,7 @@ def test_join_complementary_steps_is_determinant():
         k = rng.randint(0, d)
         a, b = random_factors(rng, d, k), random_factors(rng, d, d - k)
         got = join_by_splits(a, b)
-        det = det_columns(a.factors + b.factors, d)
+        det = det_columns(a.factors + b.factors)
         assert mv_equal_approx(got, Multivector.scalar(d, det), 1e-9)
 
 
@@ -481,6 +601,28 @@ def test_triple_det_random_agreement():
         one, two, three = triple_det(a, b, c)
         assert abs(one - three) <= 1e-9
         assert abs(two - three) <= 1e-9
+
+
+def test_checked_factor_lists_are_not_checked_again(monkeypatch):
+    """The joins and triple_det run on factor lists that ExtensorFactors has
+    checked, so they call make_vector on none of their vectors; the public
+    det_columns still checks each one."""
+    rng = random.Random(212)
+    a, b = random_factors(rng, 10, 6), random_factors(rng, 10, 6)
+    x, y, z = (random_factors(rng, 8, k) for k in (3, 3, 2))
+    real, calls = extensors.make_vector, []
+
+    def counted(d, components):
+        calls.append(d)
+        return real(d, components)
+
+    monkeypatch.setattr(extensors, "make_vector", counted)
+    join_by_splits(a, b, "first")
+    join_by_splits(a, b, "second")
+    triple_det(x, y, z)
+    assert calls == []
+    det_columns(x.factors + y.factors + z.factors)
+    assert calls == [8] * 8
 
 
 def test_triple_det_step_sum_error():

@@ -4,7 +4,8 @@ The expression tokens and tree nodes, `Environment`, `SubsetState`,
 `ExtensorFactors`, `Split` and `CheckResult`: equal fields give equal
 objects with equal hashes and equal reprs, an object never equals one of
 another class, copies and pickles come back equal, and the immutable ones
-refuse assignment.
+refuse assignment.  `Multivector` and `QubitState` copy and pickle
+through their constructors too.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from excalc.expr import (
     tokenize,
 )
 from excalc.extensors import ExtensorFactors, Split, enumerate_splits
+from excalc.multivector import Multivector
+from excalc.qubits import QubitState
 from excalc.verify import CheckResult
 
 
@@ -80,6 +83,18 @@ def test_equal_fields_give_equal_objects_and_hashes(name):
     assert repr(a) == repr(b) and repr(a).startswith(f"{name}(")
     assert a != c
     assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Multivector(2, {1: 1, 3: -0.0 - 2j}), QubitState(2, {1: 1})],
+    ids=["Multivector", "QubitState"],
+)
+def test_copies_and_pickles_of_the_state_classes_come_back_equal(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+    with pytest.raises(AttributeError):
+        value.d = 3
 
 
 def test_built_and_parsed_values_agree():
