@@ -10,7 +10,7 @@ gates are provided for side-by-side comparison.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .multivector import (
     PRUNE_TOL,
@@ -80,7 +80,7 @@ def m_map(s: SubsetState) -> Multivector:
     return _result(s.d, {s.mask: 1 + 0j})
 
 
-def m_inverse(a: Multivector) -> Optional[SubsetState]:
+def m_inverse(a: Multivector) -> SubsetState | None:
     """Subset whose blade a is, or None when a has no subset preimage.
 
     Defined only for a single blade with coefficient +1 (within PRUNE_TOL);
@@ -97,11 +97,11 @@ def m_inverse(a: Multivector) -> Optional[SubsetState]:
 # ---- partial pseudo-fermionic operations --------------------------------------
 
 
-def pseudo_wedge(a1: SubsetState, a2: SubsetState) -> Optional[SubsetState]:
+def pseudo_wedge(a1: SubsetState, a2: SubsetState) -> SubsetState | None:
     return m_inverse(wedge(m_map(a1), m_map(a2)))
 
 
-def pseudo_vee(a1: SubsetState, a2: SubsetState) -> Optional[SubsetState]:
+def pseudo_vee(a1: SubsetState, a2: SubsetState) -> SubsetState | None:
     return m_inverse(vee(m_map(a1), m_map(a2)))
 
 

@@ -5,11 +5,16 @@ interactive session, `verify-paper` the bundled verification suite, `fock` a
 ladder-operator matrix dump.  Exit codes: 0 success, 1 evaluation error,
 2 syntax error, 3 verification failure.
 
-Each subcommand imports only what it runs.  `eval`, `table` and `repl` load
-numpy only through `excalc.dense`, for dense operands, never for a
-`--factors` list; `fock` loads it for its matrices; `verify-paper` does not
-load it.  `table_command` and `operator_matrix` are called through this
-module's names, so a caller can wrap them here.  A replacement
+Each subcommand imports only what it runs.  `eval` and `repl` load the
+algebra, the expression language and the text forms (`multivector`, `expr`,
+`textform`), plus `extensors` for a `--factors` list; `repl`'s `:table`
+adds what `table` loads.  `table` adds `tables` and the set-gate and qubit
+modules it tabulates, `fock` adds `fock` and numpy, and `verify-paper` adds
+`verify` with everything it checks, but not numpy.  `eval`, `table` and
+`repl` load numpy only through `excalc.dense`, for dense operands.
+`table_command` and `operator_matrix` here import the real functions when
+first called, and the command functions call them through these names, so a
+caller can wrap or replace them here.  A replacement
 `operator_matrix` may return any 2-D complex ndarray; `fock` prints its
 entries from Python complex values, as the JSON `[re, im]` pairs or in the
 text notation, and formats each distinct entry once.
@@ -19,15 +24,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import struct
 import sys
 
 from .errors import ExcalcError, ExprSyntaxError
 from .expr import Environment, evaluate_text
-from .fock import operator_matrix
 from .multivector import Multivector
-from .tables import TABLE_FORMATS, TABLE_OPS, table_command
-from .textform import format_number, scalar_to_text
+from .textform import TABLE_FORMATS, TABLE_OPS, format_number, format_result
 
 EXIT_OK = 0
 EXIT_EVAL = 1
@@ -35,23 +37,18 @@ EXIT_SYNTAX = 2
 EXIT_VERIFY = 3
 
 
-def format_result(value: Multivector | complex, fmt: str) -> str:
-    if isinstance(value, Multivector):
-        if fmt == "json":
-            return json.dumps(value.to_json(), indent=2)
-        if fmt == "csv":
-            lines = ["blade,re,im"]
-            data = value.to_json()
-            for term in data["terms"]:
-                blade = "^".join(f"e{i}" for i in term["blade"]) or "1"
-                lines.append(f"{blade},{term['re']!r},{term['im']!r}")
-            return "\n".join(lines)
-        return value.to_text()
-    if fmt == "json":
-        return json.dumps({"re": value.real, "im": value.imag})
-    if fmt == "csv":
-        return f"re,im\n{value.real!r},{value.imag!r}"
-    return scalar_to_text(value)
+def table_command(op: str, d: int, fmt: str = "text") -> str:
+    """`excalc.tables.table_command`, imported when first called."""
+    from .tables import table_command
+
+    return table_command(op, d, fmt)
+
+
+def operator_matrix(d: int, kind: str, i: int):
+    """`excalc.fock.operator_matrix`, imported when first called."""
+    from .fock import operator_matrix
+
+    return operator_matrix(d, kind, i)
 
 
 def _format_matrix_entry(c: complex) -> str:
@@ -74,6 +71,8 @@ def _matrix_json(matrix) -> str:
     """`json.dumps` of the [re, im] rows of a complex128 matrix, each
     distinct entry dumped once.  JSON prints -0.0, so an entry's key is its
     16 bytes, not its value."""
+    import struct
+
     import numpy as np
 
     keys = matrix.view(np.dtype((np.void, 16))).tolist()

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from functools import partial, reduce
-from typing import NamedTuple
 
 from .errors import EvalError, ExprSyntaxError, IndexRangeError
 from .multivector import (
@@ -55,13 +55,8 @@ _TOKEN = re.compile(
 _KEYWORDS = {"E": ("top", 0j), "v": ("op", 0j), "i": ("scalar", 1j), "ip": ("ip", 0j)}
 
 
-class Token(NamedTuple):
-    kind: str  # basis | top | scalar | op | lparen | rparen | comma | ident | ip | end
-    text: str
-    line: int
-    col: int
-    value: complex = 0j
-    index: int = 0
+# kind: basis | top | scalar | op | lparen | rparen | comma | ident | ip | end
+Token = namedtuple("Token", "kind text line col value index", defaults=(0j, 0))
 
 
 def tokenize(source: str) -> list[Token]:

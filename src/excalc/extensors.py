@@ -272,13 +272,10 @@ def _column_rank(d: int, vectors: Sequence[Vector]) -> int:
     return _eliminate([make_vector(d, v) for v in vectors])[0]
 
 
-def intersection_dim(d: int, u: Sequence[Vector], w: Sequence[Vector]) -> int:
+def intersection_dim(d: int, u: Iterable[Vector], w: Iterable[Vector]) -> int:
     """dim(span u intersect span w) = rank u + rank w - rank(u union w)."""
-    return (
-        _column_rank(d, u)
-        + _column_rank(d, w)
-        - _column_rank(d, tuple(u) + tuple(w))
-    )
+    u, w = tuple(u), tuple(w)
+    return _column_rank(d, u) + _column_rank(d, w) - _column_rank(d, u + w)
 
 
 def span_covers(d: int, u: Sequence[Vector], w: Sequence[Vector]) -> bool:

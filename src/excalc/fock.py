@@ -12,7 +12,7 @@ daggered string) left to right.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import DimensionError
 from .multivector import (

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping
 
 from .errors import DimensionError, GradeError, IndexRangeError, SchemaError
 

@@ -14,7 +14,7 @@ exterior-calculus scalar product.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import DimensionError, SchemaError
 from .multivector import Multivector, _json_coeff, check_same_dim, hodge, vee, wedge

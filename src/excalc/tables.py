@@ -16,11 +16,9 @@ from .boolean_gates import all_subsets, pseudo_vee, pseudo_wedge
 from .errors import DimensionError
 from .multivector import Multivector, all_blades, check_dim, vee, wedge
 from .qubits import QubitState, q_vee, q_wedge
+from .textform import TABLE_FORMATS, TABLE_OPS  # noqa: F401 (TABLE_OPS is re-exported)
 
 TABLE_MAX_DIM = 6
-
-TABLE_OPS = ("wedge", "vee", "pseudo-wedge", "pseudo-vee", "q-wedge", "q-vee")
-TABLE_FORMATS = ("text", "json", "csv")
 
 
 def _blades(d: int) -> list[Multivector]:

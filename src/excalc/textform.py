@@ -5,13 +5,20 @@ imaginary part of a coefficient, each a plain literal times a label:
 "0", "1", "E", "e1^e3", "2.5 * e1 - i * E", "0.5i * e2^e3", ...  Multivector
 and scalar output re-parses under the expression grammar.  Qubit states use
 the same pieces with a ket label and a space, as in "i |10> - 0.5 |11>".
+`format_result` renders an evaluated expression as text, JSON or CSV.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import json
+from collections.abc import Iterable
 
 from .multivector import Multivector, indices_from_mask
+
+# The operations and output formats of the full pair tables, named here so
+# the CLI can offer them without importing `excalc.tables`.
+TABLE_OPS = ("wedge", "vee", "pseudo-wedge", "pseudo-vee", "q-wedge", "q-vee")
+TABLE_FORMATS = ("text", "json", "csv")
 
 
 def format_number(x: float) -> str:
@@ -62,3 +69,22 @@ def multivector_to_text(a: Multivector) -> str:
 def scalar_to_text(value: complex) -> str:
     """A bare complex scalar in the same piece notation, never pruned."""
     return pieces_to_text(((value, "1"),))
+
+
+def format_result(value: Multivector | complex, fmt: str) -> str:
+    if isinstance(value, Multivector):
+        if fmt == "json":
+            return json.dumps(value.to_json(), indent=2)
+        if fmt == "csv":
+            lines = ["blade,re,im"]
+            data = value.to_json()
+            for term in data["terms"]:
+                blade = "^".join(f"e{i}" for i in term["blade"]) or "1"
+                lines.append(f"{blade},{term['re']!r},{term['im']!r}")
+            return "\n".join(lines)
+        return value.to_text()
+    if fmt == "json":
+        return json.dumps({"re": value.real, "im": value.imag})
+    if fmt == "csv":
+        return f"re,im\n{value.real!r},{value.imag!r}"
+    return scalar_to_text(value)

@@ -24,7 +24,6 @@ import random
 from functools import partial, reduce
 from typing import NamedTuple
 
-from .cli import format_result
 from .errors import GradeError
 from .expr import Environment, evaluate_text
 from .extensors import ExtensorFactors, det_columns, expand, join_by_splits, triple_det
@@ -43,6 +42,7 @@ from .multivector import (
 # bound at import, so a wrapper put on `tables.table_rows` later (perfbench's
 # traced mode) times the `table` command alone
 from .tables import table_rows
+from .textform import format_result
 
 DEFAULT_SEED = 1118
 # Absolute tolerance of a randomized identity whose two sides are summed in

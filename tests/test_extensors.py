@@ -641,6 +641,10 @@ def test_intersection_examples():
     assert not span_covers(3, basis_factors(3, 1).factors, basis_factors(3, 2).factors)
 
 
+def test_intersection_dim_reads_one_shot_iterators_once():
+    assert intersection_dim(3, iter([(1, 0, 0)]), iter([(1, 0, 0)])) == 1
+
+
 @pytest.mark.parametrize("query", [intersection_dim, span_covers])
 def test_subspace_queries_check_their_vectors(query):
     with pytest.raises(DimensionError):

@@ -1,7 +1,8 @@
 """Start-up: each CLI subcommand loads only the modules it runs.
 
-numpy, `verify`, `extensors` and `dense` are imported by the code that uses
-them, so `eval`, `table` and `repl` start without them.  No subcommand loads
+numpy, `verify`, `extensors`, `dense`, `tables`, `fock` and the set-gate and
+qubit modules are imported by the code that uses them, so `eval` and `repl`
+start without any of them and `table` without numpy.  No subcommand loads
 `dataclasses`: the library's records are plain classes.  The command
 functions reach `table_command` and `operator_matrix` through the names in
 `excalc.cli`, so a caller can wrap or replace them there.
@@ -22,7 +23,18 @@ import excalc
 from excalc import cli
 
 SRC = str(Path(excalc.__file__).resolve().parents[1])
-LAZY = ("numpy", "excalc.verify", "excalc.extensors", "excalc.dense", "dataclasses")
+LAZY = (
+    "numpy",
+    "excalc.verify",
+    "excalc.extensors",
+    "excalc.dense",
+    "dataclasses",
+    "excalc.tables",
+    "excalc.qubits",
+    "excalc.boolean_gates",
+    "excalc.fock",
+)
+TABLE = ["excalc.tables", "excalc.qubits", "excalc.boolean_gates"]
 
 # Runs `cli.main(argv)` in a fresh interpreter, with its output captured, and
 # prints as JSON which of LAZY were loaded after `import excalc.cli` and after
@@ -45,18 +57,25 @@ def factor_list(d: int, k: int) -> str:
     return json.dumps({"dim": d, "factors": rows})
 
 
-def loaded_after(argv: list[str], stdin_text: str = "") -> tuple[list, list, int]:
+def run_python(code: str, stdin_text: str = "", flags: tuple = ()) -> str:
+    """stdout of `python FLAGS -c CODE` in a fresh interpreter that imports this excalc."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run(
-        [sys.executable, "-c", PROBE.format(lazy=LAZY, argv=argv)],
+        [sys.executable, *flags, "-c", code],
         input=stdin_text,
         capture_output=True,
         text=True,
         env=env,
     )
     assert done.returncode == 0, done.stderr
-    return tuple(json.loads(done.stdout))
+    return done.stdout
+
+
+def loaded_after(
+    argv: list[str], stdin_text: str = "", lazy: tuple = LAZY, flags: tuple = ()
+) -> tuple[list, list, int]:
+    return tuple(json.loads(run_python(PROBE.format(lazy=lazy, argv=argv), stdin_text, flags)))
 
 
 @pytest.mark.parametrize(
@@ -68,10 +87,12 @@ def loaded_after(argv: list[str], stdin_text: str = "") -> tuple[list, list, int
             id="eval-json",
         ),
         pytest.param(
-            ["table", "--op", "q-vee", "--dim", "2", "--format", "csv"], "", [], id="table"
+            ["table", "--op", "q-vee", "--dim", "2", "--format", "csv"], "", TABLE, id="table"
         ),
+        pytest.param(["repl", "--dim", "3"], ":let x = e1 + e2\nx ^ e3\n", [], id="repl"),
         pytest.param(
-            ["repl", "--dim", "3"], ":let x = e1 + e2\nx ^ e3\n:table wedge\n", [], id="repl"
+            ["repl", "--dim", "3"], ":let x = e1 + e2\nx ^ e3\n:table wedge\n", TABLE,
+            id="repl-table",
         ),
         # C(4, 2) = 6 or C(7, 3) = 35 minors: one fold of wedges either way, no numpy
         pytest.param(
@@ -84,9 +105,13 @@ def loaded_after(argv: list[str], stdin_text: str = "") -> tuple[list, list, int
             ["excalc.extensors"],
             id="factors-35-minors",
         ),
-        pytest.param(["fock", "--matrix", "create:1", "--dim", "2"], "", ["numpy"], id="fock"),
         pytest.param(
-            ["verify-paper"], "", ["excalc.verify", "excalc.extensors"], id="verify-paper"
+            ["fock", "--matrix", "create:1", "--dim", "2"], "", ["numpy", "excalc.fock"],
+            id="fock",
+        ),
+        pytest.param(
+            ["verify-paper"], "", ["excalc.verify", "excalc.extensors", *TABLE, "excalc.fock"],
+            id="verify-paper",
         ),
     ],
 )
@@ -95,6 +120,21 @@ def test_each_subcommand_loads_only_what_it_runs(argv, stdin_text, want):
     assert after_import == []
     assert code == 0
     assert after_main == want
+
+
+def test_eval_starts_without_typing():
+    # -S: a `.pth` file in site-packages may import `typing` before excalc does
+    after_import, after_main, code = loaded_after(
+        ["eval", "--dim", "3", "e1^e2"], lazy=("typing",), flags=("-S",)
+    )
+    assert (after_import, after_main, code) == ([], [], 0)
+
+
+def test_verify_does_not_import_the_cli():
+    # `python -m excalc.cli verify-paper` runs cli.py as __main__; importing it
+    # again as `excalc.cli` would compile it a second time
+    out = run_python("import sys, excalc.verify; print('excalc.cli' in sys.modules)")
+    assert out == "False\n"
 
 
 def test_command_functions_call_the_names_in_cli(monkeypatch, capsys):
