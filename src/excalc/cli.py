@@ -35,6 +35,17 @@ EXIT_OK = 0
 EXIT_EVAL = 1
 EXIT_SYNTAX = 2
 EXIT_VERIFY = 3
+# what a command may raise on bad input; `_report` prints it
+_REPORTED = (ExcalcError, ValueError, OverflowError)
+
+
+def _report(err: Exception) -> int:
+    """Write err to stderr and return its exit code: 2 for a syntax error, else 1."""
+    if isinstance(err, ExprSyntaxError):
+        sys.stderr.write(f"syntax error: {err}\n")
+        return EXIT_SYNTAX
+    sys.stderr.write(f"error: {err}\n")
+    return EXIT_EVAL
 
 
 def table_command(op: str, d: int, fmt: str = "text") -> str:
@@ -181,10 +192,8 @@ def cmd_repl(args) -> int:
             else:
                 value = evaluate_text(line, env)
                 out.write(format_result(value, "text") + "\n")
-        except ExcalcError as err:
-            sys.stderr.write(f"error: {err}\n")
-        except (ValueError, IndexError, OverflowError) as err:
-            sys.stderr.write(f"error: {err}\n")
+        except _REPORTED as err:
+            _report(err)
     return EXIT_OK
 
 
@@ -236,15 +245,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ExprSyntaxError as err:
-        sys.stderr.write(f"syntax error: {err}\n")
-        return EXIT_SYNTAX
-    except ExcalcError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_EVAL
-    except (ValueError, OverflowError) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_EVAL
+    except _REPORTED as err:
+        return _report(err)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from functools import cache
 
 import numpy as np
 
-from .multivector import PRUNE_TOL, Multivector, _result, hodge_blade, merge_sign
+from .multivector import Multivector, _result, hodge_blade, merge_sign
 
 # A 3^9-entry table (0.6 MB) beat a 3^10 one by 1.4-1.8x at d=12 and d=14
 # and tied it at d=10.
@@ -121,7 +121,5 @@ def _to_array(a: Multivector):
 
 
 def _from_array(d: int, values) -> Multivector:
-    # NaN stays, so _result passes it to the constructor, which raises on it
-    keep = np.flatnonzero(~(np.abs(values) <= PRUNE_TOL))
-    return _result(d, dict(zip(keep.tolist(), values[keep].tolist())))
+    return _result(d, dict(enumerate(values.tolist())))
 

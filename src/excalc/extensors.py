@@ -10,12 +10,13 @@ dimension, decomposability) and determinants with plain Gaussian elimination.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, GradeError, SchemaError
 from .multivector import SINGULAR_TOL, Multivector, _json_coeff, _result, _Value
-from .multivector import basis_vector, wedge
+from .multivector import basis_vector, combine, hodge, merge_sign, step_of, vee, wedge
 from .multivector import check_coeff, check_dim, check_index, check_same_dim, check_step
 
 Vector = tuple[complex, ...]
@@ -85,16 +86,12 @@ def _factors(d: int, factors: tuple[Vector, ...]) -> ExtensorFactors:
     return out
 
 
-class Split(NamedTuple):
-    """Signed partition of a factor list into (part1, part2).
+Split = namedtuple("Split", "sign part1 part2")
+Split.__doc__ = """Signed partition of a factor list into (part1, part2).
 
-    The sign is the parity of the permutation that restores the original
-    factor order from the concatenation part1 + part2.
-    """
-
-    sign: int
-    part1: ExtensorFactors
-    part2: ExtensorFactors
+The sign is the parity of the permutation that restores the original
+factor order from the concatenation part1 + part2.
+"""
 
 
 # ---- determinants and rank ---------------------------------------------------
@@ -187,17 +184,15 @@ def expand(x: ExtensorFactors) -> Multivector:
 
 
 def enumerate_splits(x: ExtensorFactors, h: int) -> list[Split]:
-    """All C(k, h) class-(h, k-h) splits of the factor list, with signs."""
+    """All C(k, h) class-(h, k-h) splits of the factor list, with signs: the
+    sign of a split is the merge sign of its two position masks."""
     k = x.step
     check_step(h, k, "split class")
     out = []
     positions = range(k)
     for first in combinations(positions, h):
         second = tuple(p for p in positions if p not in first)
-        inversions = 0
-        for q in second:
-            inversions += sum(1 for p in first if p > q)
-        sign = -1 if inversions & 1 else 1
+        sign = merge_sign(sum(1 << p for p in first), sum(1 << p for p in second))
         out.append(
             Split(
                 sign,
@@ -222,20 +217,21 @@ def join_by_splits(
     if variant not in ("first", "second"):
         raise ValueError(f"unknown variant {variant!r}")
     d, k, l = a.d, a.step, b.step
-    total = Multivector.zero(d)
     if k + l < d:
-        return total
+        return Multivector.zero(d)
+    # each step: the split's sign, the determinant's rows, the list to expand
     if variant == "first":
-        for split in enumerate_splits(a, d - l):
-            det = _eliminate(split.part1.factors + b.factors)[1]
-            if det:
-                total = total + split.sign * det * expand(split.part2)
+        splits = enumerate_splits(a, d - l)
+        steps = ((s.sign, s.part1.factors + b.factors, s.part2) for s in splits)
     else:
-        for split in enumerate_splits(b, k + l - d):
-            det = _eliminate(a.factors + split.part2.factors)[1]
-            if det:
-                total = total + split.sign * det * expand(split.part1)
-    return total
+        splits = enumerate_splits(b, k + l - d)
+        steps = ((s.sign, a.factors + s.part2.factors, s.part1) for s in splits)
+    terms = (
+        (1, sign * det * expand(rest))
+        for sign, rows, rest in steps
+        if (det := _eliminate(rows)[1])
+    )
+    return combine(Multivector.zero(d), terms)
 
 
 def triple_det(
@@ -247,8 +243,6 @@ def triple_det(
     star-complement pairing *a ^ (*b v *c), and the direct column determinant.
     All three agree; the second is the hole-picture dual of the first.
     """
-    from .multivector import hodge, vee
-
     check_same_dim(a, b)
     check_same_dim(a, c)
     d = a.d
@@ -286,17 +280,13 @@ def span_covers(d: int, u: Sequence[Vector], w: Sequence[Vector]) -> bool:
 def is_decomposable(a: Multivector) -> bool:
     """Annihilator test: a nonzero step-k element is one factor product
     exactly when {v : v ^ a = 0} has dimension k."""
-    from .multivector import step_of
-
     k = step_of(a)
     if a.is_zero() or k is None:
         raise GradeError("decomposability needs a nonzero homogeneous input")
     d = a.d
     if k == d:
         return True
-    image_blades = sorted(
-        m for m in range(1 << d) if m.bit_count() == k + 1
-    )
+    image_blades = [m for m in range(1 << d) if m.bit_count() == k + 1]
     blade_row = {m: i for i, m in enumerate(image_blades)}
     rows = [[0j] * d for _ in image_blades]
     for i in range(1, d + 1):

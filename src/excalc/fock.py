@@ -48,18 +48,21 @@ def apply_annihilation(i: int, a: Multivector) -> Multivector:
     return _result(a.d, out)
 
 
+def _ladder_string(op, indices: Iterable[int], a: Multivector) -> Multivector:
+    """op of each distinct index, checked, from the highest down."""
+    for i in sorted({check_index(a.d, i) for i in indices}, reverse=True):
+        a = op(i, a)
+    return a
+
+
 def multi_create(indices: Iterable[int], a: Multivector) -> Multivector:
     """Ascending creation string, rightmost operator applied first."""
-    for i in sorted({check_index(a.d, i) for i in indices}, reverse=True):
-        a = apply_creation(i, a)
-    return a
+    return _ladder_string(apply_creation, indices, a)
 
 
 def multi_annihilate(indices: Iterable[int], a: Multivector) -> Multivector:
     """Ascending annihilation string, rightmost operator applied first."""
-    for i in sorted({check_index(a.d, i) for i in indices}, reverse=True):
-        a = apply_annihilation(i, a)
-    return a
+    return _ladder_string(apply_annihilation, indices, a)
 
 
 def operator_matrix(d: int, kind: str, i: int) -> np.ndarray:

@@ -21,8 +21,8 @@ hypothesis properties and in a longer seeded run.  Nothing here loads numpy.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from functools import partial, reduce
-from typing import NamedTuple
 
 from .errors import GradeError
 from .expr import Environment, evaluate_text
@@ -51,11 +51,8 @@ DEFAULT_SEED = 1118
 IDENTITY_TOL = 1e-10
 
 
-class CheckResult(NamedTuple):
-    name: str
-    kind: str  # "table" or "example"
-    passed: bool
-    detail: str = ""
+# kind is "table" or "example"
+CheckResult = namedtuple("CheckResult", "name kind passed detail", defaults=("",))
 
 
 def _result(name: str, kind: str, failures: list[str], passed_detail: str) -> CheckResult:
@@ -179,24 +176,25 @@ BASIS_PRODUCT_ROWS = [
 #
 # The randomized checks, the relations and the tests draw their operands from
 # these, each from an explicit random.Random, so a seed pins the draws.
-# Coefficient parts lie in (-2, 2).
+# Coefficient parts lie in (-2, 2).  random_mv draws 1 to 4 terms and
+# random_homogeneous 1 to 3; a repeated mask keeps its last draw.
 
 
 def random_coeff(rng: random.Random) -> complex:
     return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
 
 
-def random_mv(rng: random.Random, d: int, max_terms: int = 4) -> Multivector:
+def random_mv(rng: random.Random, d: int) -> Multivector:
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 4)):
         terms[rng.randrange(1 << d)] = random_coeff(rng)
     return Multivector(d, terms)
 
 
-def random_homogeneous(rng: random.Random, d: int, k: int, max_terms: int = 3) -> Multivector:
+def random_homogeneous(rng: random.Random, d: int, k: int) -> Multivector:
     masks = [m for m in range(1 << d) if m.bit_count() == k]
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         terms[rng.choice(masks)] = random_coeff(rng)
     return Multivector(d, terms)
 

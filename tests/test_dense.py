@@ -11,6 +11,7 @@ import random
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,6 +107,62 @@ def test_dense_star_signs_are_the_index_sum_and_double_star_formulas(d):
         want = -1.0 if (index_sum - k * (k + 1) // 2) & 1 else 1.0
         assert star[m] == want
         assert inverse[m] == want * (-1) ** (k * (d - k))
+
+
+# ---- conversion ----------------------------------------------------------------------
+
+
+def numpy_pruned_from_array(d: int, values) -> Multivector:
+    """The conversion that pruned in numpy before `_result`, kept as an oracle."""
+    keep = np.flatnonzero(~(np.abs(values) <= PRUNE_TOL))
+    return multivector._result(d, dict(zip(keep.tolist(), values[keep].tolist())))
+
+
+def hexed(a: Multivector) -> list[tuple[int, str, str]]:
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in a]
+
+
+def padded(entries) -> tuple[int, np.ndarray]:
+    """(d, the entries as a 2^d complex array, zero-padded)."""
+    values = np.array(entries, complex)
+    d = max(1, (len(values) - 1).bit_length())
+    return d, np.concatenate((values, np.zeros((1 << d) - len(values), complex)))
+
+
+def test_from_array_prunes_as_the_numpy_conversion_did():
+    above = np.nextafter(PRUNE_TOL, 1.0)
+    edge = [PRUNE_TOL, -PRUNE_TOL, above, -above, 1j * PRUNE_TOL, 1j * above, 0, -0.0, 1]
+    rng = np.random.default_rng(1207)
+    spread = (rng.normal(size=1000) + 1j * rng.normal(size=1000)) * PRUNE_TOL
+    for entries in (edge, spread, rng.normal(size=1000) * PRUNE_TOL):
+        d, values = padded(entries)
+        want = numpy_pruned_from_array(d, values)
+        assert 0 < len(want) < len(entries)
+        assert hexed(dense._from_array(d, values)) == hexed(want)
+
+
+def test_from_array_prunes_by_the_magnitude_every_kernel_prunes_by():
+    # off the axes np.abs and abs may round a magnitude one ulp apart, so
+    # near PRUNE_TOL a numpy pre-prune could drop a term that abs keeps
+    rng = np.random.default_rng(1208)
+    radius = PRUNE_TOL * (1 + rng.integers(-4, 5, 2000) * EPS)
+    d, values = padded(radius * np.exp(1j * rng.uniform(0, 2 * np.pi, 2000)))
+    want = [(m, c) for m, c in enumerate(values.tolist()) if abs(c) > PRUNE_TOL]
+    assert 0 < len(want) < 2000
+    assert list(dense._from_array(d, values)) == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, complex(0, np.inf), -np.inf, complex(1.5e308, 1.5e308)])
+def test_from_array_names_a_non_finite_entry_as_the_numpy_conversion_did(bad):
+    # a NaN follows at mask 3: the first bad entry is the one named
+    values = np.array([1, PRUNE_TOL, bad, np.nan, 2, 0, 0, 0], complex)
+    errors = []
+    for convert in (numpy_pruned_from_array, dense._from_array):
+        with pytest.raises(ValueError, match="blade mask 0x2") as caught:
+            convert(3, values)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
 
 
 # ---- dispatch ------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, permutations
 from math import prod
 
@@ -521,6 +521,29 @@ def test_split_signs_restore_original_order():
             assert mv_equal_approx(s.sign * rebuilt, expand(x), 1e-9)
 
 
+def inversion_sign(first: tuple[int, ...], second: tuple[int, ...]) -> int:
+    """The inversion count enumerate_splits took before merge_sign, kept as
+    an oracle: the parity of the (p in first, q in second) pairs with p > q."""
+    inversions = 0
+    for q in second:
+        inversions += sum(1 for p in first if p > q)
+    return -1 if inversions & 1 else 1
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_split_signs_are_the_inversion_count(k):
+    d = max(k, 1)
+    x = ExtensorFactors.from_indices(d, range(1, k + 1))
+    for h in range(k + 1):
+        want = []
+        for first in combinations(range(k), h):
+            second = tuple(p for p in range(k) if p not in first)
+            parts = tuple(x.factors[p] for p in first), tuple(x.factors[p] for p in second)
+            want.append((inversion_sign(first, second), *parts))
+        got = [(s.sign, s.part1.factors, s.part2.factors) for s in enumerate_splits(x, h)]
+        assert got == want
+
+
 def _binom(n, k):
     out = 1
     for i in range(k):
@@ -556,6 +579,49 @@ def test_join_variants_and_duality_agree():
         dual = vee(expand(a), expand(b))
         assert mv_equal_approx(first, second, 1e-9)
         assert mv_equal_approx(first, dual, 1e-9)
+
+
+def chained_join(a: ExtensorFactors, b: ExtensorFactors, variant: str) -> Multivector:
+    """The running `total +` sum join_by_splits took before `combine`, kept as
+    an oracle."""
+    d, k, l = a.d, a.step, b.step
+    total = Multivector.zero(d)
+    if k + l < d:
+        return total
+    if variant == "first":
+        for split in enumerate_splits(a, d - l):
+            det = _eliminate(split.part1.factors + b.factors)[1]
+            if det:
+                total = total + split.sign * det * expand(split.part2)
+    else:
+        for split in enumerate_splits(b, k + l - d):
+            det = _eliminate(a.factors + split.part2.factors)[1]
+            if det:
+                total = total + split.sign * det * expand(split.part1)
+    return total
+
+
+def gaussian_factors(rng: random.Random, d: int, k: int) -> ExtensorFactors:
+    """k factors of d Gaussian integers with parts in -3..3."""
+    part = partial(rng.randint, -3, 3)
+    vectors = (tuple(complex(part(), part()) for _ in range(d)) for _ in range(k))
+    return ExtensorFactors(d, tuple(vectors))
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_join_sums_as_the_chained_sum_did(d):
+    rng = random.Random(209 + d)
+    nonzero = 0
+    for draw in (random_factors, gaussian_factors) * 6:
+        k = rng.randint(1, d)
+        l = rng.randint(d - k, d)
+        a, b = draw(rng, d, k), draw(rng, d, l)
+        for variant in ("first", "second"):
+            want = [(m, c.real.hex(), c.imag.hex()) for m, c in chained_join(a, b, variant)]
+            got = join_by_splits(a, b, variant)
+            assert [(m, c.real.hex(), c.imag.hex()) for m, c in got] == want
+            nonzero += bool(want)
+    assert nonzero >= 12
 
 
 def test_join_complementary_steps_is_determinant():

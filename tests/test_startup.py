@@ -3,7 +3,8 @@
 numpy, `verify`, `extensors`, `dense`, `tables`, `fock` and the set-gate and
 qubit modules are imported by the code that uses them, so `eval` and `repl`
 start without any of them and `table` without numpy.  No subcommand loads
-`dataclasses`: the library's records are plain classes.  The command
+`dataclasses`, and `eval`, `table` and `verify-paper` load no `typing`: the
+library's records are plain classes and named tuples.  The command
 functions reach `table_command` and `operator_matrix` through the names in
 `excalc.cli`, so a caller can wrap or replace them there.
 """
@@ -122,11 +123,20 @@ def test_each_subcommand_loads_only_what_it_runs(argv, stdin_text, want):
     assert after_main == want
 
 
-def test_eval_starts_without_typing():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["eval", "--dim", "3", "e1^e2"], id="eval"),
+        pytest.param(
+            ["eval", "--dim", "4", "--factors", f"F={factor_list(4, 2)}", "F"], id="factors"
+        ),
+        pytest.param(["table", "--op", "q-vee", "--dim", "2"], id="table"),
+        pytest.param(["verify-paper"], id="verify-paper"),
+    ],
+)
+def test_starts_without_typing(argv):
     # -S: a `.pth` file in site-packages may import `typing` before excalc does
-    after_import, after_main, code = loaded_after(
-        ["eval", "--dim", "3", "e1^e2"], lazy=("typing",), flags=("-S",)
-    )
+    after_import, after_main, code = loaded_after(argv, lazy=("typing",), flags=("-S",))
     assert (after_import, after_main, code) == ([], [], 0)
 
 

@@ -484,6 +484,16 @@ def test_cli_repl_session():
     assert "error:" in done.stderr  # e9 out of range and :bogus both complain
 
 
+def test_cli_repl_reports_a_syntax_error_as_eval_does():
+    done = run_cli("repl", "--dim", "3", stdin_text="e1 +\ne1\n")
+    assert done.returncode == 0
+    assert done.stdout == "e1\n"
+    assert done.stderr.startswith("syntax error: unexpected end of input at 1:5 ")
+    one_shot = run_cli("eval", "--dim", "3", "e1 +")
+    assert one_shot.returncode == 2
+    assert done.stderr == one_shot.stderr
+
+
 def test_cli_repl_dim_takes_exactly_one_integer():
     script = ":dim\n:dim 3 4\n:dim x\n:dim -1\n*(e1)\n:dim 99\n:dim 3\n*(e1)\n"
     done = run_cli("repl", "--dim", "2", stdin_text=script)
