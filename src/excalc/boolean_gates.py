@@ -16,7 +16,7 @@ from .multivector import (
     PRUNE_TOL,
     Multivector,
     _result,
-    _Value,
+    _Record,
     all_blades,
     check_dim,
     check_index,
@@ -28,18 +28,13 @@ from .multivector import (
 )
 
 
-class SubsetState(_Value):
+class SubsetState(_Record):
     """Immutable subset of the index set {1..d}, as the mask of its blade."""
 
     __slots__ = __match_args__ = ("d", "mask")
 
-    def __init__(self, d: int, mask: int):
-        check_mask(check_dim(d), mask)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubsetState is immutable")
+    def __new__(cls, d: int, mask: int):
+        return _subset(d, check_mask(check_dim(d), mask))
 
     @property
     def members(self) -> frozenset[int]:
@@ -51,7 +46,7 @@ class SubsetState(_Value):
 
 def _subset(d: int, mask: int) -> SubsetState:
     """SubsetState of a checked dimension and a mask in range by
-    construction: the constructor without its checks."""
+    construction: the trusted build, which the constructor calls."""
     out = object.__new__(SubsetState)
     object.__setattr__(out, "d", d)
     object.__setattr__(out, "mask", mask)

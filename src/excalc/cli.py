@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .errors import ExcalcError, ExprSyntaxError
 from .expr import Environment, evaluate_text
@@ -198,11 +199,16 @@ def cmd_repl(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # help wraps at 78 columns, argparse's width off a terminal; a formatter
+    # left to measure the terminal imports shutil on every add_argument
+    parser_class = partial(
+        argparse.ArgumentParser, formatter_class=partial(argparse.HelpFormatter, width=78)
+    )
+    parser = parser_class(
         prog="excalc",
         description="exterior calculus on finite fermion-hole spaces",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     p_eval = sub.add_parser("eval", help="evaluate one expression")
     p_eval.add_argument("--dim", type=int, required=True)

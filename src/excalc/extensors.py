@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 from itertools import combinations
 
 from .errors import DimensionError, GradeError, SchemaError
-from .multivector import SINGULAR_TOL, Multivector, _json_coeff, _result, _Value
+from .multivector import SINGULAR_TOL, Multivector, _json_coeff, _Record, _result
 from .multivector import basis_vector, combine, hodge, merge_sign, step_of, vee, wedge
 from .multivector import check_coeff, check_dim, check_index, check_same_dim, check_step
 
@@ -31,18 +31,14 @@ def make_vector(d: int, components: Sequence[complex]) -> Vector:
     return tuple(map(check_coeff, components))
 
 
-class ExtensorFactors(_Value):
+class ExtensorFactors(_Record):
     """Immutable ordered factor list x_1, ..., x_k of d-dimensional complex vectors."""
 
     __slots__ = __match_args__ = ("d", "factors")
 
-    def __init__(self, d: int, factors: tuple[Vector, ...]):
+    def __new__(cls, d: int, factors: tuple[Vector, ...]):
         check_step(len(factors), check_dim(d), "factor count")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "factors", tuple(make_vector(d, f) for f in factors))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtensorFactors is immutable")
+        return _factors(d, tuple(make_vector(d, f) for f in factors))
 
     @property
     def step(self) -> int:
@@ -79,7 +75,7 @@ class ExtensorFactors(_Value):
 
 def _factors(d: int, factors: tuple[Vector, ...]) -> ExtensorFactors:
     """ExtensorFactors of vectors already checked in dimension d: the
-    constructor without its checks."""
+    trusted build, which the constructor calls after its checks."""
     out = object.__new__(ExtensorFactors)
     object.__setattr__(out, "d", d)
     object.__setattr__(out, "factors", factors)

@@ -147,18 +147,27 @@ class _Value:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__name__}({args})"
 
+
+class _Record(_Value):
+    """An immutable _Value.  Its constructor, a `__new__`, checks the
+    arguments and returns the class's trusted build, the one place that sets
+    the fields; copy and pickle rebuild through the constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor: an immutable
-        # subclass refuses the setattr they would otherwise use
         return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
 
 
-class Multivector:
+class Multivector(_Record):
     """Immutable sparse multivector.  Build via the classmethods or module ops."""
 
-    __slots__ = ("d", "_terms")
+    __slots__ = __match_args__ = ("d", "_terms")
 
-    def __init__(self, d: int, terms: Mapping[int, complex]):
+    def __new__(cls, d: int, terms: Mapping[int, complex]):
         check_dim(d)
         full = (1 << d) - 1
         checked: dict[int, complex] = {}
@@ -167,15 +176,7 @@ class Multivector:
             if type(mask) is not int or mask & ~full:
                 check_mask(d, mask)
             checked[mask] = c if type(c) is complex else check_coeff(c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_terms", _pruned(checked))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, as for _Value
-        return Multivector, (self.d, self.terms())
+        return _result(d, checked)
 
     # ---- constructors -------------------------------------------------
 
@@ -333,8 +334,8 @@ def _pruned(terms: dict[int, complex]) -> dict[int, complex]:
 
 def _result(d: int, terms: dict[int, complex]) -> Multivector:
     """Multivector from a kernel's output, whose masks are in range and
-    whose values are complex by construction: the constructor without its
-    dimension, mask and coefficient-type checks."""
+    whose values are complex by construction: the trusted build, which the
+    constructor calls after its dimension, mask and coefficient-type checks."""
     out = object.__new__(Multivector)
     object.__setattr__(out, "d", d)
     object.__setattr__(out, "_terms", _pruned(terms))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from .errors import DimensionError, SchemaError
-from .multivector import Multivector, _json_coeff, check_same_dim, hodge, vee, wedge
+from .multivector import Multivector, _json_coeff, _Record, check_same_dim, hodge, vee, wedge
 from .textform import pieces_to_text
 
 
@@ -55,7 +55,7 @@ def format_basis_state(bits: Iterable[int]) -> str:
     return "|" + "".join(map(str, bits)) + ">"
 
 
-class QubitState:
+class QubitState(_Record):
     """Sparse map from d-bit basis states to complex amplitudes.
 
     A view of the multivector with the same masks and coefficients, which
@@ -64,15 +64,12 @@ class QubitState:
 
     __slots__ = ("_mv",)
 
-    def __init__(self, d: int, amps: Mapping[int, complex]):
-        object.__setattr__(self, "_mv", Multivector(d, amps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QubitState is immutable")
+    def __new__(cls, d: int, amps: Mapping[int, complex]):
+        return n_inverse(Multivector(d, amps))
 
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor, as for Multivector
-        return QubitState, (self.d, self.amplitudes())
+        # the constructor takes the amplitudes, not the one field, the view's multivector
+        return QubitState, (self.d, self._mv._terms)
 
     @classmethod
     def basis(cls, bits: Iterable[int]) -> QubitState:
@@ -124,15 +121,16 @@ class QubitState:
         )
 
     def to_json(self) -> dict:
+        d, amps = self.d, self._mv._terms
         return {
-            "d": self.d,
+            "d": d,
             "amps": [
                 {
-                    "bits": "".join(str(b) for b in mask_to_bits(self.d, mask)),
-                    "re": c.real,
-                    "im": c.imag,
+                    "bits": "".join(str(b) for b in mask_to_bits(d, m)),
+                    "re": amps[m].real,
+                    "im": amps[m].imag,
                 }
-                for mask, c in sorted(self._mv)
+                for m in self._mv.sorted_masks()
             ],
         }
 
@@ -163,7 +161,7 @@ def n_map(s: QubitState) -> Multivector:
 
 
 def n_inverse(a: Multivector) -> QubitState:
-    """The state viewing a; a is immutable and already checked, so no copy."""
+    """The state viewing a, the trusted build: a is immutable and checked, so no copy."""
     s = object.__new__(QubitState)
     object.__setattr__(s, "_mv", a)
     return s

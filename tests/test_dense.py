@@ -96,6 +96,27 @@ def test_dense_kernel_past_the_table_cut_off():
     assert mv_equal_approx(dense.vee(a, b), dict_vee(a, b), tol)
 
 
+@pytest.mark.parametrize("d, n", [(8, 50), (10, 150), (12, 400)])
+def test_dense_kernels_are_exact_on_gaussian_integer_operands(d, n):
+    # every product and partial sum is a small integer, so any order of
+    # addition gives the same float64 value
+    rng = random.Random(1210 + d)
+
+    def operand():
+        return Multivector(
+            d,
+            {
+                m: complex(rng.randint(-3, 3), rng.randint(-3, 3))
+                for m in rng.sample(range(1 << d), n)
+            },
+        )
+
+    a, b = operand(), operand()
+    assert multivector._dense_pays(a, b)
+    assert dense.wedge(a, b) == multivector._wedge_dict(a, b)
+    assert dense.vee(a, b) == multivector._vee_dict(a, b)
+
+
 @pytest.mark.parametrize("d", range(1, 11))
 def test_dense_star_signs_are_the_index_sum_and_double_star_formulas(d):
     """The star sign (-1)^(i1 + ... + ik - k(k+1)/2) of each mask, and the

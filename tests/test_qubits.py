@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -163,6 +164,18 @@ def test_json_round_trip():
         d = rng.randint(1, 6)
         state = random_state(rng, d)
         assert QubitState.from_json(state.to_json()) == state
+
+
+def test_json_lists_the_amplitudes_in_the_order_the_text_prints_them():
+    example = QubitState(3, {3: 1, 4: 2, 1: 3})
+    assert example.to_text() == "3 |100> + 2 |001> + |110>"
+    assert [a["bits"] for a in example.to_json()["amps"]] == ["100", "001", "110"]
+    rng = random.Random(303)
+    for _ in range(20):
+        state = random_state(rng, 4, max_terms=10)
+        # a ket with a complex amplitude prints twice, once per part
+        kets = list(dict.fromkeys(re.findall(r"\|([01]+)>", state.to_text())))
+        assert [a["bits"] for a in state.to_json()["amps"]] == kets
 
 
 def test_text_form():

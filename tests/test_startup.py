@@ -4,7 +4,9 @@ numpy, `verify`, `extensors`, `dense`, `tables`, `fock` and the set-gate and
 qubit modules are imported by the code that uses them, so `eval` and `repl`
 start without any of them and `table` without numpy.  No subcommand loads
 `dataclasses`, and `eval`, `table` and `verify-paper` load no `typing`: the
-library's records are plain classes and named tuples.  The command
+library's records are plain classes and named tuples.  Nor do they load
+`shutil`: help wraps at a fixed 78 columns, so argparse never measures the
+terminal.  The command
 functions reach `table_command` and `operator_matrix` through the names in
 `excalc.cli`, so a caller can wrap or replace them there.
 """
@@ -123,21 +125,38 @@ def test_each_subcommand_loads_only_what_it_runs(argv, stdin_text, want):
     assert after_main == want
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        pytest.param(["eval", "--dim", "3", "e1^e2"], id="eval"),
-        pytest.param(
-            ["eval", "--dim", "4", "--factors", f"F={factor_list(4, 2)}", "F"], id="factors"
-        ),
-        pytest.param(["table", "--op", "q-vee", "--dim", "2"], id="table"),
-        pytest.param(["verify-paper"], id="verify-paper"),
-    ],
-)
+# the subcommands that run without numpy, which `python -S` cannot import
+NO_NUMPY = [
+    pytest.param(["eval", "--dim", "3", "e1^e2"], id="eval"),
+    pytest.param(["eval", "--dim", "4", "--factors", f"F={factor_list(4, 2)}", "F"], id="factors"),
+    pytest.param(["table", "--op", "q-vee", "--dim", "2"], id="table"),
+    pytest.param(["verify-paper"], id="verify-paper"),
+]
+
+
+@pytest.mark.parametrize("argv", NO_NUMPY)
 def test_starts_without_typing(argv):
     # -S: a `.pth` file in site-packages may import `typing` before excalc does
     after_import, after_main, code = loaded_after(argv, lazy=("typing",), flags=("-S",))
     assert (after_import, after_main, code) == ([], [], 0)
+
+
+@pytest.mark.parametrize("argv", NO_NUMPY)
+def test_starts_without_shutil(argv):
+    # a HelpFormatter without a width imports shutil to measure the terminal
+    after_import, after_main, code = loaded_after(argv, lazy=("shutil",), flags=("-S",))
+    assert (after_import, after_main, code) == ([], [], 0)
+
+
+@pytest.mark.parametrize("command", ["eval", "table"])
+def test_help_wraps_at_78_columns_whatever_the_terminal(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    lines = capsys.readouterr().out.splitlines()
+    # the usage line is longer than 78 columns, so it wraps
+    assert lines[0].startswith("usage: excalc") and lines[1].startswith(" ")
+    assert max(map(len, lines)) <= 78
 
 
 def test_verify_does_not_import_the_cli():

@@ -4,8 +4,10 @@ The expression tokens and tree nodes, `Environment`, `SubsetState`,
 `ExtensorFactors`, `Split` and `CheckResult`: equal fields give equal
 objects with equal hashes and equal reprs, an object never equals one of
 another class, copies and pickles come back equal, and the immutable ones
-refuse assignment.  `Multivector` and `QubitState` copy and pickle
-through their constructors too.
+refuse assignment.  The four state classes, `Multivector`, `QubitState`,
+`SubsetState` and `ExtensorFactors`, copy and pickle through their
+constructors, and each constructor checks its arguments and returns its
+class's trusted build.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from excalc.expr import (
     tokenize,
 )
 from excalc.extensors import ExtensorFactors, Split, enumerate_splits
-from excalc.multivector import Multivector
+from excalc.multivector import Multivector, _Record
 from excalc.qubits import QubitState
 from excalc.verify import CheckResult
 
@@ -85,16 +87,29 @@ def test_equal_fields_give_equal_objects_and_hashes(name):
     assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
 
 
-@pytest.mark.parametrize(
-    "value",
-    [Multivector(2, {1: 1, 3: -0.0 - 2j}), QubitState(2, {1: 1})],
-    ids=["Multivector", "QubitState"],
-)
+STATES = {
+    "Multivector": Multivector(2, {1: 1, 3: -0.0 - 2j}),
+    "QubitState": QubitState(2, {1: 1}),
+    "SubsetState": SubsetState(3, 0b101),
+    "ExtensorFactors": ExtensorFactors(2, ((1, 2j), (0, -0.0))),
+}
+
+
+@pytest.mark.parametrize("value", STATES.values(), ids=STATES.keys())
 def test_copies_and_pickles_of_the_state_classes_come_back_equal(value):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
     with pytest.raises(AttributeError):
         value.d = 3
+
+
+@pytest.mark.parametrize("value", STATES.values(), ids=STATES.keys())
+def test_state_classes_build_in_one_place(value):
+    # the constructor is a __new__ that returns the trusted build; no class
+    # sets its fields in an __init__ or guards them itself
+    cls = type(value)
+    assert cls.__init__ is object.__init__
+    assert cls.__setattr__ is _Record.__setattr__
 
 
 def test_built_and_parsed_values_agree():
@@ -125,8 +140,10 @@ def test_environment_compares_its_fields_and_is_not_hashable():
         (SubsetState(3, 1), "mask"),
         (f(1), "factors"),
         (Split(1, f(1), f()), "sign"),
+        (Multivector(2, {1: 1}), "d"),
+        (QubitState(2, {1: 1}), "_mv"),
     ],
-    ids=["Token", "SubsetState", "ExtensorFactors", "Split"],
+    ids=["Token", "SubsetState", "ExtensorFactors", "Split", "Multivector", "QubitState"],
 )
 def test_immutable_values_refuse_assignment(value, field):
     before = getattr(value, field)
