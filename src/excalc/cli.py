@@ -9,15 +9,15 @@ Each subcommand imports only what it runs.  `eval` and `repl` load the
 algebra, the expression language and the text forms (`multivector`, `expr`,
 `textform`), plus `extensors` for a `--factors` list; `repl`'s `:table`
 adds what `table` loads.  `table` adds `tables` and the set-gate and qubit
-modules it tabulates, `fock` adds `fock` and numpy, and `verify-paper` adds
-`verify` with everything it checks, but not numpy.  `eval`, `table` and
-`repl` load numpy only through `excalc.dense`, for dense operands.
+modules it tabulates, `fock` adds only `fock`, and `verify-paper` adds
+`verify` with everything it checks; none of them loads numpy.  `eval`,
+`table` and `repl` load numpy only through `excalc.dense`, for dense operands.
 `table_command` and `operator_matrix` here import the real functions when
 first called, and the command functions call them through these names, so a
-caller can wrap or replace them here.  A replacement
-`operator_matrix` may return any 2-D complex ndarray; `fock` prints its
-entries from Python complex values, as the JSON `[re, im]` pairs or in the
-text notation, and formats each distinct entry once.
+caller can wrap or replace them here.  A replacement `operator_matrix` may
+return any 2-D sequence of complex rows, and an ndarray qualifies; `fock`
+prints its entries from Python complex values, as the JSON `[re, im]` pairs
+or in the text notation, and formats each distinct entry once.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import argparse
 import json
 import sys
 from functools import partial
+from itertools import chain
 
 from .errors import ExcalcError, ExprSyntaxError
 from .expr import Environment, evaluate_text
@@ -79,16 +80,13 @@ def _matrix_text(rows: list[list[complex]]) -> str:
     return "".join(" ".join(map(cells.__getitem__, row)) + "\n" for row in rows)
 
 
-def _matrix_json(matrix) -> str:
-    """`json.dumps` of the [re, im] rows of a complex128 matrix, each
-    distinct entry dumped once.  JSON prints -0.0, so an entry's key is its
-    16 bytes, not its value."""
-    import struct
-
-    import numpy as np
-
-    keys = matrix.view(np.dtype((np.void, 16))).tolist()
-    cells = {k: json.dumps(struct.unpack("dd", k)) for k in set().union(*keys)}
+def _matrix_json(rows: list[list[complex]]) -> str:
+    """`json.dumps` of the [re, im] rows, each distinct entry dumped once.
+    JSON prints -0.0, which equals 0.0, so an entry's key is the entry
+    object itself (its `id`), not its value."""
+    keys = [list(map(id, row)) for row in rows]
+    entries = dict(zip(chain.from_iterable(keys), chain.from_iterable(rows)))
+    cells = {k: json.dumps([c.real, c.imag]) for k, c in entries.items()}
     return "[" + ", ".join("[" + ", ".join(map(cells.__getitem__, row)) + "]" for row in keys) + "]"
 
 
@@ -131,18 +129,16 @@ def cmd_verify(args) -> int:
 
 def cmd_fock(args) -> int:
     kind, _, index = args.matrix.partition(":")
-    if kind not in ("create", "annihilate") or not index.isdecimal():
+    if kind not in ("create", "annihilate") or not (index.isascii() and index.isdecimal()):
         raise ExcalcError(f"--matrix wants create:<i> or annihilate:<i>, got {args.matrix!r}")
-    import numpy as np
-
-    matrix = np.ascontiguousarray(operator_matrix(args.dim, kind, int(index)), dtype=complex)
+    rows = [list(map(complex, row)) for row in operator_matrix(args.dim, kind, int(index))]
     if args.format == "json":
         print(
             f'{{"op": {json.dumps(kind)}, "index": {int(index)}, "dim": {args.dim}, '
-            f'"matrix": {_matrix_json(matrix)}}}'
+            f'"matrix": {_matrix_json(rows)}}}'
         )
     else:
-        sys.stdout.write(_matrix_text(matrix.tolist()))
+        sys.stdout.write(_matrix_text(rows))
     return EXIT_OK
 
 
@@ -169,7 +165,7 @@ def cmd_repl(args) -> int:
                 break
             if command == ":dim":
                 words = line.split()[1:]
-                if len(words) != 1 or not words[0].isdecimal():
+                if len(words) != 1 or not (words[0].isascii() and words[0].isdecimal()):
                     raise ExcalcError(":dim wants one integer dimension")
                 env = Environment(int(words[0]))
                 out.write(f"dimension {env.d}\n")

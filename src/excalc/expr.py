@@ -44,11 +44,11 @@ MAX_NESTING = 100
 
 # ---- tokens -------------------------------------------------------------------
 
-# One alternative per token class, tried in order.  A number starts with an
-# ASCII digit and takes an `i` suffix only when that `i` ends the word.
+# One alternative per token class, tried in order.  A number is ASCII digits
+# only and takes an `i` suffix only when that `i` ends the word.
 _TOKEN = re.compile(
     r"(?P<newline>\n)|(?P<space>[^\S\n]+)"
-    r"|(?P<scalar>[0-9]\d*(?:\.\d+)?(?:[eE][+-]?\d+)?(?P<imag>i(?![A-Za-z0-9_]))?)"
+    r"|(?P<scalar>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?(?P<imag>i(?![A-Za-z0-9_]))?)"
     r"|(?P<basis>e(?P<index>[0-9]+)(?![A-Za-z0-9_]))|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+^*~])|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)|(?P<unknown>.)"
 )

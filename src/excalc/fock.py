@@ -65,10 +65,8 @@ def multi_annihilate(indices: Iterable[int], a: Multivector) -> Multivector:
     return _ladder_string(apply_annihilation, indices, a)
 
 
-def operator_matrix(d: int, kind: str, i: int) -> np.ndarray:
-    """2^d x 2^d matrix of one ladder operator in (step, index) blade order."""
-    import numpy as np
-
+def operator_matrix(d: int, kind: str, i: int) -> list[list[complex]]:
+    """2^d rows of 2^d complex entries: one ladder operator in (step, index) blade order."""
     check_dim(d)
     if d > MATRIX_MAX_DIM:
         raise DimensionError(f"matrix form limited to d <= {MATRIX_MAX_DIM}")
@@ -80,9 +78,9 @@ def operator_matrix(d: int, kind: str, i: int) -> np.ndarray:
         raise ValueError(f"unknown ladder kind {kind!r}")
     basis = all_blades(d)
     index_of = {mask: col for col, mask in enumerate(basis)}
-    matrix = np.zeros((1 << d, 1 << d), dtype=np.complex128)
+    matrix = [[0j] * (1 << d) for _ in basis]
     for col, mask in enumerate(basis):
         image = op(i, Multivector(d, {mask: 1 + 0j}))
         for out_mask, c in image:
-            matrix[index_of[out_mask], col] = c
+            matrix[index_of[out_mask]][col] = c
     return matrix

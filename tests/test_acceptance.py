@@ -295,8 +295,12 @@ def test_criterion_fock_operator_suite():
     budget = Budget("ladder-operator-suite", 30.0)
     for d in range(1, 7):
         identity = np.eye(1 << d)
-        creators = {i: operator_matrix(d, "create", i) for i in range(1, d + 1)}
-        killers = {i: operator_matrix(d, "annihilate", i) for i in range(1, d + 1)}
+        creators = {
+            i: np.array(operator_matrix(d, "create", i), dtype=complex) for i in range(1, d + 1)
+        }
+        killers = {
+            i: np.array(operator_matrix(d, "annihilate", i), dtype=complex) for i in range(1, d + 1)
+        }
         for j in range(1, d + 1):
             for k in range(1, d + 1):
                 mixed = killers[j] @ creators[k] + creators[k] @ killers[j]

@@ -212,8 +212,9 @@ def test_number_suffix_and_words():
     assert [(t.kind, t.value, t.index) for t in tokens[:-1]] == [
         ("scalar", 2j, 0), ("op", 0j, 0), ("basis", 0j, 1), ("ident", 0j, 0), ("top", 0j, 0)
     ]
-    # digits after the leading ASCII one may be any decimal digit
-    assert tokenize("1٣")[0].value == 13
+    # a number is ASCII digits only: an Arabic-Indic three ends it
+    with pytest.raises(ExprSyntaxError, match="unknown character '٣' at 1:2"):
+        tokenize("1٣")
 
 
 @pytest.mark.parametrize(

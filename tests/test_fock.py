@@ -9,6 +9,7 @@ import pytest
 
 from excalc.errors import DimensionError, IndexRangeError
 from excalc.fock import (
+    MATRIX_MAX_DIM,
     apply_annihilation,
     apply_creation,
     multi_annihilate,
@@ -73,11 +74,34 @@ def test_operator_matrix_d1():
         operator_matrix(2, "destroy", 1)
 
 
+def test_ladder_matrices_are_exact_signed_partial_permutations():
+    """Plain rows of Python complex, checked with `==` and no numpy: for every
+    d <= 8 and every mode, annihilation is the transpose of creation, and each
+    column holds at most one nonzero entry, 1 or -1."""
+    for d in range(1, MATRIX_MAX_DIM + 1):
+        for i in range(1, d + 1):
+            created = operator_matrix(d, "create", i)
+            killed = operator_matrix(d, "annihilate", i)
+            for matrix in (created, killed):
+                assert type(matrix) is list and len(matrix) == 1 << d
+                assert all(type(row) is list and len(row) == 1 << d for row in matrix)
+                assert all(type(c) is complex for row in matrix for c in row)
+                columns = [[c for c in column if c != 0] for column in zip(*matrix)]
+                assert all(nonzero in ([], [1], [-1]) for nonzero in columns)
+                # every blade without mode i, and only those, has an image
+                assert sum(map(len, columns)) == 1 << (d - 1)
+            assert killed == [list(column) for column in zip(*created)]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_anticommutation_relations(d):
     identity = np.eye(1 << d)
-    creators = {i: operator_matrix(d, "create", i) for i in range(1, d + 1)}
-    killers = {i: operator_matrix(d, "annihilate", i) for i in range(1, d + 1)}
+    creators = {
+        i: np.array(operator_matrix(d, "create", i), dtype=complex) for i in range(1, d + 1)
+    }
+    killers = {
+        i: np.array(operator_matrix(d, "annihilate", i), dtype=complex) for i in range(1, d + 1)
+    }
     for j in range(1, d + 1):
         for k in range(1, d + 1):
             mixed = killers[j] @ creators[k] + creators[k] @ killers[j]
@@ -90,8 +114,8 @@ def test_anticommutation_relations(d):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_annihilation_is_adjoint_of_creation(d):
     for i in range(1, d + 1):
-        created = operator_matrix(d, "create", i)
-        killed = operator_matrix(d, "annihilate", i)
+        created = np.array(operator_matrix(d, "create", i), dtype=complex)
+        killed = np.array(operator_matrix(d, "annihilate", i), dtype=complex)
         assert np.max(np.abs(created.conj().T - killed)) <= 1e-12
 
 

@@ -2,13 +2,13 @@
 
 numpy, `verify`, `extensors`, `dense`, `tables`, `fock` and the set-gate and
 qubit modules are imported by the code that uses them, so `eval` and `repl`
-start without any of them and `table` without numpy.  No subcommand loads
-`dataclasses`, and `eval`, `table` and `verify-paper` load no `typing`: the
-library's records are plain classes and named tuples.  Nor do they load
-`shutil`: help wraps at a fixed 78 columns, so argparse never measures the
-terminal.  The command
-functions reach `table_command` and `operator_matrix` through the names in
-`excalc.cli`, so a caller can wrap or replace them there.
+start without any of them, and `table` and `fock` without numpy.  No
+subcommand loads `dataclasses`, and `eval`, `table`, `fock` and
+`verify-paper` load no `typing`: the library's records are plain classes and
+named tuples.  Nor do they load `shutil`: help wraps at a fixed 78 columns,
+so argparse never measures the terminal.  The command functions reach
+`table_command` and `operator_matrix` through the names in `excalc.cli`, so
+a caller can wrap or replace them there.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def loaded_after(
             id="factors-35-minors",
         ),
         pytest.param(
-            ["fock", "--matrix", "create:1", "--dim", "2"], "", ["numpy", "excalc.fock"],
+            ["fock", "--matrix", "create:1", "--dim", "2"], "", ["excalc.fock"],
             id="fock",
         ),
         pytest.param(
@@ -131,6 +131,10 @@ NO_NUMPY = [
     pytest.param(["eval", "--dim", "4", "--factors", f"F={factor_list(4, 2)}", "F"], id="factors"),
     pytest.param(["table", "--op", "q-vee", "--dim", "2"], id="table"),
     pytest.param(["verify-paper"], id="verify-paper"),
+    pytest.param(["fock", "--matrix", "create:3", "--dim", "8"], id="fock"),
+    pytest.param(
+        ["fock", "--matrix", "annihilate:2", "--dim", "4", "--format", "json"], id="fock-json"
+    ),
 ]
 
 

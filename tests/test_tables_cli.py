@@ -456,6 +456,30 @@ def test_cli_fock_rejects_a_malformed_index(matrix):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, stdin_text, code, out, err",
+    [
+        (["eval", "--dim", "3", "1\u0663 * e1"], "", 2, "",
+         "syntax error: unknown character '\u0663' at 1:2"),
+        (["eval", "--dim", "3", "1e\u0663 * e1"], "", 2, "",
+         "syntax error: unknown character '\u0663' at 1:3"),
+        (["eval", "--dim", "3", "2.\u0665 * e2"], "", 2, "",
+         "syntax error: unknown character '.' at 1:2"),
+        (["fock", "--matrix", "create:\u0661", "--dim", "3"], "", 1, "",
+         "error: --matrix wants create:<i> or annihilate:<i>, got 'create:\u0661'"),
+        # the REPL reports the line and reads on, still in dimension 2
+        (["repl", "--dim", "2"], ":dim \u0663\n*(e1)\n", 0, "e2\n",
+         "error: :dim wants one integer dimension"),
+    ],
+    ids=["eval-integer", "eval-exponent", "eval-fraction", "fock", "repl-dim"],
+)
+def test_cli_reads_ascii_digits_only(argv, stdin_text, code, out, err, monkeypatch, capsys):
+    # Arabic-Indic digits are decimal to str.isdecimal and to the regex \d
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    assert cli.main(argv) == code
+    assert capsys.readouterr() == (out, err + "\n")
+
+
 def test_cli_verify_passes():
     done = run_cli("verify-paper")
     assert done.returncode == 0
@@ -542,6 +566,16 @@ def test_cli_fock_json_keeps_signed_zeros(monkeypatch, capsys):
     monkeypatch.setattr(
         cli, "operator_matrix", lambda d, kind, i: np.array(entries, dtype=complex)
     )
+    assert cli.main(["fock", "--matrix", "annihilate:1", "--dim", "1", "--format", "json"]) == 0
+    matrix = [[[complex(c).real, complex(c).imag] for c in row] for row in entries]
+    want = json.dumps({"op": "annihilate", "index": 1, "dim": 1, "matrix": matrix})
+    assert capsys.readouterr().out == want + "\n"
+
+
+def test_cli_fock_json_keeps_signed_zeros_of_plain_rows(monkeypatch, capsys):
+    # the two 0j are one object, the signed zeros others of equal value
+    entries = [[0j, complex(-0.0, 0.0)], [complex(0.0, -0.0), -1], [1, 0j]]
+    monkeypatch.setattr(cli, "operator_matrix", lambda d, kind, i: entries)
     assert cli.main(["fock", "--matrix", "annihilate:1", "--dim", "1", "--format", "json"]) == 0
     matrix = [[[complex(c).real, complex(c).imag] for c in row] for row in entries]
     want = json.dumps({"op": "annihilate", "index": 1, "dim": 1, "matrix": matrix})
