@@ -14,10 +14,10 @@ modules it tabulates, `fock` adds only `fock`, and `verify-paper` adds
 `table` and `repl` load numpy only through `excalc.dense`, for dense operands.
 `table_command` and `operator_matrix` here import the real functions when
 first called, and the command functions call them through these names, so a
-caller can wrap or replace them here.  A replacement `operator_matrix` may
-return any 2-D sequence of complex rows, and an ndarray qualifies; `fock`
-prints its entries from Python complex values, as the JSON `[re, im]` pairs
-or in the text notation, and formats each distinct entry once.
+caller can wrap or replace them here.  A replacement returns what the real
+function returns: for `operator_matrix`, plain lists of Python complex, no
+part of them a negative zero.  `fock` and `table` render each distinct cell
+once, through `textform.Cells`, keyed by value.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ import argparse
 import json
 import sys
 from functools import partial
-from itertools import chain
 
 from .errors import ExcalcError, ExprSyntaxError
 from .expr import Environment, evaluate_text
 from .multivector import Multivector
-from .textform import TABLE_FORMATS, TABLE_OPS, format_number, format_result
+from .textform import TABLE_FORMATS, TABLE_OPS, Cells, format_number, format_result
 
 EXIT_OK = 0
 EXIT_EVAL = 1
@@ -48,6 +47,13 @@ def _report(err: Exception) -> int:
         return EXIT_SYNTAX
     sys.stderr.write(f"error: {err}\n")
     return EXIT_EVAL
+
+
+def decimal(text: str) -> int:
+    """An unsigned run of ASCII decimal digits as an int; `ValueError` else."""
+    if not (text.isascii() and text.isdecimal()):
+        raise ValueError(f"not an unsigned decimal integer: {text!r}")
+    return int(text)
 
 
 def table_command(op: str, d: int, fmt: str = "text") -> str:
@@ -73,23 +79,6 @@ def _format_matrix_entry(c: complex) -> str:
     return f"{format_number(c.real)}{sign}{format_number(abs(c.imag))}i"
 
 
-def _matrix_text(rows: list[list[complex]]) -> str:
-    """One line of space-separated entries per row, each distinct entry
-    formatted once: equal entries print alike, 0.0 and -0.0 as "0"."""
-    cells = {c: _format_matrix_entry(c) for c in set().union(*rows)}
-    return "".join(" ".join(map(cells.__getitem__, row)) + "\n" for row in rows)
-
-
-def _matrix_json(rows: list[list[complex]]) -> str:
-    """`json.dumps` of the [re, im] rows, each distinct entry dumped once.
-    JSON prints -0.0, which equals 0.0, so an entry's key is the entry
-    object itself (its `id`), not its value."""
-    keys = [list(map(id, row)) for row in rows]
-    entries = dict(zip(chain.from_iterable(keys), chain.from_iterable(rows)))
-    cells = {k: json.dumps([c.real, c.imag]) for k, c in entries.items()}
-    return "[" + ", ".join("[" + ", ".join(map(cells.__getitem__, row)) + "]" for row in keys) + "]"
-
-
 def cmd_eval(args) -> int:
     env = Environment(args.dim)
     for binding in args.factors or ():
@@ -104,7 +93,7 @@ def cmd_eval(args) -> int:
             else:
                 with open(where) as f:
                     data = json.load(f)
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, json.JSONDecodeError, RecursionError) as err:
             raise ExcalcError(f"cannot read factor list {where!r}: {err}")
         from .extensors import ExtensorFactors, expand
 
@@ -129,16 +118,20 @@ def cmd_verify(args) -> int:
 
 def cmd_fock(args) -> int:
     kind, _, index = args.matrix.partition(":")
-    if kind not in ("create", "annihilate") or not (index.isascii() and index.isdecimal()):
+    try:
+        if kind not in ("create", "annihilate"):
+            raise ValueError(kind)
+        i = decimal(index)
+    except ValueError:
         raise ExcalcError(f"--matrix wants create:<i> or annihilate:<i>, got {args.matrix!r}")
-    rows = [list(map(complex, row)) for row in operator_matrix(args.dim, kind, int(index))]
+    rows = operator_matrix(args.dim, kind, i)
     if args.format == "json":
-        print(
-            f'{{"op": {json.dumps(kind)}, "index": {int(index)}, "dim": {args.dim}, '
-            f'"matrix": {_matrix_json(rows)}}}'
-        )
+        cells = Cells(lambda c: json.dumps([c.real, c.imag]))
+        matrix = ", ".join("[" + ", ".join(map(cells.__getitem__, row)) + "]" for row in rows)
+        print(f'{{"op": "{kind}", "index": {i}, "dim": {args.dim}, "matrix": [{matrix}]}}')
     else:
-        sys.stdout.write(_matrix_text(rows))
+        cells = Cells(_format_matrix_entry)
+        sys.stdout.write("".join(" ".join(map(cells.__getitem__, row)) + "\n" for row in rows))
     return EXIT_OK
 
 
@@ -164,10 +157,12 @@ def cmd_repl(args) -> int:
             if command == ":quit":
                 break
             if command == ":dim":
-                words = line.split()[1:]
-                if len(words) != 1 or not (words[0].isascii() and words[0].isdecimal()):
+                try:
+                    _, word = line.split()
+                    d = decimal(word)
+                except ValueError:
                     raise ExcalcError(":dim wants one integer dimension")
-                env = Environment(int(words[0]))
+                env = Environment(d)
                 out.write(f"dimension {env.d}\n")
             elif command == ":let":
                 name, _, expr_text = line[len(":let"):].partition("=")
@@ -207,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     p_eval = sub.add_parser("eval", help="evaluate one expression")
-    p_eval.add_argument("--dim", type=int, required=True)
+    p_eval.add_argument("--dim", type=decimal, required=True)
     p_eval.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_eval.add_argument(
         "--factors",
@@ -220,12 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="print a full pair table for one operation")
     p_table.add_argument("--op", choices=TABLE_OPS, required=True)
-    p_table.add_argument("--dim", type=int, required=True)
+    p_table.add_argument("--dim", type=decimal, required=True)
     p_table.add_argument("--format", choices=TABLE_FORMATS, default="text")
     p_table.set_defaults(func=cmd_table)
 
     p_repl = sub.add_parser("repl", help="interactive session")
-    p_repl.add_argument("--dim", type=int, default=2)
+    p_repl.add_argument("--dim", type=decimal, default=2)
     p_repl.set_defaults(func=cmd_repl)
 
     p_verify = sub.add_parser(
@@ -235,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fock = sub.add_parser("fock", help="ladder operator matrix in the blade basis")
     p_fock.add_argument("--matrix", required=True, metavar="KIND:INDEX")
-    p_fock.add_argument("--dim", type=int, required=True)
+    p_fock.add_argument("--dim", type=decimal, required=True)
     p_fock.add_argument("--format", choices=("text", "json"), default="text")
     p_fock.set_defaults(func=cmd_fock)
 

@@ -16,7 +16,7 @@ from .boolean_gates import all_subsets, pseudo_vee, pseudo_wedge
 from .errors import DimensionError
 from .multivector import Multivector, all_blades, check_dim, vee, wedge
 from .qubits import QubitState, q_vee, q_wedge
-from .textform import TABLE_FORMATS, TABLE_OPS  # noqa: F401 (TABLE_OPS is re-exported)
+from .textform import TABLE_FORMATS, TABLE_OPS, Cells  # noqa: F401 (TABLE_OPS is re-exported)
 
 TABLE_MAX_DIM = 6
 
@@ -45,17 +45,8 @@ def table_rows(op: str, d: int) -> list[tuple[str, str, str]]:
         raise ValueError(f"unknown table op {op!r}")
     basis, fn = tables[op]
     labelled = [(x, x.to_text()) for x in basis(d)]
-    # result -> its text; equal results render alike, so each renders once
-    cells = {None: ""}
-    rows = []
-    for a, label_a in labelled:
-        for b, label_b in labelled:
-            result = fn(a, b)
-            text = cells.get(result)
-            if text is None:
-                text = cells[result] = result.to_text()
-            rows.append((label_a, label_b, text))
-    return rows
+    cells = Cells(lambda r: "" if r is None else r.to_text())
+    return [(la, lb, cells[fn(a, b)]) for a, la in labelled for b, lb in labelled]
 
 
 def table_command(op: str, d: int, fmt: str = "text") -> str:
@@ -66,7 +57,7 @@ def table_command(op: str, d: int, fmt: str = "text") -> str:
     header = ("a", "b", op)
     if fmt == "json":
         # the layout of json.dumps(..., indent=2), each distinct string quoted once
-        quoted = {s: json.dumps(s) for s in set().union(*rows)}
+        quoted = Cells(json.dumps)
         entries = ",\n".join(
             '    {\n      "a": %s,\n      "b": %s,\n      "result": %s\n    }'
             % tuple(map(quoted.__getitem__, row))

@@ -6,6 +6,7 @@ imaginary part of a coefficient, each a plain literal times a label:
 and scalar output re-parses under the expression grammar.  Qubit states use
 the same pieces with a ket label and a space, as in "i |10> - 0.5 |11>".
 `format_result` renders an evaluated expression as text, JSON or CSV.
+`Cells` renders each distinct cell of an output grid once.
 """
 
 from __future__ import annotations
@@ -19,6 +20,18 @@ from .multivector import Multivector, indices_from_mask
 # the CLI can offer them without importing `excalc.tables`.
 TABLE_OPS = ("wedge", "vee", "pseudo-wedge", "pseudo-vee", "q-wedge", "q-vee")
 TABLE_FORMATS = ("text", "json", "csv")
+
+
+class Cells(dict):
+    """Render-once memo for an output grid: `cells[key]` renders a key the
+    first time it is read and keeps the text, so equal keys print alike."""
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
 
 
 def format_number(x: float) -> str:

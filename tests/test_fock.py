@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -76,8 +77,9 @@ def test_operator_matrix_d1():
 
 def test_ladder_matrices_are_exact_signed_partial_permutations():
     """Plain rows of Python complex, checked with `==` and no numpy: for every
-    d <= 8 and every mode, annihilation is the transpose of creation, and each
-    column holds at most one nonzero entry, 1 or -1."""
+    d <= 8 and every mode, annihilation is the transpose of creation, each
+    column holds at most one nonzero entry, 1 or -1, and no part of any entry
+    is -0.0, so `fock` may key its rendered entries by value."""
     for d in range(1, MATRIX_MAX_DIM + 1):
         for i in range(1, d + 1):
             created = operator_matrix(d, "create", i)
@@ -86,6 +88,8 @@ def test_ladder_matrices_are_exact_signed_partial_permutations():
                 assert type(matrix) is list and len(matrix) == 1 << d
                 assert all(type(row) is list and len(row) == 1 << d for row in matrix)
                 assert all(type(c) is complex for row in matrix for c in row)
+                parts = [p for row in matrix for c in row for p in (c.real, c.imag)]
+                assert all(math.copysign(1.0, p) == 1.0 for p in parts if p == 0)
                 columns = [[c for c in column if c != 0] for column in zip(*matrix)]
                 assert all(nonzero in ([], [1], [-1]) for nonzero in columns)
                 # every blade without mode i, and only those, has an image

@@ -19,7 +19,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import excalc
@@ -179,7 +178,7 @@ def test_command_functions_call_the_names_in_cli(monkeypatch, capsys):
 
     def fake_matrix(d, kind, i):
         calls.append(("matrix", d, kind, i))
-        return np.array([[0, 1], [2j, 0]])
+        return [[0j, 1 + 0j], [2j, 0j]]
 
     monkeypatch.setattr(cli, "table_command", fake_table)
     monkeypatch.setattr(cli, "operator_matrix", fake_matrix)

@@ -9,7 +9,6 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -155,6 +154,10 @@ FOCK_DIGESTS_D8 = {
 }
 
 
+# every fock dump: d = 1..8, both kinds, every index, text and JSON
+FOCK_DIGEST_ALL = "03a9a457134540f6"
+
+
 @pytest.mark.parametrize("op", sorted(TABLE_DIGESTS_D6))
 def test_d6_table_output_is_pinned(op):
     blob = "".join(table_command(op, 6, fmt) for fmt in ("text", "json", "csv"))
@@ -165,6 +168,16 @@ def test_d6_table_output_is_pinned(op):
 def test_d8_fock_output_is_pinned(matrix, fmt, capsys):
     assert cli.main(["fock", "--matrix", matrix, "--dim", "8", "--format", fmt]) == 0
     assert digest(capsys.readouterr().out) == FOCK_DIGESTS_D8[matrix, fmt]
+
+
+def test_every_fock_dump_is_pinned(capsys):
+    for d in range(1, 9):
+        for kind in ("create", "annihilate"):
+            for i in range(1, d + 1):
+                for fmt in ("text", "json"):
+                    argv = ["fock", "--matrix", f"{kind}:{i}", "--dim", str(d), "--format", fmt]
+                    assert cli.main(argv) == 0
+    assert digest(capsys.readouterr().out) == FOCK_DIGEST_ALL
 
 
 @pytest.mark.parametrize("op", TABLE_OPS)
@@ -435,6 +448,20 @@ def test_cli_eval_malformed_factor_list_is_an_error_not_a_traceback():
         assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+def test_cli_eval_reports_a_too_deeply_nested_factor_list(inline, tmp_path, capsys):
+    payload = '{"dim": ' + "[" * 3000 + "]" * 3000 + "}"
+    where = payload
+    if not inline:
+        where = tmp_path / "nested.json"
+        where.write_text(payload)
+    assert cli.main(["eval", "--dim", "2", "--factors", f"F={where}", "F"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: cannot read factor list ")
+    assert "maximum recursion depth exceeded" in err
+
+
 def test_cli_fock_matrix():
     done = run_cli("fock", "--matrix", "create:1", "--dim", "1")
     assert done.returncode == 0
@@ -470,14 +497,33 @@ def test_cli_fock_rejects_a_malformed_index(matrix):
         # the REPL reports the line and reads on, still in dimension 2
         (["repl", "--dim", "2"], ":dim \u0663\n*(e1)\n", 0, "e2\n",
          "error: :dim wants one integer dimension"),
+        # int() reads these; --dim is a usage error instead
+        (["eval", "--dim", "\u0663", "e1^e2"], "", 2, "",
+         "excalc eval: error: argument --dim: invalid decimal value: '\u0663'"),
+        (["eval", "--dim", "1_0", "e10"], "", 2, "",
+         "excalc eval: error: argument --dim: invalid decimal value: '1_0'"),
+        (["fock", "--matrix", "create:1", "--dim", "\u0662"], "", 2, "",
+         "excalc fock: error: argument --dim: invalid decimal value: '\u0662'"),
     ],
-    ids=["eval-integer", "eval-exponent", "eval-fraction", "fock", "repl-dim"],
+    ids=[
+        "eval-integer", "eval-exponent", "eval-fraction", "fock", "repl-dim",
+        "eval-dim", "eval-dim-underscore", "fock-dim",
+    ],
 )
 def test_cli_reads_ascii_digits_only(argv, stdin_text, code, out, err, monkeypatch, capsys):
     # Arabic-Indic digits are decimal to str.isdecimal and to the regex \d
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
-    assert cli.main(argv) == code
-    assert capsys.readouterr() == (out, err + "\n")
+    try:
+        got = cli.main(argv)
+    except SystemExit as stop:  # an argparse usage error
+        got = stop.code
+    assert got == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    # a usage error prints the usage before its one error line
+    *usage, last = captured.err.split("\n")[:-1]
+    assert captured.err.endswith("\n") and last == err
+    assert all(line.startswith(("usage: excalc ", " ")) for line in usage)
 
 
 def test_cli_verify_passes():
@@ -553,30 +599,9 @@ def test_cli_factors_reject_a_reserved_name_and_a_bool_dimension():
     assert done.stderr == "error: dimension must be an integer in 1..16, got True\n"
 
 
-def test_cli_fock_text_prints_plain_numbers_from_any_complex_matrix(monkeypatch, capsys):
+def test_cli_fock_text_prints_plain_numbers_from_plain_complex_rows(monkeypatch, capsys):
     monkeypatch.setattr(
-        cli, "operator_matrix", lambda d, kind, i: np.array([[0.5, 1e20], [1.5j, -0.0]])
+        cli, "operator_matrix", lambda d, kind, i: [[0.5 + 0j, 1e20 + 0j], [1.5j, 0j]]
     )
     assert cli.main(["fock", "--matrix", "create:1", "--dim", "1"]) == 0
     assert capsys.readouterr().out == "0.5 1e+20\n1.5i 0\n"
-
-
-def test_cli_fock_json_keeps_signed_zeros(monkeypatch, capsys):
-    entries = [[0j, complex(-0.0, 0.0)], [complex(0.0, -0.0), -1], [1, 0j]]
-    monkeypatch.setattr(
-        cli, "operator_matrix", lambda d, kind, i: np.array(entries, dtype=complex)
-    )
-    assert cli.main(["fock", "--matrix", "annihilate:1", "--dim", "1", "--format", "json"]) == 0
-    matrix = [[[complex(c).real, complex(c).imag] for c in row] for row in entries]
-    want = json.dumps({"op": "annihilate", "index": 1, "dim": 1, "matrix": matrix})
-    assert capsys.readouterr().out == want + "\n"
-
-
-def test_cli_fock_json_keeps_signed_zeros_of_plain_rows(monkeypatch, capsys):
-    # the two 0j are one object, the signed zeros others of equal value
-    entries = [[0j, complex(-0.0, 0.0)], [complex(0.0, -0.0), -1], [1, 0j]]
-    monkeypatch.setattr(cli, "operator_matrix", lambda d, kind, i: entries)
-    assert cli.main(["fock", "--matrix", "annihilate:1", "--dim", "1", "--format", "json"]) == 0
-    matrix = [[[complex(c).real, complex(c).imag] for c in row] for row in entries]
-    want = json.dumps({"op": "annihilate", "index": 1, "dim": 1, "matrix": matrix})
-    assert capsys.readouterr().out == want + "\n"
