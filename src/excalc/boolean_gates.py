@@ -44,12 +44,15 @@ class SubsetState(_Record):
         return "{" + ",".join(map(str, indices_from_mask(self.mask))) + "}"
 
 
+_set_d, _set_mask = SubsetState.d.__set__, SubsetState.mask.__set__
+
+
 def _subset(d: int, mask: int) -> SubsetState:
     """SubsetState of a checked dimension and a mask in range by
     construction: the trusted build, which the constructor calls."""
     out = object.__new__(SubsetState)
-    object.__setattr__(out, "d", d)
-    object.__setattr__(out, "mask", mask)
+    _set_d(out, d)
+    _set_mask(out, mask)
     return out
 
 

@@ -94,7 +94,7 @@ def cmd_eval(args) -> int:
                 with open(where) as f:
                     data = json.load(f)
         except (OSError, json.JSONDecodeError, RecursionError) as err:
-            raise ExcalcError(f"cannot read factor list {where!r}: {err}")
+            raise ExcalcError(f"cannot read factor list {where!r:.80}: {err}")
         from .extensors import ExtensorFactors, expand
 
         env.bind(name, expand(ExtensorFactors.from_json(data)))

@@ -14,9 +14,9 @@ prefix operators (`*`, `~`, `-` and the `*` of `scalar *`), beyond which the
 parser raises ExprSyntaxError at the token that crosses the limit.  A
 numeric literal beyond the float range raises it at the literal.
 
-Tokens are named tuples and the tree nodes plain value classes: nodes with
-equal fields are equal and hash alike, and nothing assigns to a node once
-the parser has built it.
+Tokens are named tuples, each built in one `tuple.__new__` call with all six
+fields.  Tree nodes are plain value classes: nodes with equal fields are
+equal and hash alike, and nothing assigns to a node the parser has built.
 """
 
 from __future__ import annotations
@@ -62,30 +62,32 @@ Token = namedtuple("Token", "kind text line col value index", defaults=(0j, 0))
 def tokenize(source: str) -> list[Token]:
     """Longest-match lexing; raises ExprSyntaxError on any unknown character."""
     tokens: list[Token] = []
+    append, new = tokens.append, tuple.__new__
     line, line_start = 1, 0
     for m in _TOKEN.finditer(source):
-        kind, text = m.lastgroup, m.group()
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        text = m[0]
         col = m.start() - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "space":
-            pass
-        elif kind == "unknown":
-            raise ExprSyntaxError(f"unknown character {text!r}", line, col)
+        if kind == "basis":
+            append(new(Token, (kind, text, line, col, 0j, int(m["index"]))))
         elif kind == "scalar":
             number = float(text[:-1] if m["imag"] else text)
             if math.isinf(number):
                 raise ExprSyntaxError(f"number {text!r} overflows", line, col)
             value = complex(0.0, number) if m["imag"] else complex(number)
-            tokens.append(Token(kind, text, line, col, value=value))
-        elif kind == "basis":
-            tokens.append(Token(kind, text, line, col, index=int(m["index"])))
+            append(new(Token, (kind, text, line, col, value, 0)))
         elif kind == "word":
             kind, value = _KEYWORDS.get(text, ("ident", 0j))
-            tokens.append(Token(kind, text, line, col, value=value))
-        else:
-            tokens.append(Token(kind, text, line, col))
-    tokens.append(Token("end", "", line, len(source) - line_start + 1))
+            append(new(Token, (kind, text, line, col, value, 0)))
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "unknown":
+            raise ExprSyntaxError(f"unknown character {text!r}", line, col)
+        else:  # op, lparen, rparen, comma
+            append(new(Token, (kind, text, line, col, 0j, 0)))
+    append(Token("end", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -175,17 +177,13 @@ _PREFIX = {"*": Star, "~": Conj, "-": partial(ScalarMul, -1.0 + 0j)}
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+        self.next = iter(tokens).__next__
+        self.here = self.next()  # the current token; advance() moves it on
         self.depth = 0  # open `(`, `ip(` and prefix operators
 
-    @property
-    def here(self) -> Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.here
+        self.here = self.next()
         return tok
 
     def fail(self, expected: tuple[str, ...]):
@@ -205,7 +203,8 @@ class _Parser:
         return node
 
     def at(self, ops: str) -> bool:
-        return self.here.kind == "op" and self.here.text in ops
+        tok = self.here
+        return tok.kind == "op" and tok.text in ops
 
     def deeper(self) -> None:
         """Consume an opening token one nesting level down."""
@@ -326,6 +325,12 @@ def _evaluate(node, env: Environment) -> Multivector:
             if not 1 <= i <= d:
                 raise IndexRangeError(f"e{i} does not exist in dimension {d}")
             return _result(d, {1 << (i - 1): 1 + 0j})
+        case Wedge(operands=xs):
+            return reduce(wedge, (_evaluate(x, env) for x in xs))
+        case ScalarMul(coeff=c, operand=x):
+            return c * _evaluate(x, env)
+        case Add(terms=((_, first), *rest)):
+            return combine(_evaluate(first, env), ((s, _evaluate(x, env)) for s, x in rest))
         case TopBlade():
             return Multivector.top(d)
         case ScalarLit(value=v):
@@ -334,18 +339,12 @@ def _evaluate(node, env: Environment) -> Multivector:
             if name not in env.bindings:
                 raise EvalError(f"unbound name {name!r}")
             return env.bindings[name]
-        case Wedge(operands=xs):
-            return reduce(wedge, (_evaluate(x, env) for x in xs))
         case Vee(operands=xs):
             return reduce(vee, (_evaluate(x, env) for x in xs))
         case Star(operand=x):
             return hodge(_evaluate(x, env))
         case Conj(operand=x):
             return conjugate(_evaluate(x, env))
-        case Add(terms=((_, first), *rest)):
-            return combine(_evaluate(first, env), ((s, _evaluate(x, env)) for s, x in rest))
-        case ScalarMul(coeff=c, operand=x):
-            return c * _evaluate(x, env)
         case InnerProduct():
             return Multivector.scalar(d, evaluate(node, env))
     raise EvalError(f"cannot evaluate node {node!r}")

@@ -73,12 +73,15 @@ class ExtensorFactors(_Record):
         return cls(d, factors)
 
 
+_set_d, _set_factors = ExtensorFactors.d.__set__, ExtensorFactors.factors.__set__
+
+
 def _factors(d: int, factors: tuple[Vector, ...]) -> ExtensorFactors:
     """ExtensorFactors of vectors already checked in dimension d: the
     trusted build, which the constructor calls after its checks."""
     out = object.__new__(ExtensorFactors)
-    object.__setattr__(out, "d", d)
-    object.__setattr__(out, "factors", factors)
+    _set_d(out, d)
+    _set_factors(out, factors)
     return out
 
 
@@ -287,6 +290,6 @@ def is_decomposable(a: Multivector) -> bool:
     rows = [[0j] * d for _ in image_blades]
     for i in range(1, d + 1):
         column = wedge(basis_vector(d, i), a)
-        for mask, c in column:
+        for mask, c in column._terms.items():
             rows[blade_row[mask]][i - 1] = c
     return d - _eliminate(rows)[0] == k

@@ -39,7 +39,7 @@ def apply_annihilation(i: int, a: Multivector) -> Multivector:
     bit = mask_from_indices(a.d, (i,))
     below = bit - 1
     out: dict[int, complex] = {}
-    for mask, c in a:
+    for mask, c in a._terms.items():
         if not mask & bit:
             continue
         sign = -1 if (mask & below).bit_count() & 1 else 1
@@ -81,6 +81,6 @@ def operator_matrix(d: int, kind: str, i: int) -> list[list[complex]]:
     matrix = [[0j] * (1 << d) for _ in basis]
     for col, mask in enumerate(basis):
         image = op(i, Multivector(d, {mask: 1 + 0j}))
-        for out_mask, c in image:
+        for out_mask, c in image._terms.items():
             matrix[index_of[out_mask]][col] = c
     return matrix

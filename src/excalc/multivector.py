@@ -5,6 +5,9 @@ bitmask with bit i-1 set for index i.  The empty mask is the scalar blade "1"
 (the fermionic vacuum), the full mask is the top blade "E" (every state
 occupied).  A multivector is a finite blade -> complex coefficient map; the
 zero multivector has no terms and is distinct from the vacuum scalar 1.
+
+A kernel builds its result with `_result`, which owns the dict it is given:
+a fresh dict with nothing to prune becomes the value's terms, uncopied.
 """
 
 from __future__ import annotations
@@ -332,13 +335,25 @@ def _pruned(terms: dict[int, complex]) -> dict[int, complex]:
     return clean
 
 
+_set_d, _set_terms = Multivector.d.__set__, Multivector._terms.__set__
+
+
 def _result(d: int, terms: dict[int, complex]) -> Multivector:
     """Multivector from a kernel's output, whose masks are in range and
     whose values are complex by construction: the trusted build, which the
-    constructor calls after its dimension, mask and coefficient-type checks."""
+    constructor calls after its dimension, mask and coefficient-type checks.
+    Every caller hands over a dict it just built: kept as it is when every
+    term is above PRUNE_TOL and finite, else copied by `_pruned`."""
     out = object.__new__(Multivector)
-    object.__setattr__(out, "d", d)
-    object.__setattr__(out, "_terms", _pruned(terms))
+    _set_d(out, d)
+    try:
+        for c in terms.values():
+            if not PRUNE_TOL < abs(c) < math.inf:
+                terms = _pruned(terms)
+                break
+    except OverflowError:  # no finite magnitude: _pruned names the term
+        terms = _pruned(terms)
+    _set_terms(out, terms)
     return out
 
 
@@ -394,8 +409,8 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
 
 def _wedge_dict(a: Multivector, b: Multivector) -> Multivector:
     out: dict[int, complex] = {}
-    for s, ca in a:
-        for t, cb in b:
+    for s, ca in a._terms.items():
+        for t, cb in b._terms.items():
             if s & t:
                 continue
             u = s | t
@@ -406,7 +421,7 @@ def _wedge_dict(a: Multivector, b: Multivector) -> Multivector:
 def hodge(a: Multivector) -> Multivector:
     """Star complement: swaps occupied states and holes, blade by blade."""
     out: dict[int, complex] = {}
-    for mask, c in a:
+    for mask, c in a._terms.items():
         sign, comp = hodge_blade(a.d, mask)
         out[comp] = out.get(comp, 0j) + sign * c
     return _result(a.d, out)
@@ -420,7 +435,7 @@ def hodge_inverse(a: Multivector) -> Multivector:
     """
     full = (1 << a.d) - 1
     out: dict[int, complex] = {}
-    for s, c in a:
+    for s, c in a._terms.items():
         comp = full ^ s
         out[comp] = out.get(comp, 0j) + merge_sign(comp, s) * c
     return _result(a.d, out)
@@ -446,8 +461,8 @@ def vee(a: Multivector, b: Multivector) -> Multivector:
 def _vee_dict(a: Multivector, b: Multivector) -> Multivector:
     full = (1 << a.d) - 1
     out: dict[int, complex] = {}
-    for s, ca in a:
-        for t, cb in b:
+    for s, ca in a._terms.items():
+        for t, cb in b._terms.items():
             if s | t != full:
                 continue
             u = s & t
@@ -474,7 +489,7 @@ def _dense_pays(a: Multivector, b: Multivector) -> bool:
 
 def conjugate(a: Multivector) -> Multivector:
     """Complex-conjugate every coefficient; blades unchanged."""
-    return _result(a.d, {m: c.conjugate() for m, c in a})
+    return _result(a.d, {m: c.conjugate() for m, c in a._terms.items()})
 
 
 # ---- grade structure ---------------------------------------------------------
@@ -482,7 +497,7 @@ def conjugate(a: Multivector) -> Multivector:
 
 def step_of(a: Multivector) -> int | None:
     """Common step of all stored blades, or None for mixed-grade or zero input."""
-    steps = {m.bit_count() for m, _ in a}
+    steps = {m.bit_count() for m in a._terms}
     if len(steps) == 1:
         return steps.pop()
     return None
@@ -490,12 +505,12 @@ def step_of(a: Multivector) -> int | None:
 
 def grade_project(a: Multivector, k: int) -> Multivector:
     check_step(k, a.d, "step")
-    return _result(a.d, {m: c for m, c in a if m.bit_count() == k})
+    return _result(a.d, {m: c for m, c in a._terms.items() if m.bit_count() == k})
 
 
 def parity_sector(a: Multivector) -> str:
     """'even', 'odd', or 'mixed' fermion-number parity of the stored blades."""
-    parities = {m.bit_count() & 1 for m, _ in a}
+    parities = {m.bit_count() & 1 for m in a._terms}
     if parities == {1}:
         return "odd"
     if len(parities) == 2:
@@ -533,7 +548,7 @@ def scalar_product(a: Multivector, b: Multivector) -> complex:
         raise GradeError(f"scalar product undefined between steps {ka} and {kb}")
     bt = b._terms
     total = 0j
-    for s, ca in a:
+    for s, ca in a._terms.items():
         if s in bt:
             total += ca.conjugate() * bt[s]
     return _result(a.d, {0: total})._terms.get(0, 0j)

@@ -160,10 +160,13 @@ def n_map(s: QubitState) -> Multivector:
     return s._mv
 
 
+_set_mv = QubitState._mv.__set__
+
+
 def n_inverse(a: Multivector) -> QubitState:
     """The state viewing a, the trusted build: a is immutable and checked, so no copy."""
     s = object.__new__(QubitState)
-    object.__setattr__(s, "_mv", a)
+    _set_mv(s, a)
     return s
 
 

@@ -23,6 +23,7 @@ from excalc.expr import (
     ScalarMul,
     Star,
     TopBlade,
+    Token,
     Vee,
     Wedge,
     evaluate,
@@ -451,3 +452,17 @@ def test_long_and_deep_inputs_raise_only_typed_errors(source):
         pass
     else:
         assert isinstance(value, (Multivector, complex))
+
+
+_SEPARATED = st.lists(
+    st.tuples(st.sampled_from(_LEAVES + ("^", "+", "v", "2.5i", "1e5", "(")),
+              st.sampled_from(("\t", "\r\n", "\n", " ", " \t\r\n")))
+).map(lambda pairs: "".join(word + sep for word, sep in pairs))
+
+
+@settings(max_examples=60)
+@given(st.one_of(_long_or_deep(size=2000), _SEPARATED))
+def test_every_token_is_a_whole_token(source):
+    for t in tokenize(source):
+        assert type(t) is Token and t == Token(*t)
+        assert type(t.value) is complex and type(t.index) is int

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from excalc.errors import DimensionError, GradeError, IndexRangeError
 from excalc.multivector import (
     Multivector,
+    _pruned,
+    _result,
     all_blades,
     basis_vector,
     combine,
@@ -474,3 +479,35 @@ def test_scalar_text_is_not_pruned(value, text):
 def test_mask_helpers():
     assert mask_from_indices(4, (1, 3)) == 0b101
     assert indices_from_mask(0b1010) == (2, 4)
+
+
+# Values at and around every edge of the prune rule, beside ordinary ones.
+_EDGE_COEFFS = st.sampled_from(
+    [0j, -0j, 1e-12 + 0j, complex(0, -1e-12), 1e-13 + 0j, complex(math.nan, 0),
+     complex(0, math.inf), complex(1e308, 1e308), complex(1.7e308, 1.7e308), -0.5 + 0j, 2j]
+)
+_COEFFS = st.one_of(st.complex_numbers(max_magnitude=1e6, allow_nan=False), _EDGE_COEFFS)
+
+
+@settings(max_examples=200)
+@example({1: 1 + 0j, 2: 1e-12 + 0j})
+@example({1: 1 + 0j, 2: complex(0, math.inf)})
+@example({1: 1 + 0j, 2: complex(1.7e308, -1.7e308)})  # abs overflows
+@given(st.dictionaries(st.integers(0, 15), _COEFFS, max_size=8))
+def test_trusted_build_keeps_what_pruned_keeps_or_raises_its_error(terms):
+    def exact(items):
+        return [(m, repr(c)) for m, c in items]
+
+    try:
+        want = exact(_pruned(dict(terms)).items())
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            _result(4, dict(terms))
+        assert str(got.value) == str(err)
+        return
+    assert exact(_result(4, dict(terms))._terms.items()) == want
+    # the constructor copies: changing its argument later changes no value
+    value = Multivector(4, terms)
+    terms[0] = 7j
+    terms.pop(15, None)
+    assert exact(value._terms.items()) == want

@@ -462,6 +462,18 @@ def test_cli_eval_reports_a_too_deeply_nested_factor_list(inline, tmp_path, caps
     assert "maximum recursion depth exceeded" in err
 
 
+# The echo of an unreadable --factors value is cut at 80 characters, so the
+# error stays one short line however long the value is.
+@pytest.mark.parametrize(
+    "payload", ['{"dim": ' + "[" * 3000 + "]" * 3000 + "}", '{"dim": 2, "factors": ' + "x" * 6000]
+)
+def test_cli_eval_factor_list_error_echoes_at_most_80_characters(payload, capsys):
+    assert cli.main(["eval", "--dim", "2", "--factors", f"F={payload}", "F"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err) <= 200
+    assert err.startswith(f"error: cannot read factor list {payload!r:.80}: ")
+
+
 def test_cli_fock_matrix():
     done = run_cli("fock", "--matrix", "create:1", "--dim", "1")
     assert done.returncode == 0
