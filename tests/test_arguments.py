@@ -19,14 +19,14 @@ import math
 
 import pytest
 
-from excalc import boolean_gates, extensors, fock, multivector, qubits, tables
+from excalc import boolean_gates, dense, extensors, fock, multivector, qubits, tables
 from excalc.boolean_gates import SubsetState, subset
 from excalc.errors import DimensionError, GradeError, IndexRangeError, SchemaError
 from excalc.extensors import ExtensorFactors
 from excalc.multivector import MAX_DIM, Multivector, basis_vector
 from excalc.qubits import QubitState
 
-MODULES = (multivector, extensors, qubits, boolean_gates, fock, tables)
+MODULES = (multivector, dense, extensors, qubits, boolean_gates, fock, tables)
 # operators taking an argument; the other dunders are object protocol
 OPERATORS = ("__add__", "__sub__", "__mul__", "__rmul__", "__xor__")
 
@@ -193,6 +193,8 @@ ROWS = {
     "multivector.mv_equal_approx": (
         multivector.mv_equal_approx, (X, V, 0.5), ("operand", "same", "tol"),
     ),
+    "dense.wedge": (dense.wedge, (X, V), ("operand", "same")),
+    "dense.vee": (dense.vee, (X, V), ("operand", "same")),
     "extensors.make_vector": (extensors.make_vector, (D, (1, 2.5, 1j)), ("dim", "vector")),
     "extensors.ExtensorFactors": (ExtensorFactors, (D, (E[0], (1, 1, 0))), ("dim", "factors")),
     "extensors.ExtensorFactors.from_indices": (
