@@ -20,7 +20,7 @@ from functools import cache
 
 import numpy as np
 
-from .multivector import Multivector, _result, check_same_dim, hodge_blade, merge_sign
+from .multivector import Multivector, _result, check_same_dim, hodge_blade
 
 # A 3^9-entry table (0.6 MB) beat a 3^10 one by 1.4-1.8x at d=12 and d=14
 # and tied it at d=10.
@@ -97,11 +97,10 @@ def _grade_signs(d: int):
 
 @cache
 def _star_signs(d: int):
-    """Per mask m: the star sign of m, and the sign `hodge_inverse` gives m."""
-    full = (1 << d) - 1
-    star = np.array([float(hodge_blade(d, m)[0]) for m in range(1 << d)])
-    inverse = np.array([float(merge_sign(full ^ m, m)) for m in range(1 << d)])
-    return _frozen(star), _frozen(inverse)
+    """Per mask m: the star sign of m, and the sign `hodge_inverse` gives m:
+    the star sign times (-1)^(k(d-k)) on step k, so (-1)^k for even d, 1 for odd d."""
+    star = _frozen(np.array([float(hodge_blade(d, m)[0]) for m in range(1 << d)]))
+    return star, (_frozen(star * _grade_signs(d)) if d % 2 == 0 else star)
 
 
 def _frozen(x):

@@ -1,9 +1,9 @@
 """Creation and annihilation operators on the blade basis.
 
-Creation of mode i is the left wedge with e_i; annihilation is the interior
-product removing index i with a (-1)^(occupied modes below i) crossing sign.
-With these conventions the canonical anticommutation relations hold exactly,
-and annihilation is the matrix adjoint of creation in the blade basis.
+Creation of mode i is the meet with e_i, e_i ^ a; annihilation is the join
+with the one-hole state, a v *e_i, so the product kernels sign both.  With
+these conventions the canonical anticommutation relations hold exactly, and
+annihilation is the matrix adjoint of creation in the blade basis.
 
 A multi-mode operator string over an ascending index set is applied rightmost
 first, so the composite for {i1 < ... < ik} reads a_{i1} ... a_{ik} (or the
@@ -17,12 +17,12 @@ from collections.abc import Iterable
 from .errors import DimensionError
 from .multivector import (
     Multivector,
-    _result,
     all_blades,
     basis_vector,
     check_dim,
     check_index,
-    mask_from_indices,
+    covector,
+    vee,
     wedge,
 )
 
@@ -35,17 +35,8 @@ def apply_creation(i: int, a: Multivector) -> Multivector:
 
 
 def apply_annihilation(i: int, a: Multivector) -> Multivector:
-    """Interior product removing mode i; terms without it vanish."""
-    bit = mask_from_indices(a.d, (i,))
-    below = bit - 1
-    out: dict[int, complex] = {}
-    for mask, c in a._terms.items():
-        if not mask & bit:
-            continue
-        sign = -1 if (mask & below).bit_count() & 1 else 1
-        new = mask & ~bit
-        out[new] = out.get(new, 0j) + sign * c
-    return _result(a.d, out)
+    """a v *e_i: the join with the one-hole state; terms without mode i vanish."""
+    return vee(a, covector(a.d, i))
 
 
 def _ladder_string(op, indices: Iterable[int], a: Multivector) -> Multivector:

@@ -189,6 +189,5 @@ def qubit_inner_product(s1: QubitState, s2: QubitState) -> complex:
     """Plain all-basis inner product <s1|s2>; bookkeeping, not the exterior one."""
     check_same_dim(s1, s2)
     a1, a2 = s1.amplitudes(), s2.amplitudes()
-    if len(a2) < len(a1):
-        a1, a2 = a2, a1
-    return sum((c.conjugate() * a2[m] for m, c in a1.items() if m in a2), 0j)
+    small, large = (a1, a2) if len(a1) <= len(a2) else (a2, a1)
+    return sum((a1[m].conjugate() * a2[m] for m in small if m in large), 0j)

@@ -365,6 +365,14 @@ def test_scalar_product_grade_errors():
     assert scalar_product(Multivector.zero(2), basis_vector(2, 1)) == 0j
 
 
+def test_scalar_product_names_the_inhomogeneous_operand():
+    e1, e12 = blade(3, 1), blade(3, 1, 2)
+    with pytest.raises(GradeError, match="^left operand is not homogeneous$"):
+        scalar_product(e1 + e12, e1)
+    with pytest.raises(GradeError, match="^right operand is not homogeneous$"):
+        scalar_product(e1, e1 + e12)
+
+
 # ---- covectors -------------------------------------------------------------------------
 
 

@@ -134,6 +134,19 @@ def test_inner_product_defined_where_the_algebra_refuses():
     assert abs(qubit_inner_product(ket("10"), ket("10")) - 1.0) <= 1e-12
 
 
+def test_inner_product_conjugates_the_left_state_whichever_is_shorter():
+    assert qubit_inner_product(QubitState(2, {1: 1, 2: 2}), QubitState(2, {1: 3})) == 3
+    long, short = QubitState(1, {0: 1, 1: 1}), QubitState(1, {1: 1j})
+    assert qubit_inner_product(long, short) == 1j
+    assert qubit_inner_product(short, long) == -1j
+
+
+def test_qubit_state_is_never_equal_to_a_multivector():
+    state, mv = QubitState(2, {1: 1}), Multivector(2, {1: 1})
+    assert state != mv and mv != state
+    assert state.__eq__(mv) is NotImplemented
+
+
 def test_inner_product_of_disjoint_supports_is_complex_zero():
     for s1, s2 in (
         (ket("10"), ket("11")),

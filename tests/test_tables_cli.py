@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import excalc.multivector as core
-from excalc import cli, tables, verify
+from excalc import cli, fock, tables, verify
 from excalc.errors import DimensionError
 from excalc.expr import Environment, evaluate_text
 from excalc.qubits import QubitState
@@ -300,6 +300,34 @@ def test_verification_catches_a_flipped_vee(monkeypatch):
     failed = {r.name for r in run_verification(trials=5) if not r.passed}
     # the join columns of both gate tables go wrong
     assert {"meet-join-table-d2", "qubit-gate-table-d2"} <= failed
+
+
+@pytest.mark.parametrize(
+    "patches, detail",
+    [
+        (
+            {"apply_annihilation": lambda i, a: -fock.apply_annihilation(i, a)},
+            "mixed anticommutator (1,1); mixed anticommutator (2,2); "
+            "mixed anticommutator (3,3); mixed anticommutator (4,4)",
+        ),
+        (
+            {"multi_create": lambda ix, a: a, "multi_annihilate": lambda ix, a: a},
+            "annihilation string on the top blade; creation string for [1]",
+        ),
+        (
+            {"apply_creation": lambda i, a: a},
+            "mixed anticommutator (1,1); like anticommutator (1,1); "
+            "mixed anticommutator (1,2); like anticommutator (1,2)",
+        ),
+    ],
+    ids=["negated-annihilation", "identity-strings", "identity-creation"],
+)
+def test_ladder_check_names_the_failing_relations(monkeypatch, patches, detail):
+    for name, op in patches.items():
+        monkeypatch.setattr(verify, name, op)
+    result = verify.check_ladder_maps()
+    assert not result.passed
+    assert result.detail == detail
 
 
 def _break_one_cell(monkeypatch, op_name: str, pair: tuple[str, str], change):
