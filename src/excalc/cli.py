@@ -3,7 +3,9 @@
 Subcommands: `eval` one expression, `table` a full pair table, `repl` an
 interactive session, `verify-paper` the bundled verification suite, `fock` a
 ladder-operator matrix dump.  Exit codes: 0 success, 1 evaluation error,
-2 syntax error, 3 verification failure.
+2 syntax error, 3 verification failure.  A reader that closes stdout before
+the output is written ends the command with exit 1, quietly: no traceback and
+nothing on stderr.
 
 Each subcommand imports only what it runs.  `eval` and `repl` load the
 algebra, the expression language and the text forms (`multivector`, `expr`,
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 
@@ -241,9 +244,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except _REPORTED as err:
         return _report(err)
+    except BrokenPipeError:
+        # stdout is gone; point it at devnull so the exit-time flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_EVAL
 
 
 if __name__ == "__main__":

@@ -36,10 +36,11 @@ def vee(a: Multivector, b: Multivector) -> Multivector:
     """hodge_inverse(wedge(hodge(a), hodge(b))) on arrays."""
     check_same_dim(a, b)
     d = a.d
-    star, inverse = _star_signs(d)
+    star = _star_signs(d)
     sa = (_to_array(a) * star)[::-1]
     sb = (_to_array(b) * star)[::-1]
-    return _from_array(d, (_wedge_arrays(sa, sb, d, True) * inverse)[::-1])
+    # hodge_inverse signs each output blade with that blade's own star sign
+    return _from_array(d, _wedge_arrays(sa, sb, d, True)[::-1] * star)
 
 
 def _wedge_arrays(a, b, d: int, reverse: bool):
@@ -97,10 +98,8 @@ def _grade_signs(d: int):
 
 @cache
 def _star_signs(d: int):
-    """Per mask m: the star sign of m, and the sign `hodge_inverse` gives m:
-    the star sign times (-1)^(k(d-k)) on step k, so (-1)^k for even d, 1 for odd d."""
-    star = _frozen(np.array([float(hodge_blade(d, m)[0]) for m in range(1 << d)]))
-    return star, (_frozen(star * _grade_signs(d)) if d % 2 == 0 else star)
+    """The star sign of every mask m of d modes."""
+    return _frozen(np.array([float(hodge_blade(d, m)[0]) for m in range(1 << d)]))
 
 
 def _frozen(x):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Iterator, Mapping
+from functools import lru_cache
 from operator import attrgetter
 
 from .errors import DimensionError, GradeError, IndexRangeError, SchemaError
@@ -254,7 +255,7 @@ class Multivector(_Record):
         return wedge(self, other)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Multivector):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return self.d == other.d and self._terms == other._terms
 
@@ -263,7 +264,7 @@ class Multivector(_Record):
         return hash((self.d, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
-        return f"Multivector(d={self.d}, {self.to_text()!r})"
+        return f"{type(self).__name__}(d={self.d}, {self.to_text()!r})"
 
     def __str__(self) -> str:
         return self.to_text()
@@ -354,6 +355,14 @@ def _result(d: int, terms: dict[int, complex]) -> Multivector:
     except OverflowError:  # no finite magnitude: _pruned names the term
         terms = _pruned(terms)
     _set_terms(out, terms)
+    return out
+
+
+def _recast(cls, a: Multivector) -> Multivector:
+    """a's terms as a value of cls, Multivector or a subclass; shared, not copied."""
+    out = object.__new__(cls)
+    _set_d(out, a.d)
+    _set_terms(out, a._terms)
     return out
 
 
@@ -518,8 +527,9 @@ def parity_sector(a: Multivector) -> str:
     return "even"
 
 
+@lru_cache(maxsize=None, typed=True)
 def covector(d: int, i: int) -> Multivector:
-    """One-hole state: the star complement of e_i."""
+    """One-hole state: the star complement of e_i, built once per (d, i)."""
     return hodge(basis_vector(d, i))
 
 

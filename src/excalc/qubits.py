@@ -2,14 +2,17 @@
 
 A d-qubit computational basis state maps to the blade occupying exactly the
 modes whose qubit reads 1, so |0...0> is the scalar 1 and |1...1> is the top
-blade.  A QubitState is a view of the Multivector with the same masks and
-coefficients: it stores nothing else, `n_map` and `n_inverse` only unwrap and
-wrap, and wedge, vee and the star complement run the multivector kernels
-directly.  A zero result (`is_zero`) marks the operation as physically
-impossible for the states involved.  States are not normalized: the
-transferred operations do not preserve norms, and the all-basis inner product
-kept here is bookkeeping for norms and tests only, separate from the
-exterior-calculus scalar product.
+blade.  A QubitState is a Multivector subclass, its multivector in ket
+notation: the same masks and coefficients, printed (`str` included) and
+serialized as kets.  `n_map` and `n_inverse` only change the class, sharing
+the terms, and the gates q_wedge, q_vee and q_star hand the states straight
+to the multivector kernels.  The inherited multivector operations (`+`, `-`,
+scalar `*`, `^`, `hodge`, ...) take a state as its multivector and return a
+Multivector; a state never equals a multivector.  A zero result (`is_zero`)
+marks the operation as physically impossible for the states involved.
+States are not normalized: the transferred operations do not preserve norms,
+and the all-basis inner product kept here is bookkeeping for norms and tests
+only, separate from the exterior-calculus scalar product.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from .errors import DimensionError, SchemaError
-from .multivector import Multivector, _json_coeff, _Record, check_same_dim, hodge, vee, wedge
+from .multivector import Multivector, _json_coeff, _recast, check_same_dim, hodge, vee, wedge
 from .textform import pieces_to_text
 
 
@@ -55,73 +58,40 @@ def format_basis_state(bits: Iterable[int]) -> str:
     return "|" + "".join(map(str, bits)) + ">"
 
 
-class QubitState(_Record):
+class QubitState(Multivector):
     """Sparse map from d-bit basis states to complex amplitudes.
 
-    A view of the multivector with the same masks and coefficients, which
-    does all the storing and checking.
+    The multivector with the same masks and coefficients, printed and
+    serialized as kets.
     """
 
-    __slots__ = ("_mv",)
+    __slots__ = ()
 
     def __new__(cls, d: int, amps: Mapping[int, complex]):
         return n_inverse(Multivector(d, amps))
-
-    def __reduce__(self):
-        # the constructor takes the amplitudes, not the one field, the view's multivector
-        return QubitState, (self.d, self._mv._terms)
 
     @classmethod
     def basis(cls, bits: Iterable[int]) -> QubitState:
         bits = tuple(bits)
         return cls(len(bits), {bits_to_mask(bits): 1.0})
 
-    @classmethod
-    def zero(cls, d: int) -> QubitState:
-        return cls(d, {})
-
-    @property
-    def d(self) -> int:
-        return self._mv.d
-
-    def amplitudes(self) -> dict[int, complex]:
-        return self._mv.terms()
+    amplitudes = Multivector.terms
 
     def amplitude(self, bits: Iterable[int]) -> complex:
         bits = tuple(bits)
         if len(bits) != self.d:
             raise DimensionError(f"bit string {format_basis_state(bits)} is not {self.d} bits")
-        return self._mv.coeff_mask(bits_to_mask(bits))
-
-    def is_zero(self) -> bool:
-        return self._mv.is_zero()
-
-    def __iter__(self):
-        return iter(self._mv)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QubitState):
-            return NotImplemented
-        return self._mv == other._mv
-
-    def __hash__(self) -> int:
-        return hash(self._mv)
-
-    def __repr__(self) -> str:
-        return f"QubitState(d={self.d}, {self.to_text()!r})"
+        return self.coeff_mask(bits_to_mask(bits))
 
     def to_text(self) -> str:
-        d, amps = self.d, self._mv.terms()
+        d, amps = self.d, self._terms
         return pieces_to_text(
-            (
-                (amps[m], format_basis_state(mask_to_bits(d, m)))
-                for m in self._mv.sorted_masks()
-            ),
+            ((amps[m], format_basis_state(mask_to_bits(d, m))) for m in self.sorted_masks()),
             " ",
         )
 
     def to_json(self) -> dict:
-        d, amps = self.d, self._mv._terms
+        d, amps = self.d, self._terms
         return {
             "d": d,
             "amps": [
@@ -130,7 +100,7 @@ class QubitState(_Record):
                     "re": amps[m].real,
                     "im": amps[m].imag,
                 }
-                for m in self._mv.sorted_masks()
+                for m in self.sorted_masks()
             ],
         }
 
@@ -157,37 +127,32 @@ class QubitState(_Record):
 
 
 def n_map(s: QubitState) -> Multivector:
-    return s._mv
-
-
-_set_mv = QubitState._mv.__set__
+    return _recast(Multivector, s)
 
 
 def n_inverse(a: Multivector) -> QubitState:
-    """The state viewing a, the trusted build: a is immutable and checked, so no copy."""
-    s = object.__new__(QubitState)
-    _set_mv(s, a)
-    return s
+    """The state with a's terms, the trusted build: a is immutable and checked, so no copy."""
+    return _recast(QubitState, a)
 
 
 # ---- transferred operations ----------------------------------------------------
 
 
 def q_wedge(s1: QubitState, s2: QubitState) -> QubitState:
-    return n_inverse(wedge(n_map(s1), n_map(s2)))
+    return n_inverse(wedge(s1, s2))
 
 
 def q_vee(s1: QubitState, s2: QubitState) -> QubitState:
-    return n_inverse(vee(n_map(s1), n_map(s2)))
+    return n_inverse(vee(s1, s2))
 
 
 def q_star(s: QubitState) -> QubitState:
-    return n_inverse(hodge(n_map(s)))
+    return n_inverse(hodge(s))
 
 
 def qubit_inner_product(s1: QubitState, s2: QubitState) -> complex:
     """Plain all-basis inner product <s1|s2>; bookkeeping, not the exterior one."""
     check_same_dim(s1, s2)
-    a1, a2 = s1.amplitudes(), s2.amplitudes()
+    a1, a2 = s1._terms, s2._terms
     small, large = (a1, a2) if len(a1) <= len(a2) else (a2, a1)
     return sum((a1[m].conjugate() * a2[m] for m in small if m in large), 0j)

@@ -225,7 +225,6 @@ ROWS = {
     "qubits.format_basis_state": (qubits.format_basis_state, ((1, 0, 1),), ("bits",)),
     "qubits.QubitState": (QubitState, (D, {5: 1}), ("dim", "terms")),
     "qubits.QubitState.basis": (QubitState.basis, ((0, 1, 1),), ("bits",)),
-    "qubits.QubitState.zero": (QubitState.zero, (D,), ("dim",)),
     "qubits.QubitState.amplitude": (QubitState.amplitude, (Q, (1, 0, 1)), ("operand", "ket")),
     "qubits.QubitState.from_json": (QubitState.from_json, (Q.to_json(),), ("qubit_json",)),
     "qubits.n_map": (qubits.n_map, (Q,), ("operand",)),
@@ -330,3 +329,10 @@ def test_each_kind_has_a_row():
     used = {k[0] if isinstance(k, tuple) else k for row in ROWS.values() if row[0] != "trusted"
             for k in row[2] if k is not None}
     assert used == KINDS.keys()
+
+
+@pytest.mark.parametrize("d", dims(), ids=repr)
+def test_the_inherited_zero_state_checks_its_dimension(d):
+    # QubitState.zero is Multivector.zero, whose row checks the "dim" kind
+    with pytest.raises(DimensionError):
+        QubitState.zero(d)

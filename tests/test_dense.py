@@ -155,7 +155,8 @@ def test_pair_table_lists_each_disjoint_pair_with_its_merge_sign(d, reverse):
 def test_dense_star_signs_are_the_index_sum_and_double_star_formulas(d):
     """The star sign (-1)^(i1 + ... + ik - k(k+1)/2) of each mask, and the
     inverse star's sign: the star sign times (-1)^(k(d-k))."""
-    star, inverse = dense._star_signs(d)
+    star = dense._star_signs(d)
+    inverse = star[::-1]
     for m in range(1 << d):
         k = m.bit_count()
         index_sum = sum(i + 1 for i in range(d) if m >> i & 1)

@@ -147,6 +147,30 @@ def test_qubit_state_is_never_equal_to_a_multivector():
     assert state.__eq__(mv) is NotImplemented
 
 
+def test_the_bijection_shares_the_terms_and_sets_the_class():
+    state, mv = QubitState(2, {1: 1, 2: 0.5j}), Multivector(2, {1: 1, 2: 0.5j})
+    assert type(n_map(state)) is Multivector and n_map(state)._terms is state._terms
+    assert type(n_inverse(mv)) is QubitState and n_inverse(mv)._terms is mv._terms
+    for gate in (q_wedge(state, state), q_vee(state, state), q_star(state)):
+        assert type(gate) is QubitState
+
+
+def test_a_set_keeps_a_state_and_a_multivector_with_equal_terms_apart():
+    assert len({QubitState(2, {1: 1}), Multivector(2, {1: 1})}) == 2
+
+
+def test_a_state_prints_as_kets():
+    state = QubitState(2, {0b01: 1, 0b10: 2j})
+    assert str(state) == state.to_text() == "|10> + 2i |01>"
+    assert repr(state) == "QubitState(d=2, '|10> + 2i |01>')"
+
+
+def test_multivector_operations_take_a_state_as_its_multivector():
+    state = QubitState(2, {0b01: 1, 0b10: 2j})
+    total = state + state
+    assert type(total) is Multivector and total == n_map(state) + n_map(state)
+
+
 def test_inner_product_of_disjoint_supports_is_complex_zero():
     for s1, s2 in (
         (ket("10"), ket("11")),

@@ -422,6 +422,35 @@ def test_cli_exit_codes():
     assert bad_name.returncode == 1
 
 
+CLOSED_READER_ARGVS = [
+    ("eval", "--dim", "3", "e1"),
+    ("table", "--op", "vee", "--dim", "6"),
+    ("fock", "--matrix", "annihilate:3", "--dim", "8", "--format", "json"),
+    ("verify-paper",),
+]
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", CLOSED_READER_ARGVS, ids=lambda argv: argv[0])
+def test_cli_output_to_a_closed_reader_exits_1_without_a_traceback(argv, buffered):
+    import os
+
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "excalc.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
 def test_cli_overflowing_product_is_an_evaluation_error():
     done = run_cli("eval", "--dim", "3", "1e200*e1 ^ 1e200*e2")
     assert done.returncode == 1 and done.stdout == ""

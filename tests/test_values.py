@@ -141,7 +141,7 @@ def test_environment_compares_its_fields_and_is_not_hashable():
         (f(1), "factors"),
         (Split(1, f(1), f()), "sign"),
         (Multivector(2, {1: 1}), "d"),
-        (QubitState(2, {1: 1}), "_mv"),
+        (QubitState(2, {1: 1}), "_terms"),
     ],
     ids=["Token", "SubsetState", "ExtensorFactors", "Split", "Multivector", "QubitState"],
 )
