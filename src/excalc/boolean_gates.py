@@ -34,7 +34,7 @@ class SubsetState(_Record):
     __slots__ = __match_args__ = ("d", "mask")
 
     def __new__(cls, d: int, mask: int):
-        return _subset(d, check_mask(check_dim(d), mask))
+        return cls._build(d, check_mask(check_dim(d), mask))
 
     @property
     def members(self) -> frozenset[int]:
@@ -44,30 +44,18 @@ class SubsetState(_Record):
         return "{" + ",".join(map(str, indices_from_mask(self.mask))) + "}"
 
 
-_set_d, _set_mask = SubsetState.d.__set__, SubsetState.mask.__set__
-
-
-def _subset(d: int, mask: int) -> SubsetState:
-    """SubsetState of a checked dimension and a mask in range by
-    construction: the trusted build, which the constructor calls."""
-    out = object.__new__(SubsetState)
-    _set_d(out, d)
-    _set_mask(out, mask)
-    return out
-
-
 def subset(d: int, members: Iterable[int] = ()) -> SubsetState:
     """The subset of the given indices; a repeated index counts once."""
     check_dim(d)
     mask = 0
     for i in members:
         mask |= 1 << (check_index(d, i) - 1)
-    return _subset(d, mask)
+    return SubsetState._build(d, mask)
 
 
 def all_subsets(d: int) -> list[SubsetState]:
     """Every subset in (size, ascending members) order."""
-    return [_subset(d, mask) for mask in all_blades(d)]
+    return [SubsetState._build(d, mask) for mask in all_blades(d)]
 
 
 # ---- the powerset <-> blade map ----------------------------------------------
@@ -89,7 +77,7 @@ def m_inverse(a: Multivector) -> SubsetState | None:
     (mask, c), = a
     if abs(c - 1.0) > PRUNE_TOL:
         return None
-    return _subset(a.d, mask)
+    return SubsetState._build(a.d, mask)
 
 
 # ---- partial pseudo-fermionic operations --------------------------------------
@@ -108,13 +96,13 @@ def pseudo_vee(a1: SubsetState, a2: SubsetState) -> SubsetState | None:
 
 def bool_or(a1: SubsetState, a2: SubsetState) -> SubsetState:
     check_same_dim(a1, a2)
-    return _subset(a1.d, a1.mask | a2.mask)
+    return SubsetState._build(a1.d, a1.mask | a2.mask)
 
 
 def bool_and(a1: SubsetState, a2: SubsetState) -> SubsetState:
     check_same_dim(a1, a2)
-    return _subset(a1.d, a1.mask & a2.mask)
+    return SubsetState._build(a1.d, a1.mask & a2.mask)
 
 
 def bool_not(a1: SubsetState) -> SubsetState:
-    return _subset(a1.d, a1.mask ^ ((1 << a1.d) - 1))
+    return SubsetState._build(a1.d, a1.mask ^ ((1 << a1.d) - 1))

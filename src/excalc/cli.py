@@ -4,8 +4,8 @@ Subcommands: `eval` one expression, `table` a full pair table, `repl` an
 interactive session, `verify-paper` the bundled verification suite, `fock` a
 ladder-operator matrix dump.  Exit codes: 0 success, 1 evaluation error,
 2 syntax error, 3 verification failure.  A reader that closes stdout before
-the output is written ends the command with exit 1, quietly: no traceback and
-nothing on stderr.
+the output is written ends the command, `--help` included, with exit 1,
+quietly: no traceback and nothing on stderr.
 
 Each subcommand imports only what it runs.  `eval` and `repl` load the
 algebra, the expression language and the text forms (`multivector`, `expr`,
@@ -242,8 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # argparse's help or usage error
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+            raise
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

@@ -38,7 +38,7 @@ class ExtensorFactors(_Record):
 
     def __new__(cls, d: int, factors: tuple[Vector, ...]):
         check_step(len(factors), check_dim(d), "factor count")
-        return _factors(d, tuple(make_vector(d, f) for f in factors))
+        return cls._build(d, tuple(make_vector(d, f) for f in factors))
 
     @property
     def step(self) -> int:
@@ -52,7 +52,7 @@ class ExtensorFactors(_Record):
         units = [tuple(1.0 + 0j if j == i else 0j for j in range(d)) for i in range(d)]
         factors = tuple(units[check_index(d, i) - 1] for i in indices)
         check_step(len(factors), d, "factor count")
-        return _factors(d, factors)
+        return cls._build(d, factors)
 
     def to_json(self) -> dict:
         return {
@@ -71,18 +71,6 @@ class ExtensorFactors(_Record):
                 f", got {data!r:.80} ({type(err).__name__}: {err})"
             ) from None
         return cls(d, factors)
-
-
-_set_d, _set_factors = ExtensorFactors.d.__set__, ExtensorFactors.factors.__set__
-
-
-def _factors(d: int, factors: tuple[Vector, ...]) -> ExtensorFactors:
-    """ExtensorFactors of vectors already checked in dimension d: the
-    trusted build, which the constructor calls after its checks."""
-    out = object.__new__(ExtensorFactors)
-    _set_d(out, d)
-    _set_factors(out, factors)
-    return out
 
 
 Split = namedtuple("Split", "sign part1 part2")
@@ -195,8 +183,8 @@ def enumerate_splits(x: ExtensorFactors, h: int) -> list[Split]:
         out.append(
             Split(
                 sign,
-                _factors(x.d, tuple(x.factors[p] for p in first)),
-                _factors(x.d, tuple(x.factors[p] for p in second)),
+                ExtensorFactors._build(x.d, tuple(x.factors[p] for p in first)),
+                ExtensorFactors._build(x.d, tuple(x.factors[p] for p in second)),
             )
         )
     return out

@@ -153,11 +153,25 @@ class _Value:
 
 
 class _Record(_Value):
-    """An immutable _Value.  Its constructor, a `__new__`, checks the
-    arguments and returns the class's trusted build, the one place that sets
-    the fields; copy and pickle rebuild through the constructor."""
+    """An immutable _Value of two fields, `d` and one more.  Its constructor, a
+    `__new__`, checks the arguments and returns `cls._build(d, field)`, made by
+    `_Record`; `_result` prunes and then builds.  Copy and pickle rebuild
+    through the constructor."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        set_d, set_field = (getattr(cls, f).__set__ for f in cls.__match_args__)
+        new = object.__new__
+
+        def build(d, field):
+            out = new(cls)
+            set_d(out, d)
+            set_field(out, field)
+            return out
+
+        cls._build = staticmethod(build)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -358,14 +372,6 @@ def _result(d: int, terms: dict[int, complex]) -> Multivector:
     return out
 
 
-def _recast(cls, a: Multivector) -> Multivector:
-    """a's terms as a value of cls, Multivector or a subclass; shared, not copied."""
-    out = object.__new__(cls)
-    _set_d(out, a.d)
-    _set_terms(out, a._terms)
-    return out
-
-
 def combine(first: Multivector, rest: Iterable[tuple[int, Multivector]]) -> Multivector:
     """first + sign * term for each (sign, term) of rest, added left to right.
 
@@ -393,8 +399,9 @@ def combine(first: Multivector, rest: Iterable[tuple[int, Multivector]]) -> Mult
     return _result(first.d, out)
 
 
+@lru_cache(maxsize=None, typed=True)
 def basis_vector(d: int, i: int) -> Multivector:
-    """The one-fermion state e_i."""
+    """The one-fermion state e_i, built once per (d, i)."""
     return Multivector.from_indices(d, (i,))
 
 

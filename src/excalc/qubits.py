@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from .errors import DimensionError, SchemaError
-from .multivector import Multivector, _json_coeff, _recast, check_same_dim, hodge, vee, wedge
+from .multivector import Multivector, _json_coeff, check_same_dim, hodge, vee, wedge
 from .textform import pieces_to_text
 
 
@@ -127,12 +127,12 @@ class QubitState(Multivector):
 
 
 def n_map(s: QubitState) -> Multivector:
-    return _recast(Multivector, s)
+    return Multivector._build(s.d, s._terms)
 
 
 def n_inverse(a: Multivector) -> QubitState:
     """The state with a's terms, the trusted build: a is immutable and checked, so no copy."""
-    return _recast(QubitState, a)
+    return QubitState._build(a.d, a._terms)
 
 
 # ---- transferred operations ----------------------------------------------------

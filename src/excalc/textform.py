@@ -3,7 +3,9 @@
 Everything prints as a sum of signed pieces, one per nonzero real or
 imaginary part of a coefficient, each a plain literal times a label:
 "0", "1", "E", "e1^e3", "2.5 * e1 - i * E", "0.5i * e2^e3", ...  Multivector
-and scalar output re-parses under the expression grammar.  Qubit states use
+and scalar output re-parses under the expression grammar.  A multivector's
+text reads back as itself: a part at most PRUNE_TOL, which the parser prunes
+on its own, prints as 0.  A scalar prints every nonzero part.  Qubit states use
 the same pieces with a ket label and a space, as in "i |10> - 0.5 |11>".
 `format_result` renders an evaluated expression as text, JSON or CSV.
 `Cells` renders each distinct cell of an output grid once.
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 
-from .multivector import Multivector, indices_from_mask
+from .multivector import PRUNE_TOL, Multivector, indices_from_mask
 
 # The operations and output formats of the full pair tables, named here so
 # the CLI can offer them without importing `excalc.tables`.
@@ -74,9 +76,18 @@ def pieces_to_text(items: Iterable[tuple[complex, str]], sep: str = " * ") -> st
     return "".join(out) or "0"
 
 
+def _readable(c: complex) -> complex:
+    """A term's coefficient with each part at most PRUNE_TOL zeroed; as
+    |c| > PRUNE_TOL, only a c with two nonzero parts has one."""
+    re, im = c.real, c.imag
+    if re and im and min(abs(re), abs(im)) <= PRUNE_TOL:
+        return complex(re if abs(re) > PRUNE_TOL else 0.0, im if abs(im) > PRUNE_TOL else 0.0)
+    return c
+
+
 def multivector_to_text(a: Multivector) -> str:
-    terms = a.terms()
-    return pieces_to_text((terms[m], blade_to_text(a.d, m)) for m in a.sorted_masks())
+    terms = a._terms
+    return pieces_to_text((_readable(terms[m]), blade_to_text(a.d, m)) for m in a.sorted_masks())
 
 
 def scalar_to_text(value: complex) -> str:

@@ -40,7 +40,9 @@ from excalc.multivector import (
     mv_equal_approx,
     scalar_product,
 )
-from excalc.textform import scalar_to_text
+from excalc.extensors import ExtensorFactors
+from excalc.qubits import QubitState
+from excalc.textform import format_result, scalar_to_text
 from excalc.verify import random_mv
 
 
@@ -165,6 +167,44 @@ def test_format_parse_round_trip_random():
         assert again.to_text() == text
 
 
+# Parts at, just above and below PRUNE_TOL, signed zeros, ordinary values and
+# magnitudes up to 1e300.
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2e-12]),
+    st.floats(-2, 2, exclude_min=True, exclude_max=True),
+    st.floats(-1e300, 1e300),
+)
+_ANY_MV = st.integers(1, 10).flatmap(
+    lambda d: st.dictionaries(
+        st.integers(0, (1 << d) - 1), st.builds(complex, _PARTS, _PARTS), max_size=6
+    ).map(lambda terms: Multivector(d, terms))
+)
+
+
+@example(evaluate_text("(e1 + 1e-7 * e2) ^ (e2 + 1e-7i * e1)", Environment(2)))
+@settings(max_examples=300)
+@given(_ANY_MV)
+def test_multivector_text_reads_back_as_itself(value):
+    # a part at most PRUNE_TOL prints as 0, since the parser prunes it on its own
+    text = format_result(value, "text")
+    assert format_result(evaluate_text(text, Environment(value.d)), "text") == text
+
+
+_ANY_STATE = _ANY_MV.map(lambda a: QubitState(a.d, a.terms()))
+_ANY_FACTORS = st.integers(1, 10).flatmap(
+    lambda d: st.lists(
+        st.tuples(*[st.builds(complex, _PARTS, _PARTS)] * d), max_size=d
+    ).map(lambda factors: ExtensorFactors(d, tuple(factors)))
+)
+
+
+@settings(max_examples=100)
+@given(st.one_of(_ANY_MV, _ANY_STATE, _ANY_FACTORS))
+def test_json_forms_come_back_equal(value):
+    data = json.loads(json.dumps(value.to_json()))
+    assert type(value).from_json(data) == value
+
+
 def test_fuzz_smoke():
     rng = random.Random(402)
     alphabet = "e12 ^v*~+-()E,ip.x\t$#\x00ß"
@@ -183,6 +223,13 @@ def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "excalc.cli", *args], capture_output=True, text=True
     )
+
+
+def test_cli_eval_text_reads_back_as_itself():
+    done = run_cli("eval", "--dim", "2", "(e1 + 1e-7 * e2) ^ (e2 + 1e-7i * e1)")
+    assert (done.returncode, done.stdout) == (0, "E\n")
+    again = run_cli("eval", "--dim", "2", "--", done.stdout.strip())
+    assert (again.returncode, again.stdout) == (0, done.stdout)
 
 
 def test_first_term_keeps_its_negative_zero():

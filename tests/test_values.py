@@ -6,17 +6,19 @@ objects with equal hashes and equal reprs, an object never equals one of
 another class, copies and pickles come back equal, and the immutable ones
 refuse assignment.  The four state classes, `Multivector`, `QubitState`,
 `SubsetState` and `ExtensorFactors`, copy and pickle through their
-constructors, and each constructor checks its arguments and returns its
-class's trusted build.
+constructors, and each constructor checks its arguments and returns
+`cls._build`, made by `_Record`; `_result` prunes and then builds.
 """
 
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 
 import pytest
 
+from excalc import boolean_gates, extensors, qubits
 from excalc.boolean_gates import SubsetState, all_subsets, subset
 from excalc.expr import (
     Add,
@@ -110,6 +112,15 @@ def test_state_classes_build_in_one_place(value):
     cls = type(value)
     assert cls.__init__ is object.__init__
     assert cls.__setattr__ is _Record.__setattr__
+    # _Record makes each class's build from its two fields
+    d, field = (getattr(value, f) for f in cls.__match_args__)
+    built = cls._build(d, field)
+    assert type(built) is cls and built == value
+    assert getattr(built, cls.__match_args__[1]) is field
+    assert SubsetState._build is not QubitState._build
+    for module in (extensors, boolean_gates, qubits):
+        source = inspect.getsource(module)
+        assert "object.__new__" not in source and ".__set__" not in source
 
 
 def test_built_and_parsed_values_agree():
