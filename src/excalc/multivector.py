@@ -110,22 +110,26 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _prefix_parity(a):
+    """Bit j is the parity of a's bits above j, on an int or an int array of MAX_DIM-bit masks."""
+    p = a >> 1
+    p ^= p >> 1
+    p ^= p >> 2
+    p ^= p >> 4
+    p ^= p >> 8
+    return p
+
+
 def merge_sign(a: int, b: int) -> int:
     """Parity sign of merging two disjoint blades: (-1)^|{(i,j): i in a, j in b, i > j}|."""
-    inv = 0
-    t = b
-    while t:
-        low = t & -t
-        inv += (a >> low.bit_length()).bit_count()
-        t ^= low
-    return -1 if inv & 1 else 1
+    return -1 if (_prefix_parity(a) & b).bit_count() & 1 else 1
 
 
-def hodge_blade(d: int, mask: int) -> tuple[int, int]:
-    """Star complement of one blade: (sign, complement mask), with the sign
-    that makes blade ^ star = E."""
-    comp = ((1 << d) - 1) ^ mask
-    return merge_sign(mask, comp), comp
+def star_sign(mask: int) -> int:
+    """The sign that makes blade ^ star = E, (-1)^(i1 + ... + ik - k(k+1)/2) on
+    indices i1..ik, at any d: the parity of the even indices plus C(k, 2)."""
+    k = mask.bit_count()
+    return -1 if ((mask & 0xAAAA).bit_count() + (k * (k - 1) >> 1)) & 1 else 1
 
 
 class _Value:
@@ -435,26 +439,21 @@ def _wedge_dict(a: Multivector, b: Multivector) -> Multivector:
 
 
 def hodge(a: Multivector) -> Multivector:
-    """Star complement: swaps occupied states and holes, blade by blade."""
-    out: dict[int, complex] = {}
-    for mask, c in a._terms.items():
-        sign, comp = hodge_blade(a.d, mask)
-        out[comp] = out.get(comp, 0j) + sign * c
-    return _result(a.d, out)
+    """Star complement: swaps occupied states and holes, blade by blade.
+    A bijection on blades, so no two terms meet."""
+    full = (1 << a.d) - 1
+    return _result(a.d, {full ^ s: 0j + star_sign(s) * c for s, c in a._terms.items()})
 
 
 def hodge_inverse(a: Multivector) -> Multivector:
     """Inverse of the star complement; hodge(hodge_inverse(x)) == x.
 
-    Blade s goes to its complement with sign merge_sign(full ^ s, s): the
-    star sign of s times the (-1)^(k(d-k)) that undoes a double star on step k.
+    Blade s goes to its complement with the star sign of that complement,
+    merge_sign(full ^ s, s): the star sign of s times the (-1)^(k(d-k)) that
+    undoes a double star on step k.
     """
     full = (1 << a.d) - 1
-    out: dict[int, complex] = {}
-    for s, c in a._terms.items():
-        comp = full ^ s
-        out[comp] = out.get(comp, 0j) + merge_sign(comp, s) * c
-    return _result(a.d, out)
+    return _result(a.d, {full ^ s: 0j + star_sign(full ^ s) * c for s, c in a._terms.items()})
 
 
 def vee(a: Multivector, b: Multivector) -> Multivector:

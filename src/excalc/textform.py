@@ -3,10 +3,10 @@
 Everything prints as a sum of signed pieces, one per nonzero real or
 imaginary part of a coefficient, each a plain literal times a label:
 "0", "1", "E", "e1^e3", "2.5 * e1 - i * E", "0.5i * e2^e3", ...  Multivector
-and scalar output re-parses under the expression grammar.  A multivector's
-text reads back as itself: a part at most PRUNE_TOL, which the parser prunes
-on its own, prints as 0.  A scalar prints every nonzero part.  Qubit states use
-the same pieces with a ket label and a space, as in "i |10> - 0.5 |11>".
+and scalar output re-parses under the expression grammar, and reads back as
+itself: a part at most PRUNE_TOL, which the parser prunes on its own, prints
+as 0.  Qubit states use the same pieces with a ket label and a space, as in
+"i |10> - 0.5 |11>".
 `format_result` renders an evaluated expression as text, JSON or CSV.
 `Cells` renders each distinct cell of an output grid once.
 """
@@ -77,8 +77,8 @@ def pieces_to_text(items: Iterable[tuple[complex, str]], sep: str = " * ") -> st
 
 
 def _readable(c: complex) -> complex:
-    """A term's coefficient with each part at most PRUNE_TOL zeroed; as
-    |c| > PRUNE_TOL, only a c with two nonzero parts has one."""
+    """A coefficient with each part at most PRUNE_TOL zeroed; as a term's or
+    an ip(...) value's |c| > PRUNE_TOL, only a c with two nonzero parts has one."""
     re, im = c.real, c.imag
     if re and im and min(abs(re), abs(im)) <= PRUNE_TOL:
         return complex(re if abs(re) > PRUNE_TOL else 0.0, im if abs(im) > PRUNE_TOL else 0.0)
@@ -91,8 +91,8 @@ def multivector_to_text(a: Multivector) -> str:
 
 
 def scalar_to_text(value: complex) -> str:
-    """A bare complex scalar in the same piece notation, never pruned."""
-    return pieces_to_text(((value, "1"),))
+    """A bare complex scalar in the same piece notation, printed as a term's coefficient."""
+    return pieces_to_text(((_readable(value), "1"),))
 
 
 def format_result(value: Multivector | complex, fmt: str) -> str:

@@ -160,7 +160,9 @@ ROWS = {
     "multivector.mask_from_indices": (multivector.mask_from_indices, (D, (1, 3)), ("dim", "indices")),
     "multivector.indices_from_mask": (multivector.indices_from_mask, (5,), (("mask", MAX_DIM),)),
     "multivector.merge_sign": trusted("the sign of every pair in the dict kernels"),
-    "multivector.hodge_blade": trusted("the star of every blade in hodge and dense._star_signs"),
+    "multivector.star_sign": trusted(
+        "the star sign of every blade in hodge, hodge_inverse and dense._star_signs"
+    ),
     "multivector.Multivector": (Multivector, (D, {1: 1}), ("dim", "terms")),
     "multivector.Multivector.zero": (Multivector.zero, (D,), ("dim",)),
     "multivector.Multivector.scalar": (Multivector.scalar, (D, 2.5), ("dim", "coeff")),

@@ -1,12 +1,17 @@
-"""The folded sparse kernels against the duality compositions they fold.
+"""The folded sparse kernels against the duality compositions they fold,
+and the closed-form signs against the loops they replace.
 
 The dict `vee`, `hodge_inverse` and `scalar_product` each multiply the ±1
 factors of the duality route into one sign per blade pair.  The routes they
 replace stay here as oracles: the folded kernels must give the same floats,
 bit for bit (compared by `float.hex`), up to the sign of a zero part.
+`merge_sign`, `star_sign`, `hodge` and `hodge_inverse` are checked against
+the bit-walking loops they were, signed zeros included.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given
@@ -17,12 +22,37 @@ from excalc.multivector import (
     Multivector,
     conjugate,
     hodge,
-    hodge_blade,
     hodge_inverse,
     indices_from_mask,
     merge_sign,
     scalar_product,
+    star_sign,
 )
+
+
+def walked_merge_sign(a: int, b: int) -> int:
+    """The merge sign as a walk over b's bits, counting a's bits above each:
+    the loop `merge_sign` was before its prefix-parity form, kept as an oracle."""
+    inv = 0
+    t = b
+    while t:
+        low = t & -t
+        inv += (a >> low.bit_length()).bit_count()
+        t ^= low
+    return -1 if inv & 1 else 1
+
+
+def walked_star(a: Multivector, inverse: bool = False) -> Multivector:
+    """hodge, or with inverse hodge_inverse, as the loops they were: blade s
+    goes to its complement with the walked merge sign of (s, complement), or
+    of (complement, s)."""
+    full = (1 << a.d) - 1
+    out: dict[int, complex] = {}
+    for s, c in a:
+        comp = full ^ s
+        sign = walked_merge_sign(comp, s) if inverse else walked_merge_sign(s, comp)
+        out[comp] = out.get(comp, 0j) + sign * c
+    return multivector._result(a.d, out)
 
 
 def index_sum_star_sign(mask: int) -> int:
@@ -47,11 +77,12 @@ def duality_vee(a: Multivector, b: Multivector) -> Multivector:
     return duality_hodge_inverse(multivector._wedge_dict(hodge(a), hodge(b)))
 
 
-def bits(x) -> tuple:
-    """Exact value of a multivector or a complex; -0.0 and 0.0 read alike."""
+def bits(x, zero: float = 0.0) -> tuple:
+    """Exact value of a multivector or a complex; -0.0 and 0.0 read alike,
+    unless zero is -0.0, which keeps the sign of every zero part."""
     if isinstance(x, Multivector):
-        return (x.d, sorted((m, bits(c)) for m, c in x))
-    return ((x.real + 0.0).hex(), (x.imag + 0.0).hex())
+        return (x.d, sorted((m, bits(c, zero)) for m, c in x))
+    return ((x.real + zero).hex(), (x.imag + zero).hex())
 
 
 # parts in (-2, 2) as in the seeded draws, plus values at the pruning edge and
@@ -108,13 +139,36 @@ def test_folded_scalar_product_is_the_duality_route(pair):
     assert bits(scalar_product(a, b)) == bits(duality_vee(conjugate(a), hodge(b)).coeff_mask(0))
 
 
-@pytest.mark.parametrize("d", range(1, 11))
+@given(operand_pairs())
+def test_hodge_and_its_inverse_are_the_walked_loops(pair):
+    a, _ = pair
+    assert bits(hodge(a), -0.0) == bits(walked_star(a), -0.0)
+    assert bits(hodge_inverse(a), -0.0) == bits(walked_star(a, inverse=True), -0.0)
+
+
+@pytest.mark.parametrize("d", range(1, 17))
 def test_star_sign_is_the_index_sum_formula(d):
-    """Every blade of d <= 10: the merge sign that makes blade ^ star = E is
-    the index-sum sign."""
-    full = (1 << d) - 1
-    for mask in range(full + 1):
-        assert hodge_blade(d, mask) == (index_sum_star_sign(mask), full ^ mask)
+    """The closed form is the index-sum sign on every mask whose top mode is
+    e_d, the empty mask at d = 1: the 16 rows cover all 2^16 masks once."""
+    for mask in range(0 if d == 1 else 1 << d - 1, 1 << d):
+        assert star_sign(mask) == index_sum_star_sign(mask)
+
+
+def test_merge_sign_is_the_walked_count_on_every_disjoint_pair_of_8_modes():
+    for s in range(1 << 8):
+        for t in range(1 << 8):
+            if not s & t:
+                assert merge_sign(s, t) == walked_merge_sign(s, t)
+
+
+def test_merge_sign_is_the_walked_count_at_the_top_mode():
+    """Seeded disjoint pairs at d = 16 in which one side holds e16."""
+    rng = random.Random(2600)
+    for _ in range(5000):
+        s = rng.getrandbits(16) | 1 << 15
+        t = rng.getrandbits(16) & ~s
+        assert merge_sign(s, t) == walked_merge_sign(s, t)
+        assert merge_sign(t, s) == walked_merge_sign(t, s)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -125,13 +179,13 @@ def test_one_merge_sign_is_the_four_duality_signs(d):
     full = (1 << d) - 1
     pairs = 0
     for s in range(full + 1):
-        star_s, comp_s = hodge_blade(d, s)
+        star_s, comp_s = star_sign(s), full ^ s
         for t in range(full + 1):
             if s | t != full:
                 continue
-            star_t, comp_t = hodge_blade(d, t)
+            star_t, comp_t = star_sign(t), full ^ t
             joined = comp_s | comp_t
-            star_u, u = hodge_blade(d, joined)
+            star_u, u = star_sign(joined), full ^ joined
             inverse = double_star_sign(d, joined) * star_u
             assert u == s & t
             folded = merge_sign(full ^ t, full ^ s)

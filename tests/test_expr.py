@@ -169,8 +169,9 @@ def test_format_parse_round_trip_random():
 
 # Parts at, just above and below PRUNE_TOL, signed zeros, ordinary values and
 # magnitudes up to 1e300.
+_EDGE_PARTS = (0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2e-12)
 _PARTS = st.one_of(
-    st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2e-12]),
+    st.sampled_from(_EDGE_PARTS),
     st.floats(-2, 2, exclude_min=True, exclude_max=True),
     st.floats(-1e300, 1e300),
 )
@@ -188,6 +189,33 @@ def test_multivector_text_reads_back_as_itself(value):
     # a part at most PRUNE_TOL prints as 0, since the parser prunes it on its own
     text = format_result(value, "text")
     assert format_result(evaluate_text(text, Environment(value.d)), "text") == text
+
+
+@st.composite
+def ip_sources(draw):
+    """(d, "ip(a, b)") for a and b of one step k at d = 1..6, with parts
+    whose products stay finite."""
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(0, d))
+    blades = st.sampled_from([m for m in range(1 << d) if m.bit_count() == k])
+    parts = st.one_of(
+        st.sampled_from(_EDGE_PARTS),
+        st.floats(-2, 2, exclude_min=True, exclude_max=True),
+        st.floats(-1e100, 1e100),
+    )
+    terms = st.dictionaries(blades, st.builds(complex, parts, parts), max_size=4)
+    a = Multivector(d, draw(terms))
+    b = Multivector(d, draw(terms))
+    return d, f"ip({a}, {b})"
+
+
+@example((2, "ip(e1 + 1e-7i * e2, e1 + 1e-7 * e2)"))
+@settings(max_examples=200)
+@given(ip_sources())
+def test_root_scalar_text_reads_back_as_itself(case):
+    d, source = case
+    text = format_result(evaluate_text(source, Environment(d)), "text")
+    assert format_result(evaluate_text(text, Environment(d)), "text") == text
 
 
 _ANY_STATE = _ANY_MV.map(lambda a: QubitState(a.d, a.terms()))

@@ -478,9 +478,9 @@ def test_text_form_basics():
 
 @pytest.mark.parametrize(
     "value, text",
-    [(1e-13, "1e-13"), (-1, "-1"), (-1j, "-i"), (0, "0"), (-2.5 + 1j, "-2.5 + i")],
+    [(1e-13, "1e-13"), (-1, "-1"), (-1j, "-i"), (0, "0"), (-2.5 + 1j, "-2.5 + i"), (1 - 1e-14j, "1")],
 )
-def test_scalar_text_is_not_pruned(value, text):
+def test_scalar_text_drops_only_a_tiny_part_beside_a_larger_one(value, text):
     assert scalar_to_text(complex(value)) == text
 
 

@@ -281,13 +281,8 @@ def test_passing_report_text_is_pinned():
 
 
 def test_verification_catches_a_flipped_star_sign(monkeypatch):
-    true_hodge_blade = core.hodge_blade
-
-    def flipped(d, mask):
-        sign, comp = true_hodge_blade(d, mask)
-        return -sign, comp
-
-    monkeypatch.setattr(core, "hodge_blade", flipped)
+    true_star_sign = core.star_sign
+    monkeypatch.setattr(core, "star_sign", lambda mask: -true_star_sign(mask))
     failed = {r.name for r in run_verification(trials=5) if not r.passed}
     # the star's sign shows in the complement tables, the one-hole fill and
     # the star-duality relations
@@ -364,13 +359,12 @@ def test_verification_catches_one_wrong_qubit_cell(monkeypatch):
 
 
 def test_verification_catches_one_wrong_star_sign(monkeypatch):
-    true_hodge_blade = core.hodge_blade
+    true_star_sign = core.star_sign
 
-    def flipped(d, mask):
-        sign, comp = true_hodge_blade(d, mask)
-        return (-sign if (d, mask) == (3, 0b101) else sign), comp
+    def flipped(mask):
+        return -true_star_sign(mask) if mask == 0b101 else true_star_sign(mask)
 
-    monkeypatch.setattr(core, "hodge_blade", flipped)
+    monkeypatch.setattr(core, "star_sign", flipped)
     failed = {r.name: r.detail for r in run_verification(trials=5) if not r.passed}
     assert failed["complement-table-d3"] == "*(e1^e3) at d=3: got e2, want -e2"
     assert "complement-table-d2" not in failed
