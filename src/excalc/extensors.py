@@ -4,8 +4,8 @@ An extensor x_1^...^x_k is kept unexpanded as its k factor vectors.  This
 module expands a factor list into its multivector as the wedge of its
 factors, enumerates signed splits of the factor list, evaluates the
 regressive product as the two split sums (cross-checked elsewhere against the
-duality route), and answers subspace questions (rank, intersection
-dimension, decomposability) and determinants with plain Gaussian elimination.
+duality route), answers rank, intersection dimension and determinants with
+plain Gaussian elimination, and decomposability with joins and `expand`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .errors import DimensionError, GradeError, SchemaError
 from .multivector import SINGULAR_TOL, Multivector, _json_coeff, _Record, _result
-from .multivector import basis_vector, combine, hodge, merge_sign, step_of, vee, wedge
+from .multivector import combine, hodge, merge_sign, mv_equal_approx, step_of, vee, wedge
 from .multivector import check_coeff, check_dim, check_index, check_same_dim, check_step
 
 Vector = tuple[complex, ...]
@@ -265,19 +265,18 @@ def span_covers(d: int, u: Sequence[Vector], w: Sequence[Vector]) -> bool:
 
 
 def is_decomposable(a: Multivector) -> bool:
-    """Annihilator test: a nonzero step-k element is one factor product
-    exactly when {v : v ^ a = 0} has dimension k."""
+    """Plücker test on b = a / a_S, S the blade of a's largest |coefficient|:
+    a nonzero step-k a is one factor product exactly when the k vectors
+    f_j = b v *e_(S without j), its joins with hole states for the modes j of
+    S in ascending order, give f_1 ^ ... ^ f_k = (-1)^C(k,2) b.  b's largest
+    coefficient is 1, so that compare at PRUNE_TOL is relative to a's."""
     k = step_of(a)
     if a.is_zero() or k is None:
         raise GradeError("decomposability needs a nonzero homogeneous input")
     d = a.d
-    if k == d:
-        return True
-    image_blades = [m for m in range(1 << d) if m.bit_count() == k + 1]
-    blade_row = {m: i for i, m in enumerate(image_blades)}
-    rows = [[0j] * d for _ in image_blades]
-    for i in range(1, d + 1):
-        column = wedge(basis_vector(d, i), a)
-        for mask, c in column._terms.items():
-            rows[blade_row[mask]][i - 1] = c
-    return d - _eliminate(rows)[0] == k
+    top, peak = max(a._terms.items(), key=lambda term: abs(term[1]))
+    b = a * (1 / peak)
+    joins = (vee(b, hodge(_result(d, {top ^ (1 << j): 1 + 0j}))) for j in range(d) if top >> j & 1)
+    factors = tuple(tuple(f._terms.get(1 << i, 0j) for i in range(d)) for f in joins)
+    plucker = expand(ExtensorFactors._build(d, factors))
+    return mv_equal_approx(plucker, (-1) ** (k * (k - 1) // 2) * b)

@@ -21,12 +21,16 @@ from operator import attrgetter
 from .errors import DimensionError, GradeError, IndexRangeError, SchemaError
 
 MAX_DIM = 16
-# Absolute magnitude that counts as zero: stored terms, unit-coefficient
-# matches and default comparisons.
+# Absolute magnitude that counts as zero: stored terms, unit-coefficient matches and
+# default comparisons, as is_decomposable's on a copy scaled to peak 1 (so relative).
 PRUNE_TOL = 1e-12
 # Relative pivot threshold: a pivot at most this times the largest entry
 # (or 1) makes a determinant 0 and does not add to a rank.
 SINGULAR_TOL = 1e-12
+# Absolute tolerance of a randomized identity whose two sides are summed in
+# different orders (associativity, star duality, antisymmetry, the determinant
+# routes and the superposition examples); coefficient parts lie in (-2, 2).
+IDENTITY_TOL = 1e-10
 
 
 # ---- argument kinds: one checker each; a bool is never an int of these kinds ----

@@ -29,6 +29,7 @@ from .expr import Environment, evaluate_text
 from .extensors import ExtensorFactors, det_columns, expand, join_by_splits, triple_det
 from .fock import apply_annihilation, apply_creation, multi_annihilate, multi_create
 from .multivector import (
+    IDENTITY_TOL,
     Multivector,
     basis_vector,
     covector,
@@ -45,10 +46,6 @@ from .tables import table_rows
 from .textform import format_result
 
 DEFAULT_SEED = 1118
-# Absolute tolerance of a randomized identity whose two sides are summed in
-# different orders (associativity, star duality, antisymmetry, the determinant
-# routes and the superposition examples); coefficient parts lie in (-2, 2).
-IDENTITY_TOL = 1e-10
 
 
 # kind is "table" or "example"

@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from excalc import extensors
@@ -33,11 +33,16 @@ from excalc.multivector import (
     PRUNE_TOL,
     SINGULAR_TOL,
     Multivector,
+    basis_vector,
+    combine,
+    hodge,
+    indices_from_mask,
     mv_equal_approx,
+    step_of,
     vee,
     wedge,
 )
-from excalc.qubits import QubitState
+from excalc.qubits import QubitState, bits_to_mask, parse_basis_state
 from excalc.verify import random_coeff, random_factors, random_vector
 
 EPS = sys.float_info.epsilon
@@ -819,6 +824,123 @@ def test_decomposability_rejects_bad_inputs():
         is_decomposable(Multivector.zero(3))
     with pytest.raises(GradeError):
         is_decomposable(Multivector.vacuum(3) + Multivector.from_indices(3, (1,)))
+
+
+def annihilator_decomposable(a: Multivector) -> bool:
+    """The annihilator-rank `is_decomposable` that the Plücker test replaced,
+    kept as an oracle: a nonzero step-k element is one factor product
+    exactly when {v : v ^ a = 0} has dimension k."""
+    k = step_of(a)
+    if a.is_zero() or k is None:
+        raise GradeError("decomposability needs a nonzero homogeneous input")
+    d = a.d
+    if k == d:
+        return True
+    image_blades = [m for m in range(1 << d) if m.bit_count() == k + 1]
+    blade_row = {m: i for i, m in enumerate(image_blades)}
+    rows = [[0j] * d for _ in image_blades]
+    for i in range(1, d + 1):
+        column = wedge(basis_vector(d, i), a)
+        for mask, c in column._terms.items():
+            rows[blade_row[mask]][i - 1] = c
+    return d - _eliminate(rows)[0] == k
+
+
+def drawn_factors(rng: random.Random, d: int, k: int, gaussian: bool) -> ExtensorFactors:
+    """k factors of d components: Gaussian integers with parts in -3..3, or floats."""
+    if gaussian:
+        return gaussian_factors(rng, d, k)
+    return random_factors(rng, d, k)
+
+
+def drawn_step_k(rng: random.Random, d: int, k: int, gaussian: bool, products: int) -> Multivector:
+    """The sum of `products` expanded factor lists of step k."""
+    terms = ((1, expand(drawn_factors(rng, d, k, gaussian))) for _ in range(products))
+    return combine(Multivector.zero(d), terms)
+
+
+@st.composite
+def decomposability_cases(draw):
+    """A single product or a sum of two, Gaussian-integer or float, at
+    d = 1..8 and k = 0..d; a zero draw is discarded."""
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(0, d))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    a = drawn_step_k(rng, d, k, draw(st.booleans()), draw(st.integers(1, 2)))
+    assume(not a.is_zero())
+    return a
+
+
+@settings(max_examples=150)
+@given(decomposability_cases())
+def test_plucker_test_agrees_with_the_annihilator_rank(a):
+    assert is_decomposable(a) == annihilator_decomposable(a)
+
+
+@pytest.mark.parametrize("d", range(9, 13))
+def test_plucker_test_agrees_with_the_annihilator_rank_up_to_d12(d):
+    rng = random.Random(215 + d)
+    for products in (1, 2):
+        for gaussian in (True, False):
+            a = drawn_step_k(rng, d, rng.randint(2, d - 2), gaussian, products)
+            assert is_decomposable(a) == annihilator_decomposable(a) == (products == 1)
+
+
+@st.composite
+def full_rank_factor_lists(draw):
+    """Factor lists of rank k at d = 1..8, k = 0..d, Gaussian-integer or float."""
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(0, d))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    x = drawn_factors(rng, d, k, draw(st.booleans()))
+    assume(_column_rank(d, x.factors) == k)
+    return x
+
+
+@given(full_rank_factor_lists())
+def test_the_joins_with_hole_states_span_the_factors(x):
+    """The k vectors b v *e_(S without j) of a = expand(x), built here from
+    vee and hodge, span the same k-plane as x's factors."""
+    d, k = x.d, x.step
+    a = expand(x)
+    top, peak = max(a, key=lambda term: abs(term[1]))
+    b = a * (1 / peak)
+    rows = []
+    for j in indices_from_mask(top):
+        hole = hodge(Multivector(d, {top & ~(1 << (j - 1)): 1}))
+        f = vee(b, hole)
+        rows.append(tuple(f.coeff((i,)) for i in range(1, d + 1)))
+    assert _column_rank(d, rows) == k
+    assert intersection_dim(d, rows, x.factors) == k
+
+
+def kets(*bits: str) -> QubitState:
+    return QubitState(len(bits[0]), {bits_to_mask(parse_basis_state(b)): 1 for b in bits})
+
+
+def two_planes(x: complex, y: complex) -> Multivector:
+    """x e1^e2 + y e3^e4 at d = 4."""
+    return Multivector(4, {0b0011: x, 0b1100: y})
+
+
+@pytest.mark.parametrize(
+    "a, want",
+    [
+        *((Multivector.scalar(d, 2j), True) for d in range(1, 17)),
+        *((Multivector.top(d) * -3, True) for d in range(1, 17)),
+        (kets("1100", "0011"), False),
+        (kets("1100", "1010"), True),
+        # the threshold is relative to the largest coefficient
+        (two_planes(1, 1e-11), False),
+        (two_planes(1e3, 1e-11), True),
+        (two_planes(1e6, 1e-7), True),
+        (two_planes(1e6, 5e-6), False),
+        (two_planes(1e-6, 2e-12), False),
+    ],
+    ids=repr,
+)
+def test_decomposability_pins(a, want):
+    assert is_decomposable(a) is want
 
 
 # ---- serialization ------------------------------------------------------------------------------
