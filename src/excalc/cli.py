@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one expression")
     p_eval.add_argument("--dim", type=decimal, required=True)
-    p_eval.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p_eval.add_argument("--format", choices=TABLE_FORMATS, default="text")
     p_eval.add_argument(
         "--factors",
         action="append",

@@ -8,7 +8,8 @@ A dense operand is an array of 2^d complex coefficients indexed by blade
 mask.  The wedge sums sign(s, t) * A[s] * B[t] into s|t over the 3^d pairs of
 disjoint masks (signed disjoint-support subset convolution).  Up to
 TABLE_DIM modes one cached table lists those pairs, each with its
-`merge_sign`; above it the top mode e_d is split off,
+`merge_sign`, for the wedge to walk forwards and the vee backwards; above it
+the top mode e_d is split off,
     a^b = A0^B0 + (A0^B1 + A1^B0hat)^e_d   (B0hat: grade involution of B0),
 so no temporary outgrows the largest table.  On this layout the star
 complement is a reversal of the array, signed by `star_sign`.
@@ -46,18 +47,18 @@ def vee(a: Multivector, b: Multivector) -> Multivector:
 def _wedge_arrays(a, b, d: int, reverse: bool):
     """Dense wedge of two 2^d coefficient arrays.
 
-    reverse walks the pair table backwards; the dense vee uses it.  The star
-    reverses the mask order, so the reversed walk adds the products of a v b
-    in the order of the operands' own masks, the order in which the dense
-    wedge adds those of a ^ b.  A forward walk would make the dense vee
-    bit-equal to hodge_inverse(wedge(hodge(a), hodge(b))), but x ^ *x and
-    (x v *x) E would then add their products in different orders and drift
-    apart: the seeded identity run of the acceptance suite (seed 502, trial
-    855) meets 1.17e-10 at d=8, past IDENTITY_TOL.
+    reverse walks the one pair table backwards through `[::-1]` views; the
+    dense vee uses it.  The star reverses the mask order, so the reversed walk
+    adds the products of a v b in the order of the operands' own masks, the
+    order in which the dense wedge adds those of a ^ b.  A forward walk would
+    make the dense vee bit-equal to hodge_inverse(wedge(hodge(a), hodge(b))),
+    but x ^ *x and (x v *x) E would then add their products in different
+    orders and drift apart: the seeded identity run of the acceptance suite
+    (seed 502, trial 855) meets 1.17e-10 at d=8, past IDENTITY_TOL.
     """
     n = 1 << d
     if d <= TABLE_DIM:
-        s, t, u, sign = _pair_table(d, reverse)
+        s, t, u, sign = (x[::-1] if reverse else x for x in _pair_table(d))
         prod = a[s] * b[t]
         prod *= sign
         out = np.empty(n, complex)
@@ -74,14 +75,12 @@ def _wedge_arrays(a, b, d: int, reverse: bool):
 
 
 @cache
-def _pair_table(d: int, reverse: bool = False):
-    """(s, t, s|t, sign) over all disjoint mask pairs of d modes.
+def _pair_table(d: int):
+    """(s, t, s|t, sign) over all disjoint mask pairs of d modes, one table per d.
 
-    The zero cells of the grid s & t, row by row: (s, t) order, or its exact reverse.
+    The zero cells of the grid s & t, row by row, in (s, t) order; the vee walks them backwards.
     The sign is `merge_sign(s, t)`, from the same prefix parity of s.
     """
-    if reverse:
-        return tuple(_frozen(x[::-1].copy()) for x in _pair_table(d))
     masks = np.arange(1 << d, dtype=np.int16)
     s, t = np.nonzero(masks[:, None] & masks == 0)
     sign = _grade_signs(d)[_prefix_parity(s) & t]

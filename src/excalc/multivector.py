@@ -163,8 +163,8 @@ class _Value:
 class _Record(_Value):
     """An immutable _Value of two fields, `d` and one more.  Its constructor, a
     `__new__`, checks the arguments and returns `cls._build(d, field)`, made by
-    `_Record`; `_result` prunes and then builds.  Copy and pickle rebuild
-    through the constructor."""
+    `_Record`, the one place that sets the fields; every multivector kernel's
+    `_result` prunes and then builds.  Copy and pickle rebuild through the constructor."""
 
     __slots__ = ()
 
@@ -358,17 +358,12 @@ def _pruned(terms: dict[int, complex]) -> dict[int, complex]:
     return clean
 
 
-_set_d, _set_terms = Multivector.d.__set__, Multivector._terms.__set__
-
-
 def _result(d: int, terms: dict[int, complex]) -> Multivector:
-    """Multivector from a kernel's output, whose masks are in range and
-    whose values are complex by construction: the trusted build, which the
-    constructor calls after its dimension, mask and coefficient-type checks.
-    Every caller hands over a dict it just built: kept as it is when every
-    term is above PRUNE_TOL and finite, else copied by `_pruned`."""
-    out = object.__new__(Multivector)
-    _set_d(out, d)
+    """Multivector from a kernel's output, masks in range and values complex by
+    construction: the prune check, then the trusted build `Multivector._build`.
+    The constructor calls it after its dimension, mask and coefficient-type
+    checks.  Every caller hands over a dict it just built: kept as it is when
+    every term is above PRUNE_TOL and finite, else copied by `_pruned`."""
     try:
         for c in terms.values():
             if not PRUNE_TOL < abs(c) < math.inf:
@@ -376,8 +371,7 @@ def _result(d: int, terms: dict[int, complex]) -> Multivector:
                 break
     except OverflowError:  # no finite magnitude: _pruned names the term
         terms = _pruned(terms)
-    _set_terms(out, terms)
-    return out
+    return Multivector._build(d, terms)
 
 
 def combine(first: Multivector, rest: Iterable[tuple[int, Multivector]]) -> Multivector:

@@ -7,7 +7,8 @@ and scalar output re-parses under the expression grammar, and reads back as
 itself: a part at most PRUNE_TOL, which the parser prunes on its own, prints
 as 0.  Qubit states use the same pieces with a ket label and a space, as in
 "i |10> - 0.5 |11>".
-`format_result` renders an evaluated expression as text, JSON or CSV.
+`format_result` renders an evaluated expression as text, JSON or CSV; the CSV
+rows come from the terms, so a qubit state's CSV is its multivector's.
 `Cells` renders each distinct cell of an output grid once.
 """
 
@@ -18,8 +19,8 @@ from collections.abc import Iterable
 
 from .multivector import PRUNE_TOL, Multivector, indices_from_mask
 
-# The operations and output formats of the full pair tables, named here so
-# the CLI can offer them without importing `excalc.tables`.
+# The operations of the full pair tables and the output formats of those tables
+# and of `eval`, named here so the CLI can offer them without importing `excalc.tables`.
 TABLE_OPS = ("wedge", "vee", "pseudo-wedge", "pseudo-vee", "q-wedge", "q-vee")
 TABLE_FORMATS = ("text", "json", "csv")
 
@@ -96,15 +97,17 @@ def scalar_to_text(value: complex) -> str:
 
 
 def format_result(value: Multivector | complex, fmt: str) -> str:
+    if fmt not in TABLE_FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
     if isinstance(value, Multivector):
         if fmt == "json":
             return json.dumps(value.to_json(), indent=2)
         if fmt == "csv":
+            terms = value._terms
             lines = ["blade,re,im"]
-            data = value.to_json()
-            for term in data["terms"]:
-                blade = "^".join(f"e{i}" for i in term["blade"]) or "1"
-                lines.append(f"{blade},{term['re']!r},{term['im']!r}")
+            for m in value.sorted_masks():
+                blade = "^".join(f"e{i}" for i in indices_from_mask(m)) or "1"
+                lines.append(f"{blade},{terms[m].real!r},{terms[m].imag!r}")
             return "\n".join(lines)
         return value.to_text()
     if fmt == "json":

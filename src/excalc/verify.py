@@ -35,6 +35,7 @@ from .multivector import (
     covector,
     hodge,
     hodge_inverse,
+    indices_from_mask,
     mv_equal_approx,
     scalar_product,
     vee,
@@ -439,8 +440,8 @@ def check_ladder_maps() -> CheckResult:
     coeff = emptied.coeff((2, 3))
     if len(emptied) != 1 or abs(coeff) != 1.0:
         failures.append("annihilation string on the top blade")
-    for masks in range(1 << d):
-        indices = [i + 1 for i in range(d) if masks >> i & 1]
+    for mask in range(1 << d):
+        indices = list(indices_from_mask(mask))
         got = multi_create(indices, Multivector.vacuum(d))
         if got != Multivector.from_indices(d, indices):
             failures.append(f"creation string for {indices}")

@@ -140,15 +140,27 @@ def test_dense_float_bits_are_pinned():
 @pytest.mark.parametrize("d", range(1, 10))
 @pytest.mark.parametrize("reverse", [False, True])
 def test_pair_table_lists_each_disjoint_pair_with_its_merge_sign(d, reverse):
-    s, t, u, sign = dense._pair_table(d, reverse)
+    """The one table per d, and the reversed views of it that the dense vee walks."""
+    s, t, u, sign = dense._pair_table(d)
     pairs = [(x, y) for x in range(1 << d) for y in range(1 << d) if not x & y]
     if reverse:
+        s, t, u, sign = s[::-1], t[::-1], u[::-1], sign[::-1]
         pairs.reverse()
     assert list(zip(s.tolist(), t.tolist())) == pairs
     assert (u == s | t).all()
     assert sign.tolist() == [walked_merge_sign(x, y) for x, y in pairs]
     assert s.dtype == t.dtype == u.dtype == np.intp and sign.dtype == np.float64
     assert not any(x.flags.writeable for x in (s, t, u, sign))
+
+
+@pytest.mark.parametrize("d", [6, 9])
+def test_dense_wedge_and_vee_share_one_pair_table(d):
+    rng = random.Random(2300 + d)
+    a, b = random_operand(rng, d, 1 << d), random_operand(rng, d, 1 << d)
+    dense._pair_table.cache_clear()
+    dense.wedge(a, b)
+    dense.vee(a, b)
+    assert dense._pair_table.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("d", range(1, 11))

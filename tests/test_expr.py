@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 import subprocess
@@ -32,6 +33,7 @@ from excalc.expr import (
     tokenize,
 )
 from excalc.multivector import (
+    PRUNE_TOL,
     Multivector,
     basis_vector,
     combine,
@@ -231,6 +233,46 @@ _ANY_FACTORS = st.integers(1, 10).flatmap(
 def test_json_forms_come_back_equal(value):
     data = json.loads(json.dumps(value.to_json()))
     assert type(value).from_json(data) == value
+
+
+def csv_through_json(value: Multivector) -> str:
+    """Oracle: the CSV rows as `format_result` once built them, by re-reading
+    the dict of `Multivector.to_json()`."""
+    lines = ["blade,re,im"]
+    data = value.to_json()
+    for term in data["terms"]:
+        blade = "^".join(f"e{i}" for i in term["blade"]) or "1"
+        lines.append(f"{blade},{term['re']!r},{term['im']!r}")
+    return "\n".join(lines)
+
+
+# as _PARTS, with the next float above PRUNE_TOL and d up to 12
+_CSV_PARTS = st.one_of(st.sampled_from((math.nextafter(PRUNE_TOL, 1.0), -0.0)), _PARTS)
+_CSV_MV = st.integers(1, 12).flatmap(
+    lambda d: st.dictionaries(
+        st.integers(0, (1 << d) - 1), st.builds(complex, _CSV_PARTS, _CSV_PARTS), max_size=8
+    ).map(lambda terms: Multivector(d, terms))
+)
+
+
+@settings(max_examples=200)
+@given(_CSV_MV)
+def test_csv_rows_are_the_json_terms_byte_for_byte(value):
+    assert format_result(value, "csv") == csv_through_json(value)
+    # a qubit state's CSV is its multivector's
+    assert format_result(QubitState(value.d, value.terms()), "csv") == csv_through_json(value)
+
+
+def test_qubit_state_csv_is_pinned():
+    state = QubitState(2, {1: 1, 2: 2j})
+    assert format_result(state, "csv") == "blade,re,im\ne1,1.0,0.0\ne2,0.0,2.0"
+
+
+@pytest.mark.parametrize("fmt", ["yaml", "", "JSON", None])
+@pytest.mark.parametrize("value", [basis_vector(2, 1), QubitState(2, {1: 1}), 1j])
+def test_format_result_rejects_an_unknown_format(value, fmt):
+    with pytest.raises(ValueError, match=f"^unknown format {re.escape(repr(fmt))}$"):
+        format_result(value, fmt)
 
 
 def test_fuzz_smoke():
