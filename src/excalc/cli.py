@@ -19,7 +19,8 @@ first called, and the command functions call them through these names, so a
 caller can wrap or replace them here.  A replacement returns what the real
 function returns: for `operator_matrix`, plain lists of Python complex, no
 part of them a negative zero.  `fock` and `table` render each distinct cell
-once, through `textform.Cells`, keyed by value.
+once, through `textform.Cells`, keyed by value (a table cell by its
+product's blade and sign).
 """
 
 from __future__ import annotations

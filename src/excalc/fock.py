@@ -13,10 +13,12 @@ daggered string) left to right.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import partial
 
 from .errors import DimensionError
 from .multivector import (
     Multivector,
+    _blade_images,
     all_blades,
     basis_vector,
     check_dim,
@@ -57,7 +59,12 @@ def multi_annihilate(indices: Iterable[int], a: Multivector) -> Multivector:
 
 
 def operator_matrix(d: int, kind: str, i: int) -> list[list[complex]]:
-    """2^d rows of 2^d complex entries: one ladder operator in (step, index) blade order."""
+    """2^d rows of 2^d complex entries: one ladder operator in (step, index) blade order.
+
+    A ladder operator sends each blade to +-1 times a blade or to 0, and
+    distinct blades to distinct blades, so one call on the tagged sum of all
+    blades (`multivector._blade_images`) gives every column.
+    """
     check_dim(d)
     if d > MATRIX_MAX_DIM:
         raise DimensionError(f"matrix form limited to d <= {MATRIX_MAX_DIM}")
@@ -67,11 +74,10 @@ def operator_matrix(d: int, kind: str, i: int) -> list[list[complex]]:
         op = apply_annihilation
     else:
         raise ValueError(f"unknown ladder kind {kind!r}")
-    basis = all_blades(d)
-    index_of = {mask: col for col, mask in enumerate(basis)}
-    matrix = [[0j] * (1 << d) for _ in basis]
-    for col, mask in enumerate(basis):
-        image = op(i, Multivector(d, {mask: 1 + 0j}))
-        for out_mask, c in image._terms.items():
-            matrix[index_of[out_mask]][col] = c
+    index_of = {mask: row for row, mask in enumerate(all_blades(d))}
+    matrix = [[0j] * (1 << d) for _ in index_of]
+    (image,) = _blade_images(d, [partial(op, i)])
+    for col, hit in enumerate(image):
+        if hit is not None:
+            matrix[index_of[hit[0]]][col] = hit[1]
     return matrix

@@ -412,6 +412,28 @@ def all_blades(d: int) -> list[int]:
     return sorted(range(1 << check_dim(d)), key=_canonical)
 
 
+def _blade_images(d: int, maps: Iterable, cls: type = Multivector) -> list[list]:
+    """The image of every basis blade under each map, from one call of the map.
+
+    Each map must be linear, send each blade to +-1 times a blade or to 0, and
+    send distinct blades to distinct blades.  It is called once, on the `cls`
+    sum of all 2^d blades with blade number n (in `all_blades` order) tagged
+    by the exact coefficient n + 1, a sum built once for all the maps; each
+    output term (u, c) then names its source blade by |c| - 1 and its sign by
+    c / |c|.  Per map, a list whose entry n is (u, c / |c|), where blade n
+    goes, or None where it goes to 0.
+    """
+    tagged = cls._build(d, {m: complex(n + 1) for n, m in enumerate(all_blades(d))})
+    images = []
+    for f in maps:
+        image = [None] * (1 << d)
+        for u, c in f(tagged)._terms.items():
+            size = abs(c)
+            image[int(size) - 1] = (u, c / size)
+        images.append(image)
+    return images
+
+
 # ---- the three exterior operations ------------------------------------------
 
 

@@ -4,6 +4,13 @@ Rows list all ordered pairs of basis elements (blades, subsets, or qubit
 basis states) in (step, index) order with the operation result in the last
 column, the same tall layout the reference tables use.  Partial set
 operations leave an empty cell where they are undefined.
+
+A table makes one product call per row, not one per pair: the row's basis
+element times the tagged sum of all basis elements, read back by
+`multivector._blade_images` as the blade and sign each partner lands on.
+Each cell is keyed by that hit, (blade, sign) or None for a zero product,
+and each distinct hit is rendered once; a set-gate cell applies
+`m_inverse`'s domain rule to its hit.
 """
 
 from __future__ import annotations
@@ -11,42 +18,48 @@ from __future__ import annotations
 import csv
 import io
 import json
+from functools import partial
+from itertools import repeat
 
-from .boolean_gates import all_subsets, pseudo_vee, pseudo_wedge
+from .boolean_gates import m_inverse
 from .errors import DimensionError
-from .multivector import Multivector, all_blades, check_dim, vee, wedge
+from .multivector import Multivector, _blade_images, all_blades, check_dim, vee, wedge
 from .qubits import QubitState, q_vee, q_wedge
 from .textform import TABLE_FORMATS, TABLE_OPS, Cells  # noqa: F401 (TABLE_OPS is re-exported)
 
 TABLE_MAX_DIM = 6
 
 
-def _blades(d: int) -> list[Multivector]:
-    return [Multivector(d, {m: 1.0}) for m in all_blades(d)]
-
-
-def _kets(d: int) -> list[QubitState]:
-    return [QubitState(d, {m: 1.0}) for m in all_blades(d)]
+def _subset_text(value: Multivector) -> str:
+    """The subset whose blade the value is, or "" off the domain."""
+    s = m_inverse(value)
+    return "" if s is None else s.to_text()
 
 
 def table_rows(op: str, d: int) -> list[tuple[str, str, str]]:
     check_dim(d)
     if d > TABLE_MAX_DIM:
         raise DimensionError(f"full tables limited to d <= {TABLE_MAX_DIM}")
-    tables = {  # op -> (basis operands in (step, index) order, binary op)
-        "wedge": (_blades, wedge),
-        "vee": (_blades, vee),
-        "pseudo-wedge": (all_subsets, pseudo_wedge),
-        "pseudo-vee": (all_subsets, pseudo_vee),
-        "q-wedge": (_kets, q_wedge),
-        "q-vee": (_kets, q_vee),
+    tables = {  # op -> (class of the basis elements, their product, the text of a value)
+        "wedge": (Multivector, wedge, Multivector.to_text),
+        "vee": (Multivector, vee, Multivector.to_text),
+        "pseudo-wedge": (Multivector, wedge, _subset_text),
+        "pseudo-vee": (Multivector, vee, _subset_text),
+        "q-wedge": (QubitState, q_wedge, QubitState.to_text),
+        "q-vee": (QubitState, q_vee, QubitState.to_text),
     }
     if op not in tables:
         raise ValueError(f"unknown table op {op!r}")
-    basis, fn = tables[op]
-    labelled = [(x, x.to_text()) for x in basis(d)]
-    cells = Cells(lambda r: "" if r is None else r.to_text())
-    return [(la, lb, cells[fn(a, b)]) for a, la in labelled for b, lb in labelled]
+    cls, product, show = tables[op]
+    basis = [cls._build(d, {m: 1 + 0j}) for m in all_blades(d)]
+    # a basis element shows as its own label: a set gate's is its subset
+    labels = [show(x) for x in basis]
+    cells = Cells(lambda hit: show(cls._build(d, {} if hit is None else {hit[0]: hit[1]})))
+    rows = []
+    images = _blade_images(d, [partial(product, a) for a in basis], cls)
+    for label, image in zip(labels, images):
+        rows.extend(zip(repeat(label), labels, map(cells.__getitem__, image)))
+    return rows
 
 
 def table_command(op: str, d: int, fmt: str = "text") -> str:

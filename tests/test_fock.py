@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from excalc import fock
 from excalc.errors import DimensionError, IndexRangeError
 from excalc.fock import (
     MATRIX_MAX_DIM,
@@ -95,6 +96,38 @@ def test_ladder_matrices_are_exact_signed_partial_permutations():
                 # every blade without mode i, and only those, has an image
                 assert sum(map(len, columns)) == 1 << (d - 1)
             assert killed == [list(column) for column in zip(*created)]
+
+
+def per_column_matrix(d: int, kind: str, i: int) -> list[list[complex]]:
+    """The oracle: one ladder call per column, on that column's blade."""
+    op = {"create": apply_creation, "annihilate": apply_annihilation}[kind]
+    basis = all_blades(d)
+    index_of = {mask: col for col, mask in enumerate(basis)}
+    matrix = [[0j] * (1 << d) for _ in basis]
+    for col, mask in enumerate(basis):
+        image = op(i, Multivector(d, {mask: 1 + 0j}))
+        for out_mask, c in image._terms.items():
+            matrix[index_of[out_mask]][col] = c
+    return matrix
+
+
+def test_operator_matrix_equals_the_per_column_images():
+    for d in range(1, MATRIX_MAX_DIM + 1):
+        for kind in ("create", "annihilate"):
+            for i in range(1, d + 1):
+                assert operator_matrix(d, kind, i) == per_column_matrix(d, kind, i), (d, kind, i)
+
+
+@pytest.mark.parametrize("kind", ["create", "annihilate"])
+def test_a_matrix_makes_one_product_call(monkeypatch, kind):
+    calls = []
+    for name in ("wedge", "vee"):
+        product = getattr(fock, name)
+        monkeypatch.setattr(fock, name, lambda a, b, product=product: calls.append(b) or product(a, b))
+    for d in range(1, MATRIX_MAX_DIM + 1):
+        calls.clear()
+        operator_matrix(d, kind, d)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -91,6 +91,8 @@ def loaded_after(
         pytest.param(
             ["table", "--op", "q-vee", "--dim", "2", "--format", "csv"], "", TABLE, id="table"
         ),
+        # one product per row, each of 64 pairs: the dict kernel, no numpy
+        pytest.param(["table", "--op", "pseudo-vee", "--dim", "6"], "", TABLE, id="table-d6"),
         pytest.param(["repl", "--dim", "3"], ":let x = e1 + e2\nx ^ e3\n", [], id="repl"),
         pytest.param(
             ["repl", "--dim", "3"], ":let x = e1 + e2\nx ^ e3\n:table wedge\n", TABLE,
@@ -110,6 +112,11 @@ def loaded_after(
         pytest.param(
             ["fock", "--matrix", "create:1", "--dim", "2"], "", ["excalc.fock"],
             id="fock",
+        ),
+        # one product of 256 pairs, at the bound past which the dense kernel may pay
+        pytest.param(
+            ["fock", "--matrix", "annihilate:8", "--dim", "8"], "", ["excalc.fock"],
+            id="fock-d8",
         ),
         pytest.param(
             ["verify-paper"], "", ["excalc.verify", "excalc.extensors", *TABLE, "excalc.fock"],

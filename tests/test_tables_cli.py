@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 import excalc.multivector as core
 from excalc import cli, fock, tables, verify
+from excalc.boolean_gates import all_subsets, pseudo_vee, pseudo_wedge
 from excalc.errors import DimensionError
 from excalc.expr import Environment, evaluate_text
-from excalc.qubits import QubitState
+from excalc.qubits import QubitState, q_vee, q_wedge
 from excalc.tables import TABLE_OPS, table_command, table_rows
 from excalc.verify import format_report, run_verification
 
@@ -188,6 +189,56 @@ def test_table_json_is_the_indented_dump_of_its_rows(op):
     assert table_command(op, 2, "json") == want
 
 
+def per_pair_rows(op: str, d: int) -> list[tuple[str, str, str]]:
+    """The oracle: one product call per pair, each result rendered on its own."""
+    blades = lambda d: [core.Multivector(d, {m: 1.0}) for m in core.all_blades(d)]
+    kets = lambda d: [QubitState(d, {m: 1.0}) for m in core.all_blades(d)]
+    basis, fn = {
+        "wedge": (blades, core.wedge),
+        "vee": (blades, core.vee),
+        "pseudo-wedge": (all_subsets, pseudo_wedge),
+        "pseudo-vee": (all_subsets, pseudo_vee),
+        "q-wedge": (kets, q_wedge),
+        "q-vee": (kets, q_vee),
+    }[op]
+    labelled = [(x, x.to_text()) for x in basis(d)]
+    show = lambda r: "" if r is None else r.to_text()
+    return [(la, lb, show(fn(a, b))) for a, la in labelled for b, lb in labelled]
+
+
+@pytest.mark.parametrize("op", TABLE_OPS)
+def test_table_rows_equal_the_per_pair_products(op):
+    for d in range(1, tables.TABLE_MAX_DIM + 1):
+        assert table_rows(op, d) == per_pair_rows(op, d), d
+
+
+# the product each table calls, by its name in `excalc.tables`
+TABLE_PRODUCTS = {
+    "wedge": "wedge",
+    "vee": "vee",
+    "pseudo-wedge": "wedge",
+    "pseudo-vee": "vee",
+    "q-wedge": "q_wedge",
+    "q-vee": "q_vee",
+}
+
+
+@pytest.mark.parametrize("op", TABLE_OPS)
+def test_a_table_makes_one_product_call_per_row(monkeypatch, op):
+    calls = []
+    product = getattr(tables, TABLE_PRODUCTS[op])
+
+    def counted(a, b):
+        calls.append(a)
+        return product(a, b)
+
+    monkeypatch.setattr(tables, TABLE_PRODUCTS[op], counted)
+    for d in range(1, tables.TABLE_MAX_DIM + 1):
+        calls.clear()
+        table_rows(op, d)
+        assert len(calls) == 1 << d
+
+
 def test_table_rows_render_each_distinct_result_once(monkeypatch):
     calls = []
     to_text = core.Multivector.to_text
@@ -325,36 +376,58 @@ def test_ladder_check_names_the_failing_relations(monkeypatch, patches, detail):
     assert result.detail == detail
 
 
-def _break_one_cell(monkeypatch, op_name: str, pair: tuple[str, str], change):
-    """Patch one table op of `excalc.tables` so that `change` rewrites its
-    result on one labelled pair."""
+def _break_one_row(monkeypatch, op_name: str, left: str, change):
+    """Patch one product of `excalc.tables` so that `change` rewrites the
+    product of one table row, the row whose basis element prints as `left`."""
     true_op = getattr(tables, op_name)
 
     def patched(a, b):
         result = true_op(a, b)
-        return change(result) if (a.to_text(), b.to_text()) == pair else result
+        return change(result) if a.to_text() == left else result
 
     monkeypatch.setattr(tables, op_name, patched)
 
 
 def test_verification_catches_one_wrong_pseudo_cell(monkeypatch):
-    _break_one_cell(monkeypatch, "pseudo_vee", ("{1,2}", "{1}"), lambda result: None)
+    # the set gates and the meet/join table share vee's rows: drop the {1}
+    # term of the E row, the cell ({1,2}, {1})
+    def dropped(product):
+        return core.Multivector(product.d, {m: c for m, c in product if m != 0b01})
+
+    _break_one_row(monkeypatch, "vee", "E", dropped)
     failed = [r for r in run_verification(trials=5) if not r.passed]
-    assert [r.name for r in failed] == ["partial-set-gate-table-d2"]
-    assert failed[0].detail == (
+    assert [r.name for r in failed] == ["meet-join-table-d2", "partial-set-gate-table-d2"]
+    assert failed[0].detail == "vee E,e1: got ('E', 'e1', '0'), want ('E', 'e1', 'e1')"
+    assert failed[1].detail == (
         "pseudo-vee {1,2},{1}: got ('{1,2}', '{1}', ''), want ('{1,2}', '{1}', '{1}')"
     )
 
 
 def test_verification_catches_one_wrong_qubit_cell(monkeypatch):
     def negated(state):
-        return QubitState(state.d, {m: -c for m, c in state})
+        return QubitState(state.d, {m: -c if m == 0b11 else c for m, c in state})
 
-    _break_one_cell(monkeypatch, "q_wedge", ("|01>", "|10>"), negated)
+    _break_one_row(monkeypatch, "q_wedge", "|01>", negated)
     failed = [r for r in run_verification(trials=5) if not r.passed]
     assert [r.name for r in failed] == ["qubit-gate-table-d2"]
     assert failed[0].detail == (
         "q-wedge |01>,|10>: got ('|01>', '|10>', '|11>'), want ('|01>', '|10>', '-|11>')"
+    )
+
+
+def test_verification_catches_a_domain_rule_that_drops_the_sign(monkeypatch):
+    # a one-term product maps to its subset whatever its sign
+    true_m_inverse = tables.m_inverse
+
+    def signless(product):
+        return true_m_inverse(core.Multivector(product.d, {m: 1 for m, _ in product}))
+
+    monkeypatch.setattr(tables, "m_inverse", signless)
+    failed = [r for r in run_verification(trials=5) if not r.passed]
+    assert [r.name for r in failed] == ["partial-set-gate-table-d2"]
+    assert failed[0].detail == (
+        "pseudo-wedge {2},{1}: got ('{2}', '{1}', '{1,2}'), want ('{2}', '{1}', ''); "
+        "pseudo-vee {2},{1}: got ('{2}', '{1}', '{}'), want ('{2}', '{1}', '')"
     )
 
 
