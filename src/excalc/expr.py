@@ -14,9 +14,13 @@ prefix operators (`*`, `~`, `-` and the `*` of `scalar *`), beyond which the
 parser raises ExprSyntaxError at the token that crosses the limit.  A
 numeric literal beyond the float range raises it at the literal.
 
+The lexer makes one regex match per token: the blanks before a token are
+lexed with it, and a token's column is that of its own first character.
 Tokens are named tuples, each built in one `tuple.__new__` call with all six
 fields.  Tree nodes are plain value classes: nodes with equal fields are
-equal and hash alike, and nothing assigns to a node the parser has built.
+equal and hash alike, and nothing assigns to a node the parser has built, so
+one parse shares one `BasisVector` node per basis index.  An `eN` leaf
+evaluates to the cached, immutable `basis_vector(d, N)`.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from functools import partial, reduce
 from .errors import EvalError, ExprSyntaxError, IndexRangeError
 from .multivector import (
     Multivector,
-    _result,
     _Value,
+    basis_vector,
     check_dim,
     combine,
     conjugate,
@@ -44,13 +48,15 @@ MAX_NESTING = 100
 
 # ---- tokens -------------------------------------------------------------------
 
-# One alternative per token class, tried in order.  A number is ASCII digits
-# only and takes an `i` suffix only when that `i` ends the word.
+# One match per token: the blanks before it (any whitespace but a newline),
+# then one alternative per token class, tried in order, the most common first.
+# A number is ASCII digits only and takes an `i` suffix only when that `i` ends
+# the word.  `end` matches at the end of the source, after any trailing blanks.
 _TOKEN = re.compile(
-    r"(?P<newline>\n)|(?P<space>[^\S\n]+)"
+    r"[^\S\n]*(?:(?P<basis>e(?P<index>[0-9]+)(?![A-Za-z0-9_]))|(?P<op>[-+^*~])"
     r"|(?P<scalar>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?(?P<imag>i(?![A-Za-z0-9_]))?)"
-    r"|(?P<basis>e(?P<index>[0-9]+)(?![A-Za-z0-9_]))|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+^*~])|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)|(?P<unknown>.)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
+    r"|(?P<newline>\n)|(?P<end>\Z)|(?P<unknown>\S))"
 )
 _KEYWORDS = {"E": ("top", 0j), "v": ("op", 0j), "i": ("scalar", 1j), "ip": ("ip", 0j)}
 
@@ -66,10 +72,8 @@ def tokenize(source: str) -> list[Token]:
     line, line_start = 1, 0
     for m in _TOKEN.finditer(source):
         kind = m.lastgroup
-        if kind == "space":
-            continue
-        text = m[0]
-        col = m.start() - line_start + 1
+        text = m[kind]
+        col = m.start(kind) - line_start + 1
         if kind == "basis":
             append(new(Token, (kind, text, line, col, 0j, int(m["index"]))))
         elif kind == "scalar":
@@ -85,9 +89,10 @@ def tokenize(source: str) -> list[Token]:
             line, line_start = line + 1, m.end()
         elif kind == "unknown":
             raise ExprSyntaxError(f"unknown character {text!r}", line, col)
-        else:  # op, lparen, rparen, comma
+        else:  # op, lparen, rparen, comma, end
             append(new(Token, (kind, text, line, col, 0j, 0)))
-    append(Token("end", "", line, len(source) - line_start + 1))
+            if kind == "end":  # after trailing blanks, `end` would match twice
+                break
     return tokens
 
 
@@ -180,6 +185,7 @@ class _Parser:
         self.next = iter(tokens).__next__
         self.here = self.next()  # the current token; advance() moves it on
         self.depth = 0  # open `(`, `ip(` and prefix operators
+        self.leaves: dict[int, BasisVector] = {}  # one node per basis index
 
     def advance(self) -> Token:
         tok = self.here
@@ -249,7 +255,10 @@ class _Parser:
         tok = self.here
         if tok.kind == "basis":
             self.advance()
-            return BasisVector(tok.index)
+            node = self.leaves.get(tok.index)
+            if node is None:
+                node = self.leaves[tok.index] = BasisVector(tok.index)
+            return node
         if tok.kind == "top":
             self.advance()
             return TopBlade()
@@ -324,7 +333,7 @@ def _evaluate(node, env: Environment) -> Multivector:
         case BasisVector(index=i):
             if not 1 <= i <= d:
                 raise IndexRangeError(f"e{i} does not exist in dimension {d}")
-            return _result(d, {1 << (i - 1): 1 + 0j})
+            return basis_vector(d, i)
         case Wedge(operands=xs):
             return reduce(wedge, (_evaluate(x, env) for x in xs))
         case ScalarMul(coeff=c, operand=x):

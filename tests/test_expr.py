@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from excalc import expr
 from excalc.errors import ExcalcError, EvalError, ExprSyntaxError, GradeError, IndexRangeError
 from excalc.expr import (
     MAX_NESTING,
@@ -35,6 +36,7 @@ from excalc.expr import (
 from excalc.multivector import (
     PRUNE_TOL,
     Multivector,
+    _result,
     basis_vector,
     combine,
     conjugate,
@@ -583,3 +585,135 @@ def test_every_token_is_a_whole_token(source):
     for t in tokenize(source):
         assert type(t) is Token and t == Token(*t)
         assert type(t.value) is complex and type(t.index) is int
+
+
+# ---- one match per token, one node and one value per basis leaf ------------------------
+
+# The lexer as it was before the blanks were lexed with the next token: one
+# match per token and one per run of blanks, kept as the oracle.
+_PARENT_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<space>[^\S\n]+)"
+    r"|(?P<scalar>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?(?P<imag>i(?![A-Za-z0-9_]))?)"
+    r"|(?P<basis>e(?P<index>[0-9]+)(?![A-Za-z0-9_]))|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+^*~])|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)|(?P<unknown>.)"
+)
+_PARENT_KEYWORDS = {"E": ("top", 0j), "v": ("op", 0j), "i": ("scalar", 1j), "ip": ("ip", 0j)}
+
+
+def parent_tokenize(source: str) -> list[Token]:
+    tokens: list[Token] = []
+    append, new = tokens.append, tuple.__new__
+    line, line_start = 1, 0
+    for m in _PARENT_TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        text = m[0]
+        col = m.start() - line_start + 1
+        if kind == "basis":
+            append(new(Token, (kind, text, line, col, 0j, int(m["index"]))))
+        elif kind == "scalar":
+            number = float(text[:-1] if m["imag"] else text)
+            if math.isinf(number):
+                raise ExprSyntaxError(f"number {text!r} overflows", line, col)
+            value = complex(0.0, number) if m["imag"] else complex(number)
+            append(new(Token, (kind, text, line, col, value, 0)))
+        elif kind == "word":
+            kind, value = _PARENT_KEYWORDS.get(text, ("ident", 0j))
+            append(new(Token, (kind, text, line, col, value, 0)))
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "unknown":
+            raise ExprSyntaxError(f"unknown character {text!r}", line, col)
+        else:  # op, lparen, rparen, comma
+            append(new(Token, (kind, text, line, col, 0j, 0)))
+    append(Token("end", "", line, len(source) - line_start + 1))
+    return tokens
+
+
+def _lexed(lex, source: str):
+    """The Token list with each field's repr (so 0j and 0 differ), or the error."""
+    try:
+        return [tuple(map(repr, t)) for t in lex(source)]
+    except ExprSyntaxError as err:
+        return ("error", str(err), err.line, err.col)
+
+
+_LEXER_PIECES = st.sampled_from(
+    [*"eEiv_xp0123456789.+-^*~(),", " ", "\t", "\r", "\n", "$", "٣",
+     "e1", "e12", "ip", "1e5", "2.5i", "1.5e-3i", "1e400", "e1x", "vee", "x_1"]
+)
+
+
+@settings(max_examples=300)
+@example("e1 ^ e2 \t\r\n  ")
+@example("e1 +\n\t $ e2")
+@example(" \t")
+@given(st.lists(_LEXER_PIECES, max_size=30).map("".join))
+def test_tokenize_equals_the_one_match_per_gap_lexer(source):
+    assert _lexed(tokenize, source) == _lexed(parent_tokenize, source)
+
+
+def test_one_parse_builds_one_basis_node_per_index(monkeypatch):
+    built = []
+
+    class CountedBasisVector(BasisVector):
+        def __init__(self, index):
+            built.append(index)
+            super().__init__(index)
+
+    monkeypatch.setattr(expr, "BasisVector", CountedBasisVector)
+    source = "e1 ^ e2 + 2 * e1 ^ e3 - (e2 v e1) + ip(e3, e3)"
+    node = parse_text(source)
+    assert sorted(built) == [1, 2, 3]
+    first, second = node.terms[0][1].operands[0], node.terms[1][1].operands[0].operand
+    assert first is second
+    parse_text(source)  # the nodes live for one parse only
+    assert sorted(built) == [1, 1, 2, 2, 3, 3]
+
+
+def test_a_basis_leaf_evaluates_to_the_cached_basis_vector():
+    assert evaluate(parse_text("e2"), Environment(3)) is basis_vector(3, 2)
+
+
+def test_a_leaf_out_of_range_adds_no_cached_value():
+    before = basis_vector.cache_info().currsize
+    with pytest.raises(IndexRangeError, match="^e9 does not exist in dimension 3$"):
+        evaluate_text("e1 + e9", Environment(3))
+    assert basis_vector.cache_info().currsize == before
+
+
+_BLADE_TERMS = st.tuples(
+    st.sampled_from([" + ", " - "]),
+    st.one_of(
+        st.sampled_from(["0.5", "2", "1e-7", "1e-13", "1e10", "1e200", "3.25i"]),
+        st.floats(0, 1e300, allow_nan=False, allow_infinity=False).map(repr),
+    ),
+    st.lists(st.integers(1, 4), min_size=1, max_size=4),
+)
+
+
+def _exact_hex(value: Multivector) -> list:
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in value]
+
+
+def _outcome(source: str, env: Environment):
+    try:
+        return _exact_hex(evaluate_text(source, env))
+    except ValueError as err:  # a non-finite coefficient
+        return (type(err).__name__, str(err))
+
+
+@settings(max_examples=150)
+@given(st.lists(_BLADE_TERMS, min_size=1, max_size=12))
+def test_cached_leaves_evaluate_like_leaves_built_per_use(terms):
+    source = "".join(
+        f"{sign}{coeff} * {' ^ '.join(f'e{i}' for i in blade)}" for sign, coeff, blade in terms
+    )[3:]
+    env = Environment(4)
+    got = _outcome(source, env)
+    with pytest.MonkeyPatch.context() as patch:
+        # the oracle builds every eN leaf anew through the kernels' `_result`
+        patch.setattr(expr, "basis_vector", lambda d, i: _result(d, {1 << (i - 1): 1 + 0j}))
+        want = _outcome(source, env)
+    assert got == want

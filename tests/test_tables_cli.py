@@ -331,6 +331,18 @@ def test_passing_report_text_is_pinned():
     assert format_report(run_verification()) == PASSING_REPORT
 
 
+@pytest.fixture
+def fresh_basis_caches():
+    """Empty the cached basis and one-hole states before and after a test that
+    patches `star_sign`, so the states it builds stay inside that test."""
+    core.covector.cache_clear()
+    core.basis_vector.cache_clear()
+    yield
+    core.covector.cache_clear()
+    core.basis_vector.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_basis_caches")
 def test_verification_catches_a_flipped_star_sign(monkeypatch):
     true_star_sign = core.star_sign
     monkeypatch.setattr(core, "star_sign", lambda mask: -true_star_sign(mask))
@@ -431,6 +443,7 @@ def test_verification_catches_a_domain_rule_that_drops_the_sign(monkeypatch):
     )
 
 
+@pytest.mark.usefixtures("fresh_basis_caches")
 def test_verification_catches_one_wrong_star_sign(monkeypatch):
     true_star_sign = core.star_sign
 
