@@ -3,9 +3,10 @@
 Subcommands: `eval` one expression, `table` a full pair table, `repl` an
 interactive session, `verify-paper` the bundled verification suite, `fock` a
 ladder-operator matrix dump.  Exit codes: 0 success, 1 evaluation error,
-2 syntax error, 3 verification failure.  A reader that closes stdout before
-the output is written ends the command, `--help` included, with exit 1,
-quietly: no traceback and nothing on stderr.
+2 syntax error, 3 verification failure.  An error quotes at most 80
+characters of a `--factors` or `--matrix` value or a REPL command.  A
+reader that closes stdout before the output is written ends the command,
+`--help` included, with exit 1, quietly: no traceback and nothing on stderr.
 
 Each subcommand imports only what it runs.  `eval` and `repl` load the
 algebra, the expression language and the text forms (`multivector`, `expr`,
@@ -89,7 +90,7 @@ def cmd_eval(args) -> int:
         name, _, where = binding.partition("=")
         name = name.strip()
         if not name.isidentifier() or not where:
-            raise ExcalcError(f"--factors wants NAME=FILE_OR_JSON, got {binding!r}")
+            raise ExcalcError(f"--factors wants NAME=FILE_OR_JSON, got {binding!r:.80}")
         where = where.strip()
         try:
             if where.startswith("{"):
@@ -97,7 +98,9 @@ def cmd_eval(args) -> int:
             else:
                 with open(where) as f:
                     data = json.load(f)
-        except (OSError, json.JSONDecodeError, RecursionError) as err:
+        except OSError as err:  # its text would repeat the whole path
+            raise ExcalcError(f"cannot read factor list {where!r:.80}: {err.strerror}")
+        except (json.JSONDecodeError, RecursionError) as err:
             raise ExcalcError(f"cannot read factor list {where!r:.80}: {err}")
         from .extensors import ExtensorFactors, expand
 
@@ -127,7 +130,7 @@ def cmd_fock(args) -> int:
             raise ValueError(kind)
         i = decimal(index)
     except ValueError:
-        raise ExcalcError(f"--matrix wants create:<i> or annihilate:<i>, got {args.matrix!r}")
+        raise ExcalcError(f"--matrix wants create:<i> or annihilate:<i>, got {args.matrix!r:.80}")
     rows = operator_matrix(args.dim, kind, i)
     if args.format == "json":
         cells = Cells(lambda c: json.dumps([c.real, c.imag]))
@@ -184,7 +187,7 @@ def cmd_repl(args) -> int:
                     raise ExcalcError(f":table wants one of {', '.join(TABLE_OPS)}")
                 out.write(table_command(parts[1], env.d, "text"))
             elif command:
-                raise ExcalcError(f"unknown command {command!r}")
+                raise ExcalcError(f"unknown command {command!r:.80}")
             else:
                 value = evaluate_text(line, env)
                 out.write(format_result(value, "text") + "\n")

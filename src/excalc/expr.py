@@ -12,7 +12,9 @@ sign per term), so chains of any length parse and evaluate in constant stack
 depth.  Nesting is what costs stack: at most MAX_NESTING open `(`, `ip(` and
 prefix operators (`*`, `~`, `-` and the `*` of `scalar *`), beyond which the
 parser raises ExprSyntaxError at the token that crosses the limit.  A
-numeric literal beyond the float range raises it at the literal.
+numeric literal beyond the float range raises it at the literal.  A basis
+index keeps at most its first 80 significant digits, and an error echoes at
+most 80 characters of the text it quotes.
 
 The lexer makes one regex match per token: the blanks before a token are
 lexed with it, and a token's column is that of its own first character.
@@ -52,8 +54,11 @@ MAX_NESTING = 100
 # then one alternative per token class, tried in order, the most common first.
 # A number is ASCII digits only and takes an `i` suffix only when that `i` ends
 # the word.  `end` matches at the end of the source, after any trailing blanks.
+# A basis index keeps its first 80 significant digits: with more than the two
+# digits of MAX_DIM it is out of range in every dimension, and `int` and the
+# range error's echo never see more, however long the index is.
 _TOKEN = re.compile(
-    r"[^\S\n]*(?:(?P<basis>e(?P<index>[0-9]+)(?![A-Za-z0-9_]))|(?P<op>[-+^*~])"
+    r"[^\S\n]*(?:(?P<basis>e0*(?P<index>[0-9]{1,80})[0-9]*(?![A-Za-z0-9_]))|(?P<op>[-+^*~])"
     r"|(?P<scalar>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?(?P<imag>i(?![A-Za-z0-9_]))?)"
     r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
     r"|(?P<newline>\n)|(?P<end>\Z)|(?P<unknown>\S))"
@@ -79,7 +84,7 @@ def tokenize(source: str) -> list[Token]:
         elif kind == "scalar":
             number = float(text[:-1] if m["imag"] else text)
             if math.isinf(number):
-                raise ExprSyntaxError(f"number {text!r} overflows", line, col)
+                raise ExprSyntaxError(f"number {text!r:.80} overflows", line, col)
             value = complex(0.0, number) if m["imag"] else complex(number)
             append(new(Token, (kind, text, line, col, value, 0)))
         elif kind == "word":
@@ -194,7 +199,7 @@ class _Parser:
 
     def fail(self, expected: tuple[str, ...]):
         tok = self.here
-        what = "end of input" if tok.kind == "end" else f"{tok.text!r}"
+        what = "end of input" if tok.kind == "end" else f"{tok.text!r:.80}"
         raise ExprSyntaxError(f"unexpected {what}", tok.line, tok.col, expected)
 
     def expect(self, kind: str, expected: tuple[str, ...]) -> Token:
@@ -313,9 +318,9 @@ class Environment(_Value):
         except ExprSyntaxError:
             tokens = []
         if len(tokens) != 2 or (tokens[0].kind, tokens[0].text) != ("ident", name):
-            raise EvalError(f"cannot bind {name!r}: an expression does not read it as a name")
+            raise EvalError(f"cannot bind {name!r:.80}: an expression does not read it as a name")
         if value.d != self.d:
-            raise EvalError(f"cannot bind {name}: value has dimension {value.d}, not {self.d}")
+            raise EvalError(f"cannot bind {name:.80}: value has dimension {value.d}, not {self.d}")
         self.bindings[name] = value
 
 
@@ -346,7 +351,7 @@ def _evaluate(node, env: Environment) -> Multivector:
             return Multivector.scalar(d, v)
         case Var(name=name):
             if name not in env.bindings:
-                raise EvalError(f"unbound name {name!r}")
+                raise EvalError(f"unbound name {name!r:.80}")
             return env.bindings[name]
         case Vee(operands=xs):
             return reduce(vee, (_evaluate(x, env) for x in xs))

@@ -53,6 +53,7 @@ from excalc.verify import (
     random_mv,
     random_vector,
 )
+from oracles import blade
 
 
 class Budget:
@@ -65,10 +66,6 @@ class Budget:
         elapsed = time.perf_counter() - self.start
         assert elapsed < self.seconds, f"{self.name} took {elapsed:.1f}s, budget {self.seconds}s"
         print(f"PASS {self.name}: {detail} [{elapsed:.2f}s]")
-
-
-def blade(d, *indices):
-    return Multivector.from_indices(d, indices)
 
 
 # ---- criterion 1: d=2 meet/join table ------------------------------------------------

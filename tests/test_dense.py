@@ -28,6 +28,7 @@ from excalc.multivector import (
     wedge,
 )
 from excalc.verify import random_coeff, run_verification
+from oracles import hex_terms
 from test_duality import walked_merge_sign
 
 EPS = sys.float_info.epsilon
@@ -186,10 +187,6 @@ def numpy_pruned_from_array(d: int, values) -> Multivector:
     return multivector._result(d, dict(zip(keep.tolist(), values[keep].tolist())))
 
 
-def hexed(a: Multivector) -> list[tuple[int, str, str]]:
-    return [(m, c.real.hex(), c.imag.hex()) for m, c in a]
-
-
 def padded(entries) -> tuple[int, np.ndarray]:
     """(d, the entries as a 2^d complex array, zero-padded)."""
     values = np.array(entries, complex)
@@ -206,7 +203,7 @@ def test_from_array_prunes_as_the_numpy_conversion_did():
         d, values = padded(entries)
         want = numpy_pruned_from_array(d, values)
         assert 0 < len(want) < len(entries)
-        assert hexed(dense._from_array(d, values)) == hexed(want)
+        assert hex_terms(dense._from_array(d, values)) == hex_terms(want)
 
 
 def test_from_array_prunes_by_the_magnitude_every_kernel_prunes_by():

@@ -19,10 +19,7 @@ from excalc.fock import (
     operator_matrix,
 )
 from excalc.multivector import Multivector, _result, all_blades, mv_equal_approx
-
-
-def blade(d, *indices):
-    return Multivector.from_indices(d, indices)
+from oracles import blade, hex_terms
 
 
 def test_single_creation():
@@ -182,10 +179,6 @@ def interior_product(i: int, a: Multivector) -> Multivector:
     return _result(a.d, out)
 
 
-def exact_terms(a: Multivector) -> list[tuple[int, str, str]]:
-    return [(m, c.real.hex(), c.imag.hex()) for m, c in a._terms.items()]
-
-
 def random_part(rng: random.Random, kind: str) -> float:
     if kind == "gaussian":
         return float(rng.randint(-3, 3))
@@ -203,7 +196,7 @@ def test_annihilation_is_the_join_with_the_one_hole_state():
         for i in range(1, d + 1):
             for mask in range(1 << d):
                 state = Multivector(d, {mask: 1 + 0j})
-                assert exact_terms(apply_annihilation(i, state)) == exact_terms(
+                assert hex_terms(apply_annihilation(i, state)) == hex_terms(
                     interior_product(i, state)
                 )
                 cases += 1
@@ -220,6 +213,6 @@ def test_annihilation_is_the_join_with_the_one_hole_state():
                     for _ in range(rng.randint(1, 12))
                 },
             )
-            assert exact_terms(apply_annihilation(i, state)) == exact_terms(
+            assert hex_terms(apply_annihilation(i, state)) == hex_terms(
                 interior_product(i, state)
             )

@@ -33,10 +33,7 @@ from excalc.multivector import (
 )
 from excalc.textform import scalar_to_text
 from excalc.verify import random_homogeneous, random_mv
-
-
-def blade(d, *indices):
-    return Multivector.from_indices(d, indices)
+from oracles import blade
 
 
 def wedge_sign_oracle(left: tuple[int, ...], right: tuple[int, ...]) -> int:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import subprocess
@@ -21,6 +20,7 @@ from excalc.expr import Environment, evaluate_text
 from excalc.qubits import QubitState, q_vee, q_wedge
 from excalc.tables import TABLE_OPS, table_command, table_rows
 from excalc.verify import format_report, run_verification
+from cli_cases import CASES, X_FACTORS, Case, check, check_cases, digest, run_in_process
 
 WEDGE_COLUMN_D2 = {
     ("1", "1"): "1",
@@ -58,21 +58,6 @@ VEE_COLUMN_D2 = {
     ("E", "e2"): "e2",
     ("E", "E"): "E",
 }
-
-
-def run_cli(*args, stdin_text=None, env_extra=None):
-    import os
-
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "excalc.cli", *args],
-        capture_output=True,
-        text=True,
-        input=stdin_text,
-        env=env,
-    )
 
 
 # ---- table generation ------------------------------------------------------------
@@ -124,10 +109,6 @@ TABLE_DIGESTS_D3 = {
     "q-wedge": "9ed6b6c81da696e7",
     "q-vee": "23e650504fed2f58",
 }
-
-
-def digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("op", sorted(TABLE_DIGESTS_D3))
@@ -475,31 +456,108 @@ def test_worked_example_rows_are_what_eval_prints(capsys):
 # ---- CLI ---------------------------------------------------------------------------
 
 
+# Every pinned CLI behaviour is a case in `cli_cases.CASES`, each run here in
+# process with its own test id; CI runs the same cases as real processes.
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
+def test_cli_case(case):
+    check(case, *run_in_process(case))
+
+
+# Each test below runs one group of cases under the id the group's pins have
+# always had, so that id keeps naming the same behaviour.
+
+
 def test_cli_eval_text_and_json():
-    done = run_cli("eval", "--dim", "2", "e1 ^ e2")
-    assert done.returncode == 0 and done.stdout.strip() == "E"
-    done = run_cli("eval", "--dim", "2", "--format", "json", "*(e2)")
-    payload = json.loads(done.stdout)
-    assert payload == {"dim": 2, "terms": [{"blade": [1], "re": -1.0, "im": 0.0}]}
-    done = run_cli("eval", "--dim", "3", "--format", "csv", "2 * e1 + i * E")
-    assert done.stdout.splitlines()[0] == "blade,re,im"
+    check_cases("eval-text", "eval-json-star", "eval-csv")
 
 
 def test_cli_eval_scalar_result():
-    done = run_cli("eval", "--dim", "3", "ip(e1, e1)")
-    assert done.returncode == 0 and done.stdout.strip() == "1"
-    done = run_cli("eval", "--dim", "3", "--format", "json", "ip(e1, e2)")
-    assert json.loads(done.stdout) == {"re": 0.0, "im": 0.0}
+    check_cases("eval-scalar", "eval-scalar-json")
 
 
 def test_cli_exit_codes():
-    assert run_cli("eval", "--dim", "2", "e1 ^ e2").returncode == 0
-    bad_syntax = run_cli("eval", "--dim", "2", "e1 ^")
-    assert bad_syntax.returncode == 2 and "syntax error" in bad_syntax.stderr
-    bad_eval = run_cli("eval", "--dim", "2", "ip(e1, E)")
-    assert bad_eval.returncode == 1
-    bad_name = run_cli("eval", "--dim", "2", "nope")
-    assert bad_name.returncode == 1
+    check_cases("eval-text", "eval-syntax-error", "eval-step-mismatch", "eval-unbound-name")
+
+
+def test_cli_overflowing_product_is_an_evaluation_error():
+    check_cases("eval-overflowing-product", "eval-no-finite-magnitude")
+
+
+def test_cli_table_and_tolerance_override():
+    check_cases(
+        "table-pseudo-vee-d2",
+        "table-pseudo-wedge-d2",
+        "table-pseudo-wedge-d2-tol",
+        "table-pseudo-wedge-d2-tol-word",
+    )
+
+
+def test_cli_eval_factor_bindings(tmp_path):
+    where = tmp_path / "x.json"
+    where.write_text(X_FACTORS)
+    argv = ["eval", "--dim", "3", "--factors", f"x={where}", "x v (e1^e2)"]
+    case = Case("factors-file", argv, out="-e1 - e2\n")
+    check(case, *run_in_process(case))
+    check_cases("factors-inline", "factors-missing-file")
+
+
+def test_cli_eval_malformed_factor_list_is_an_error_not_a_traceback():
+    check_cases("factors-no-dim", "factors-bare-numbers")
+
+
+def test_cli_fock_matrix():
+    check_cases("fock-create-text", "fock-annihilate-json-d2", "fock-unknown-kind")
+
+
+@pytest.mark.parametrize(
+    "case_id",
+    ["fock-index-superscript", "fock-index-circled", "fock-index-empty", "fock-index-negative"],
+    ids=["create:\u00b2", "annihilate:\u2460", "create:", "create:-1"],
+)
+def test_cli_fock_rejects_a_malformed_index(case_id):
+    check_cases(case_id)
+
+
+@pytest.mark.parametrize(
+    "case_id",
+    [
+        "eval-arabic-indic-integer", "eval-arabic-indic-exponent", "eval-arabic-indic-fraction",
+        "fock-index-arabic-indic", "repl-dim-arabic-indic", "eval-dim-arabic-indic",
+        "eval-dim-underscore", "fock-dim-arabic-indic",
+    ],
+    ids=[
+        "eval-integer", "eval-exponent", "eval-fraction", "fock", "repl-dim",
+        "eval-dim", "eval-dim-underscore", "fock-dim",
+    ],
+)
+def test_cli_reads_ascii_digits_only(case_id):
+    check_cases(case_id)
+
+
+def test_cli_verify_passes():
+    check_cases("verify-paper")
+
+
+def test_cli_repl_session():
+    check_cases("repl-session")
+
+
+def test_cli_repl_reports_a_syntax_error_as_eval_does():
+    check_cases("repl-syntax-error", "eval-syntax-error-e1-plus")
+
+
+def test_cli_repl_dim_takes_exactly_one_integer():
+    check_cases("repl-dim-one-integer")
+
+
+def test_cli_repl_matches_whole_command_words_and_rejects_reserved_names():
+    check_cases("repl-command-words")
+
+
+def test_cli_factors_reject_a_reserved_name_and_a_bool_dimension():
+    check_cases("factors-reserved-name", "factors-bool-dimension")
 
 
 CLOSED_READER_ARGVS = [
@@ -537,60 +595,6 @@ def test_cli_output_to_a_closed_reader_exits_1_without_a_traceback(argv, buffere
     assert (done.returncode, done.stderr) == (code, "")
 
 
-def test_cli_overflowing_product_is_an_evaluation_error():
-    done = run_cli("eval", "--dim", "3", "1e200*e1 ^ 1e200*e2")
-    assert done.returncode == 1 and done.stdout == ""
-    assert done.stderr == "error: non-finite coefficient (inf+0j) on blade mask 0x3\n"
-    # finite parts whose magnitude overflows
-    done = run_cli("eval", "--dim", "1", "1.5e308 + 1.5e308i")
-    assert done.returncode == 1 and done.stderr == (
-        "error: coefficient (1.5e+308+1.5e+308j) on blade mask 0x0 has no finite magnitude\n"
-    )
-
-
-def test_cli_table_and_tolerance_override():
-    done = run_cli("table", "--op", "pseudo-vee", "--dim", "2", "--format", "csv")
-    assert done.returncode == 0
-    rows = list(csv.reader(io.StringIO(done.stdout)))
-    assert rows[0] == ["a", "b", "pseudo-vee"]
-    # the set gates match a +1 coefficient within PRUNE_TOL and nothing
-    # overrides it: a loose tolerance would accept -E as a defined gate
-    plain = run_cli("table", "--op", "pseudo-wedge", "--dim", "2")
-    assert plain.returncode == 0
-    assert ["{2}", "{1}"] in [line.split() for line in plain.stdout.splitlines()]
-    for value in ("2.5", "x"):
-        done = run_cli(
-            "table", "--op", "pseudo-wedge", "--dim", "2", env_extra={"EXCALC_TOL": value}
-        )
-        assert done.returncode == 0 and done.stdout == plain.stdout
-
-
-def test_cli_eval_factor_bindings(tmp_path):
-    payload = {
-        "dim": 3,
-        "factors": [
-            [{"re": 1, "im": 0}, {"re": 1, "im": 0}, {"re": 0, "im": 0}],
-            [{"re": 0, "im": 0}, {"re": 1, "im": 0}, {"re": 1, "im": 0}],
-        ],
-    }
-    where = tmp_path / "x.json"
-    where.write_text(json.dumps(payload))
-    done = run_cli("eval", "--dim", "3", "--factors", f"x={where}", "x v (e1^e2)")
-    assert done.returncode == 0 and done.stdout.strip() == "-e1 - e2"
-    inline = run_cli("eval", "--dim", "3", "--factors", "x=" + json.dumps(payload), "x ^ e1")
-    assert inline.returncode == 0 and inline.stdout.strip() == "E"
-    missing = run_cli("eval", "--dim", "3", "--factors", "x=/does/not/exist.json", "x")
-    assert missing.returncode == 1
-
-
-def test_cli_eval_malformed_factor_list_is_an_error_not_a_traceback():
-    for payload in ('{"x":1}', '{"dim":3,"factors":[[1,2,3]]}'):
-        done = run_cli("eval", "--dim", "3", "--factors", "x=" + payload, "x")
-        assert done.returncode == 1
-        assert done.stderr.startswith("error: a factor list is")
-        assert "Traceback" not in done.stderr
-
-
 @pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
 def test_cli_eval_reports_a_too_deeply_nested_factor_list(inline, tmp_path, capsys):
     payload = '{"dim": ' + "[" * 3000 + "]" * 3000 + "}"
@@ -615,143 +619,6 @@ def test_cli_eval_factor_list_error_echoes_at_most_80_characters(payload, capsys
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and len(err) <= 200
     assert err.startswith(f"error: cannot read factor list {payload!r:.80}: ")
-
-
-def test_cli_fock_matrix():
-    done = run_cli("fock", "--matrix", "create:1", "--dim", "1")
-    assert done.returncode == 0
-    assert done.stdout.splitlines() == ["0 0", "1 0"]
-    payload = json.loads(
-        run_cli("fock", "--matrix", "annihilate:2", "--dim", "2", "--format", "json").stdout
-    )
-    assert payload["dim"] == 2 and len(payload["matrix"]) == 4
-    bad = run_cli("fock", "--matrix", "smash:1", "--dim", "2")
-    assert bad.returncode == 1
-
-
-@pytest.mark.parametrize("matrix", ["create:\u00b2", "annihilate:\u2460", "create:", "create:-1"])
-def test_cli_fock_rejects_a_malformed_index(matrix):
-    done = run_cli("fock", "--matrix", matrix, "--dim", "3")
-    assert done.returncode == 1 and done.stdout == ""
-    assert done.stderr == (
-        f"error: --matrix wants create:<i> or annihilate:<i>, got {matrix!r}\n"
-    )
-
-
-@pytest.mark.parametrize(
-    "argv, stdin_text, code, out, err",
-    [
-        (["eval", "--dim", "3", "1\u0663 * e1"], "", 2, "",
-         "syntax error: unknown character '\u0663' at 1:2"),
-        (["eval", "--dim", "3", "1e\u0663 * e1"], "", 2, "",
-         "syntax error: unknown character '\u0663' at 1:3"),
-        (["eval", "--dim", "3", "2.\u0665 * e2"], "", 2, "",
-         "syntax error: unknown character '.' at 1:2"),
-        (["fock", "--matrix", "create:\u0661", "--dim", "3"], "", 1, "",
-         "error: --matrix wants create:<i> or annihilate:<i>, got 'create:\u0661'"),
-        # the REPL reports the line and reads on, still in dimension 2
-        (["repl", "--dim", "2"], ":dim \u0663\n*(e1)\n", 0, "e2\n",
-         "error: :dim wants one integer dimension"),
-        # int() reads these; --dim is a usage error instead
-        (["eval", "--dim", "\u0663", "e1^e2"], "", 2, "",
-         "excalc eval: error: argument --dim: invalid decimal value: '\u0663'"),
-        (["eval", "--dim", "1_0", "e10"], "", 2, "",
-         "excalc eval: error: argument --dim: invalid decimal value: '1_0'"),
-        (["fock", "--matrix", "create:1", "--dim", "\u0662"], "", 2, "",
-         "excalc fock: error: argument --dim: invalid decimal value: '\u0662'"),
-    ],
-    ids=[
-        "eval-integer", "eval-exponent", "eval-fraction", "fock", "repl-dim",
-        "eval-dim", "eval-dim-underscore", "fock-dim",
-    ],
-)
-def test_cli_reads_ascii_digits_only(argv, stdin_text, code, out, err, monkeypatch, capsys):
-    # Arabic-Indic digits are decimal to str.isdecimal and to the regex \d
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
-    try:
-        got = cli.main(argv)
-    except SystemExit as stop:  # an argparse usage error
-        got = stop.code
-    assert got == code
-    captured = capsys.readouterr()
-    assert captured.out == out
-    # a usage error prints the usage before its one error line
-    *usage, last = captured.err.split("\n")[:-1]
-    assert captured.err.endswith("\n") and last == err
-    assert all(line.startswith(("usage: excalc ", " ")) for line in usage)
-
-
-def test_cli_verify_passes():
-    done = run_cli("verify-paper")
-    assert done.returncode == 0
-    assert "12/12 checks passed" in done.stdout
-
-
-def test_cli_repl_session():
-    script = "\n".join(
-        [
-            ":let x = e1 + e2",
-            "x ^ e2",
-            ":dim 3",
-            "*(e2)",
-            "e9",
-            ":bogus",
-            ":quit",
-        ]
-    )
-    done = run_cli("repl", "--dim", "2", stdin_text=script + "\n")
-    assert done.returncode == 0
-    out_lines = done.stdout.splitlines()
-    assert "x = e1 + e2" in out_lines
-    assert "E" in out_lines
-    assert "dimension 3" in out_lines
-    assert "-e1^e3" in out_lines
-    assert "error:" in done.stderr  # e9 out of range and :bogus both complain
-
-
-def test_cli_repl_reports_a_syntax_error_as_eval_does():
-    done = run_cli("repl", "--dim", "3", stdin_text="e1 +\ne1\n")
-    assert done.returncode == 0
-    assert done.stdout == "e1\n"
-    assert done.stderr.startswith("syntax error: unexpected end of input at 1:5 ")
-    one_shot = run_cli("eval", "--dim", "3", "e1 +")
-    assert one_shot.returncode == 2
-    assert done.stderr == one_shot.stderr
-
-
-def test_cli_repl_dim_takes_exactly_one_integer():
-    script = ":dim\n:dim 3 4\n:dim x\n:dim -1\n*(e1)\n:dim 99\n:dim 3\n*(e1)\n"
-    done = run_cli("repl", "--dim", "2", stdin_text=script)
-    assert done.returncode == 0
-    # the bad lines leave the dimension at 2, where *(e1) is e2
-    assert done.stdout.splitlines() == ["e2", "dimension 3", "e2^e3"]
-    assert done.stderr.splitlines() == ["error: :dim wants one integer dimension"] * 4 + [
-        "error: dimension must be an integer in 1..16, got 99"
-    ]
-
-
-def test_cli_repl_matches_whole_command_words_and_rejects_reserved_names():
-    script = ":letter = e1\n:dimension 3\n:let E = e1\nE\nter\n:quit now\ne1\n"
-    done = run_cli("repl", "--dim", "2", stdin_text=script)
-    assert done.returncode == 0
-    assert done.stdout.splitlines() == ["E"]
-    assert done.stderr.splitlines() == [
-        "error: unknown command ':letter'",
-        "error: unknown command ':dimension'",
-        "error: cannot bind 'E': an expression does not read it as a name",
-        "error: unbound name 'ter'",
-    ]
-
-
-def test_cli_factors_reject_a_reserved_name_and_a_bool_dimension():
-    factors = '{"dim": 1, "factors": [[{"re": 1, "im": 0}]]}'
-    done = run_cli("eval", "--dim", "1", "--factors", f"E={factors}", "E")
-    assert done.returncode == 1 and done.stdout == ""
-    assert done.stderr == "error: cannot bind 'E': an expression does not read it as a name\n"
-    factors = '{"dim": true, "factors": [[{"re": 1, "im": 0}]]}'
-    done = run_cli("eval", "--dim", "1", "--factors", f"F={factors}", "--format", "json", "F")
-    assert done.returncode == 1 and done.stdout == ""
-    assert done.stderr == "error: dimension must be an integer in 1..16, got True\n"
 
 
 def test_cli_fock_text_prints_plain_numbers_from_plain_complex_rows(monkeypatch, capsys):

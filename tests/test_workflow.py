@@ -1,8 +1,9 @@
 """The CI workflow's `Console script` step, run as a test.
 
 The step is read from `.github/workflows/tests.yml` and run under `bash -e`,
-as CI runs it, in a temporary directory, with `excalc` standing for
-`python -m excalc.cli` on this checkout's sources.
+as CI runs it, in the checkout's root, with `excalc` standing for
+`python -m excalc.cli` on this checkout's sources.  A failure names each
+failing CLI case.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import yaml
 
 import excalc
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 SRC = str(Path(excalc.__file__).resolve().parents[1])
 
 
@@ -33,12 +35,12 @@ def test_console_script_step_passes(tmp_path):
         shim = bin_dir / name
         shim.write_text(f'#!/bin/sh\nexec "{sys.executable}"{command} "$@"\n')
         shim.chmod(shim.stat().st_mode | stat.S_IXUSR)
-    (tmp_path / "step.sh").write_text(script)
     env = dict(os.environ)
     env["PATH"] = str(bin_dir) + os.pathsep + env["PATH"]
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run(
-        ["bash", "-e", "step.sh"], cwd=tmp_path, env=env, capture_output=True, text=True,
+        ["bash", "-e", "-c", script], cwd=ROOT, env=env, capture_output=True, text=True,
         timeout=600,
     )
-    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    failed = [line for line in done.stdout.splitlines() if line.startswith("FAILED ")]
+    assert done.returncode == 0, "\n".join(failed) or done.stdout[-2000:] + done.stderr[-2000:]
