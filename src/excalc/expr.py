@@ -12,9 +12,9 @@ sign per term), so chains of any length parse and evaluate in constant stack
 depth.  Nesting is what costs stack: at most MAX_NESTING open `(`, `ip(` and
 prefix operators (`*`, `~`, `-` and the `*` of `scalar *`), beyond which the
 parser raises ExprSyntaxError at the token that crosses the limit.  A
-numeric literal beyond the float range raises it at the literal.  A basis
-index keeps at most its first 80 significant digits, and an error echoes at
-most 80 characters of the text it quotes.
+numeric literal beyond the float range raises it at the literal.  An error
+echoes at most 80 characters of the text it quotes, and at most 80 digits of
+a basis index, with `...` after a longer one.
 
 The lexer makes one regex match per token: the blanks before a token are
 lexed with it, and a token's column is that of its own first character.
@@ -54,11 +54,8 @@ MAX_NESTING = 100
 # then one alternative per token class, tried in order, the most common first.
 # A number is ASCII digits only and takes an `i` suffix only when that `i` ends
 # the word.  `end` matches at the end of the source, after any trailing blanks.
-# A basis index keeps its first 80 significant digits: with more than the two
-# digits of MAX_DIM it is out of range in every dimension, and `int` and the
-# range error's echo never see more, however long the index is.
 _TOKEN = re.compile(
-    r"[^\S\n]*(?:(?P<basis>e0*(?P<index>[0-9]{1,80})[0-9]*(?![A-Za-z0-9_]))|(?P<op>[-+^*~])"
+    r"[^\S\n]*(?:(?P<basis>e(?P<index>[0-9]+)(?![A-Za-z0-9_]))|(?P<op>[-+^*~])"
     r"|(?P<scalar>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?(?P<imag>i(?![A-Za-z0-9_]))?)"
     r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
     r"|(?P<newline>\n)|(?P<end>\Z)|(?P<unknown>\S))"
@@ -80,7 +77,11 @@ def tokenize(source: str) -> list[Token]:
         text = m[kind]
         col = m.start(kind) - line_start + 1
         if kind == "basis":
-            append(new(Token, (kind, text, line, col, 0j, int(m["index"]))))
+            # At most 81 significant digits reach `int`: with more than the
+            # two of MAX_DIM an index is out of range in every dimension, and
+            # an 81st digit tells the range error that it quotes only 80.
+            digits = m["index"].lstrip("0")[:81] or "0"
+            append(new(Token, (kind, text, line, col, 0j, int(digits))))
         elif kind == "scalar":
             number = float(text[:-1] if m["imag"] else text)
             if math.isinf(number):
@@ -337,7 +338,8 @@ def _evaluate(node, env: Environment) -> Multivector:
     match node:
         case BasisVector(index=i):
             if not 1 <= i <= d:
-                raise IndexRangeError(f"e{i} does not exist in dimension {d}")
+                index = str(i) if i < 10**80 else f"{str(i)[:80]}..."
+                raise IndexRangeError(f"e{index} does not exist in dimension {d}")
             return basis_vector(d, i)
         case Wedge(operands=xs):
             return reduce(wedge, (_evaluate(x, env) for x in xs))

@@ -2,12 +2,13 @@
 
 A `Case` row holds:
 
-- `id`, unique in the table: the case's tier-1 test id;
+- `id`, unique in the table: the case's name in every report;
 - `argv`, the arguments after `excalc`;
 - `code`, the exit code, 0 by default;
 - `out`, the exact stdout, or `out_digest`, the `digest()` of a large one;
 - `err`, the exact stderr once the argparse usage lines before a usage
-  error are dropped;
+  error are dropped, or `err_start`, its start, where the rest of the line
+  is the interpreter's own text;
 - `stdin`, what the command reads, and `env`, variables set on top of the
   caller's environment.
 
@@ -15,8 +16,9 @@ A `Case` row holds:
 `well_formed(code, err)` has asserted what holds for every run: stderr holds
 no `Traceback`, and after a nonzero exit exactly one error line.
 
-Tier-1 runs each case in process through `run_in_process`, one test id per
-case.  `python tests/cli_cases.py` runs each case through the `excalc` on
+Tier-1 runs each case once, in process through `run_in_process`: as
+`test_cli_case[<id>]`, or under an older test id that groups it.
+`python tests/cli_cases.py` runs each case through the `excalc` on
 PATH, as a real process with a 60 s timeout; it prints the id of every case
 that fails and exits 1 if any did.  A new pin is one more row.  What only a
 real process shows stays out of the table: a reader that closed the pipe,
@@ -43,6 +45,7 @@ class Case(NamedTuple):
     stdin: str = ""
     env: dict[str, str] | None = None
     out_digest: str = ""
+    err_start: str = ""
 
 
 def case(id: str, command: str, *args: str, **fields) -> Case:
@@ -147,9 +150,11 @@ CASES = [
          err="error: e17 does not exist in dimension 16\n"),
     # every echo of a long run is cut at 80 characters
     case("eval-index-5000-digits", EVAL_3, "e" + "1" * 5000, code=1,
-         err="error: e" + "1" * 80 + " does not exist in dimension 3\n"),
+         err="error: e" + "1" * 80 + "... does not exist in dimension 3\n"),
     case("eval-index-4000-digits", EVAL_3, "e" + "9" * 4000, code=1,
-         err="error: e" + "9" * 80 + " does not exist in dimension 3\n"),
+         err="error: e" + "9" * 80 + "... does not exist in dimension 3\n"),
+    case("eval-index-zeros-then-letter", EVAL_3, "e" + "0" * 5000 + "x", code=1,
+         err="error: unbound name 'e" + "0" * 78 + "\n"),
     case("eval-long-name", EVAL_3, "x" * 5000, code=1,
          err="error: unbound name '" + "x" * 79 + "\n"),
     case("eval-long-unexpected", EVAL_3, "e1 " + "x" * 5000, code=2,
@@ -201,8 +206,7 @@ CASES = [
          err="error: dimension must be an integer in 1..16, got True\n"),
     # a factor list nested 3000 deep cannot be read: one error line, exit 1
     case("factors-nested-3000", "eval --dim 2 --factors", "F=" + NESTED, "F", code=1,
-         err="error: cannot read factor list '" + '{"dim": ' + "[" * 71 + ": maximum recursion"
-         " depth exceeded while decoding a JSON array from a unicode string\n"),
+         err_start="error: cannot read factor list '" + '{"dim": ' + "[" * 71 + ": "),
     case("factors-long-binding", "eval --dim 2 --factors", "x" * 5000, "e1", code=1,
          err="error: --factors wants NAME=FILE_OR_JSON, got '" + "x" * 79 + "\n"),
     case("factors-long-path", "eval --dim 2 --factors", "F=/" + "a" * 5000, "F", code=1,
@@ -305,7 +309,10 @@ def check(case: Case, code: int, out: str, err: str) -> None:
         assert digest(out) == case.out_digest, f"stdout digest {digest(out)}: {out[:300]!r}"
     else:
         assert out == case.out, f"stdout {out[:300]!r}, want {case.out[:300]!r}"
-    assert error_text(err) == case.err, f"stderr {err[:300]!r}, want {case.err[:300]!r}"
+    if case.err_start:
+        assert error_text(err).startswith(case.err_start), f"stderr {err[:300]!r}"
+    else:
+        assert error_text(err) == case.err, f"stderr {err[:300]!r}, want {case.err[:300]!r}"
 
 
 def check_cases(*ids: str) -> None:

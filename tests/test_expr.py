@@ -46,7 +46,7 @@ from excalc.extensors import ExtensorFactors
 from excalc.qubits import QubitState
 from excalc.textform import format_result, scalar_to_text
 from excalc.verify import random_mv
-from cli_cases import Case, check_cases, run_in_process, well_formed
+from cli_cases import Case, run_in_process, well_formed
 from oracles import hex_terms
 
 
@@ -291,24 +291,25 @@ def test_fuzz_smoke():
 # ---- output pinned bit for bit ------------------------------------------------------
 
 
-# The CLI pins are cases in `cli_cases.CASES`; each test below runs its group
-# of cases under the id the group's pins have always had.
+# `eval` prints `format_result` of these values; its runs of the same sources
+# are cases in `cli_cases.CASES`.
 
 
 def test_cli_eval_text_reads_back_as_itself():
-    check_cases("eval-pruned-part", "eval-pruned-part-read-back")
+    env = Environment(2)
+    text = format_result(evaluate_text("(e1 + 1e-7 * e2) ^ (e2 + 1e-7i * e1)", env), "text")
+    assert text == "E"
+    assert format_result(evaluate_text(text, env), "text") == text
 
 
 def test_first_term_keeps_its_negative_zero():
     value = evaluate_text("-i*e1 + e2", Environment(2))
     assert repr(value.coeff((1,))) == "(-0-1j)"
-    check_cases("eval-json-negative-zero")
 
 
 def test_cancelling_sum_is_pruned_after_every_term():
     source = "ip(-0.3 - 0.1 * 1 - i * 1 ^ i * 0.1 ^ ~1 + 0.3 - -i ^ i * i, 0.3)"
     assert scalar_to_text(evaluate_text(source, Environment(3))) == "0.3i"
-    check_cases("eval-cancelling-sum")
 
 
 def test_number_suffix_and_words():
@@ -341,7 +342,11 @@ def test_a_literal_beyond_the_float_range_is_a_syntax_error_at_the_literal(sourc
 
 
 def test_cli_overflowing_literal_exits_2_at_its_column():
-    check_cases("eval-overflowing-literal", "eval-largest-literal")
+    with pytest.raises(ExprSyntaxError, match=r"^number '1e400' overflows at 1:1$"):
+        evaluate_text("1e400*e1", Environment(3))
+    # the largest finite literal and an underflow to zero still evaluate
+    value = evaluate_text("1.7e308*e1 + 1e-400i", Environment(3))
+    assert format_result(value, "text") == "1.7e+308 * e1"
 
 
 def test_token_positions_across_tabs_and_crlf():
@@ -512,15 +517,19 @@ def test_chains_of_5000_operands_evaluate(source, want):
 
 
 def test_hostile_inputs_end_in_a_value_or_a_positioned_syntax_error():
-    check_cases("eval-nesting-3000", "eval-chain-5000", "eval-prefix-5000")
+    for source in ("(" * 3000 + "e1" + ")" * 3000, "*" * 5000 + "e1"):
+        with pytest.raises(ExprSyntaxError, match=r"^nesting deeper than 100 at 1:101$"):
+            evaluate_text(source, Environment(3))
+    value = evaluate_text("+".join(["e1"] * 5000), Environment(3))
+    assert format_result(value, "text") == "5000 * e1"
 
 
 # A run of 4000-6000 digits or identifier characters, placed as an index, a
-# literal, a name or after an operator, is longer than Python's 4300-digit
+# literal, a name or after an operator, or followed by a letter, is longer than Python's 4300-digit
 # limit for int() and longer than any sensible echo.
 _LONG_RUN_PLACES = (
     "{}", "e{}", "{} * e1", "{}i", "1e{}", "0.{}", "e1 ^ {}", "e1 + {}", "e1 v {}", "*{}",
-    "~{}", "e1 {}", "ip({}, e1)", "({}",
+    "~{}", "e1 {}", "ip({}, e1)", "({}", "e{}x", "{}_",
 )
 
 
@@ -534,6 +543,7 @@ def _long_run_sources(draw):
 
 
 @example("e" + "1" * 5000)
+@example("e" + "0" * 5000 + "x")
 @example("x" * 5000)
 @given(_long_run_sources())
 def test_long_runs_end_in_a_value_or_one_short_error_line(source):

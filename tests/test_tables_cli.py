@@ -456,42 +456,71 @@ def test_worked_example_rows_are_what_eval_prints(capsys):
 # ---- CLI ---------------------------------------------------------------------------
 
 
-# Every pinned CLI behaviour is a case in `cli_cases.CASES`, each run here in
-# process with its own test id; CI runs the same cases as real processes.
+# Every pinned CLI behaviour is a case in `cli_cases.CASES`; CI runs the same
+# cases as real processes.  The tests that pinned CLI behaviour before the
+# table keep their ids, each running its group of cases in process, and
+# `test_cli_case` runs every other case under its own id: each case runs once.
+GROUPED: set[str] = set()
 
 
-@pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
-def test_cli_case(case):
-    check(case, *run_in_process(case))
+def runs(*ids: str):
+    """A test that runs the cases named, in process."""
+    GROUPED.update(ids)
+    return lambda: check_cases(*ids)
 
 
-# Each test below runs one group of cases under the id the group's pins have
-# always had, so that id keeps naming the same behaviour.
+test_cli_eval_text_and_json = runs("eval-text", "eval-json-star", "eval-csv")
+test_cli_eval_scalar_result = runs("eval-scalar", "eval-scalar-json")
+test_cli_exit_codes = runs("eval-syntax-error", "eval-step-mismatch", "eval-unbound-name")
+test_cli_overflowing_product_is_an_evaluation_error = runs(
+    "eval-overflowing-product", "eval-no-finite-magnitude"
+)
+test_cli_table_and_tolerance_override = runs(
+    "table-pseudo-vee-d2", "table-pseudo-wedge-d2", "table-pseudo-wedge-d2-tol",
+    "table-pseudo-wedge-d2-tol-word",
+)
+test_cli_eval_malformed_factor_list_is_an_error_not_a_traceback = runs(
+    "factors-no-dim", "factors-bare-numbers"
+)
+test_cli_fock_matrix = runs("fock-create-text", "fock-annihilate-json-d2", "fock-unknown-kind")
+test_cli_verify_passes = runs("verify-paper")
+test_cli_repl_session = runs("repl-session")
+test_cli_repl_reports_a_syntax_error_as_eval_does = runs(
+    "repl-syntax-error", "eval-syntax-error-e1-plus"
+)
+test_cli_repl_dim_takes_exactly_one_integer = runs("repl-dim-one-integer")
+test_cli_repl_matches_whole_command_words_and_rejects_reserved_names = runs("repl-command-words")
+test_cli_factors_reject_a_reserved_name_and_a_bool_dimension = runs(
+    "factors-reserved-name", "factors-bool-dimension"
+)
+
+MALFORMED_INDEX = {
+    "create:\u00b2": "fock-index-superscript",
+    "annihilate:\u2460": "fock-index-circled",
+    "create:": "fock-index-empty",
+    "create:-1": "fock-index-negative",
+}
+ASCII_DIGITS = {
+    "eval-integer": "eval-arabic-indic-integer",
+    "eval-exponent": "eval-arabic-indic-exponent",
+    "eval-fraction": "eval-arabic-indic-fraction",
+    "fock": "fock-index-arabic-indic",
+    "repl-dim": "repl-dim-arabic-indic",
+    "eval-dim": "eval-dim-arabic-indic",
+    "eval-dim-underscore": "eval-dim-underscore",
+    "fock-dim": "fock-dim-arabic-indic",
+}
+GROUPED.update(MALFORMED_INDEX.values(), ASCII_DIGITS.values())
 
 
-def test_cli_eval_text_and_json():
-    check_cases("eval-text", "eval-json-star", "eval-csv")
+@pytest.mark.parametrize("case_id", MALFORMED_INDEX.values(), ids=MALFORMED_INDEX.keys())
+def test_cli_fock_rejects_a_malformed_index(case_id):
+    check_cases(case_id)
 
 
-def test_cli_eval_scalar_result():
-    check_cases("eval-scalar", "eval-scalar-json")
-
-
-def test_cli_exit_codes():
-    check_cases("eval-text", "eval-syntax-error", "eval-step-mismatch", "eval-unbound-name")
-
-
-def test_cli_overflowing_product_is_an_evaluation_error():
-    check_cases("eval-overflowing-product", "eval-no-finite-magnitude")
-
-
-def test_cli_table_and_tolerance_override():
-    check_cases(
-        "table-pseudo-vee-d2",
-        "table-pseudo-wedge-d2",
-        "table-pseudo-wedge-d2-tol",
-        "table-pseudo-wedge-d2-tol-word",
-    )
+@pytest.mark.parametrize("case_id", ASCII_DIGITS.values(), ids=ASCII_DIGITS.keys())
+def test_cli_reads_ascii_digits_only(case_id):
+    check_cases(case_id)
 
 
 def test_cli_eval_factor_bindings(tmp_path):
@@ -500,64 +529,14 @@ def test_cli_eval_factor_bindings(tmp_path):
     argv = ["eval", "--dim", "3", "--factors", f"x={where}", "x v (e1^e2)"]
     case = Case("factors-file", argv, out="-e1 - e2\n")
     check(case, *run_in_process(case))
-    check_cases("factors-inline", "factors-missing-file")
 
 
-def test_cli_eval_malformed_factor_list_is_an_error_not_a_traceback():
-    check_cases("factors-no-dim", "factors-bare-numbers")
+UNGROUPED = [case for case in CASES if case.id not in GROUPED]
 
 
-def test_cli_fock_matrix():
-    check_cases("fock-create-text", "fock-annihilate-json-d2", "fock-unknown-kind")
-
-
-@pytest.mark.parametrize(
-    "case_id",
-    ["fock-index-superscript", "fock-index-circled", "fock-index-empty", "fock-index-negative"],
-    ids=["create:\u00b2", "annihilate:\u2460", "create:", "create:-1"],
-)
-def test_cli_fock_rejects_a_malformed_index(case_id):
-    check_cases(case_id)
-
-
-@pytest.mark.parametrize(
-    "case_id",
-    [
-        "eval-arabic-indic-integer", "eval-arabic-indic-exponent", "eval-arabic-indic-fraction",
-        "fock-index-arabic-indic", "repl-dim-arabic-indic", "eval-dim-arabic-indic",
-        "eval-dim-underscore", "fock-dim-arabic-indic",
-    ],
-    ids=[
-        "eval-integer", "eval-exponent", "eval-fraction", "fock", "repl-dim",
-        "eval-dim", "eval-dim-underscore", "fock-dim",
-    ],
-)
-def test_cli_reads_ascii_digits_only(case_id):
-    check_cases(case_id)
-
-
-def test_cli_verify_passes():
-    check_cases("verify-paper")
-
-
-def test_cli_repl_session():
-    check_cases("repl-session")
-
-
-def test_cli_repl_reports_a_syntax_error_as_eval_does():
-    check_cases("repl-syntax-error", "eval-syntax-error-e1-plus")
-
-
-def test_cli_repl_dim_takes_exactly_one_integer():
-    check_cases("repl-dim-one-integer")
-
-
-def test_cli_repl_matches_whole_command_words_and_rejects_reserved_names():
-    check_cases("repl-command-words")
-
-
-def test_cli_factors_reject_a_reserved_name_and_a_bool_dimension():
-    check_cases("factors-reserved-name", "factors-bool-dimension")
+@pytest.mark.parametrize("case", UNGROUPED, ids=[case.id for case in UNGROUPED])
+def test_cli_case(case):
+    check(case, *run_in_process(case))
 
 
 CLOSED_READER_ARGVS = [
