@@ -4,9 +4,10 @@ Subcommands: `eval` one expression, `table` a full pair table, `repl` an
 interactive session, `verify-paper` the bundled verification suite, `fock` a
 ladder-operator matrix dump.  Exit codes: 0 success, 1 evaluation error,
 2 syntax error, 3 verification failure.  An error quotes at most 80
-characters of a `--factors` or `--matrix` value or a REPL command.  A
-reader that closes stdout before the output is written ends the command,
-`--help` included, with exit 1, quietly: no traceback and nothing on stderr.
+characters of a `--dim`, `--factors` or `--matrix` value or a REPL command,
+and at most 80 digits of an integer.  A reader that closes stdout before the
+output is written ends the command, `--help` included, with exit 1, quietly:
+no traceback and nothing on stderr.
 
 Each subcommand imports only what it runs.  `eval` and `repl` load the
 algebra, the expression language and the text forms (`multivector`, `expr`,
@@ -35,7 +36,7 @@ from functools import partial
 from .errors import ExcalcError, ExprSyntaxError
 from .expr import Environment, evaluate_text
 from .multivector import Multivector
-from .textform import TABLE_FORMATS, TABLE_OPS, Cells, format_number, format_result
+from .textform import TABLE_FORMATS, TABLE_OPS, Cells, format_result, scalar_to_text
 
 EXIT_OK = 0
 EXIT_EVAL = 1
@@ -55,10 +56,11 @@ def _report(err: Exception) -> int:
 
 
 def decimal(text: str) -> int:
-    """An unsigned run of ASCII decimal digits as an int; `ValueError` else."""
+    """Unsigned ASCII decimal digits as an int, of at most 81 significant digits
+    (more are out of range anyway); else an ArgumentTypeError quoting 80 characters."""
     if not (text.isascii() and text.isdecimal()):
-        raise ValueError(f"not an unsigned decimal integer: {text!r}")
-    return int(text)
+        raise argparse.ArgumentTypeError(f"invalid decimal value: {text!r:.80}")
+    return int(text.lstrip("0")[:81] or "0")
 
 
 def table_command(op: str, d: int, fmt: str = "text") -> str:
@@ -73,15 +75,6 @@ def operator_matrix(d: int, kind: str, i: int):
     from .fock import operator_matrix
 
     return operator_matrix(d, kind, i)
-
-
-def _format_matrix_entry(c: complex) -> str:
-    if c.imag == 0.0:
-        return format_number(c.real)
-    if c.real == 0.0:
-        return format_number(c.imag) + "i"
-    sign = "+" if c.imag >= 0 else "-"
-    return f"{format_number(c.real)}{sign}{format_number(abs(c.imag))}i"
 
 
 def cmd_eval(args) -> int:
@@ -129,7 +122,7 @@ def cmd_fock(args) -> int:
         if kind not in ("create", "annihilate"):
             raise ValueError(kind)
         i = decimal(index)
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise ExcalcError(f"--matrix wants create:<i> or annihilate:<i>, got {args.matrix!r:.80}")
     rows = operator_matrix(args.dim, kind, i)
     if args.format == "json":
@@ -137,7 +130,7 @@ def cmd_fock(args) -> int:
         matrix = ", ".join("[" + ", ".join(map(cells.__getitem__, row)) + "]" for row in rows)
         print(f'{{"op": "{kind}", "index": {i}, "dim": {args.dim}, "matrix": [{matrix}]}}')
     else:
-        cells = Cells(_format_matrix_entry)
+        cells = Cells(scalar_to_text)
         sys.stdout.write("".join(" ".join(map(cells.__getitem__, row)) + "\n" for row in rows))
     return EXIT_OK
 
@@ -167,7 +160,7 @@ def cmd_repl(args) -> int:
                 try:
                     _, word = line.split()
                     d = decimal(word)
-                except ValueError:
+                except (ValueError, argparse.ArgumentTypeError):
                     raise ExcalcError(":dim wants one integer dimension")
                 env = Environment(d)
                 out.write(f"dimension {env.d}\n")

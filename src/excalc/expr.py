@@ -36,6 +36,7 @@ from .errors import EvalError, ExprSyntaxError, IndexRangeError
 from .multivector import (
     Multivector,
     _Value,
+    _echo,
     basis_vector,
     check_dim,
     combine,
@@ -338,8 +339,7 @@ def _evaluate(node, env: Environment) -> Multivector:
     match node:
         case BasisVector(index=i):
             if not 1 <= i <= d:
-                index = str(i) if i < 10**80 else f"{str(i)[:80]}..."
-                raise IndexRangeError(f"e{index} does not exist in dimension {d}")
+                raise IndexRangeError(f"e{_echo(i)} does not exist in dimension {d}")
             return basis_vector(d, i)
         case Wedge(operands=xs):
             return reduce(wedge, (_evaluate(x, env) for x in xs))

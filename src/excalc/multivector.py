@@ -36,17 +36,23 @@ IDENTITY_TOL = 1e-10
 # ---- argument kinds: one checker each; a bool is never an int of these kinds ----
 
 
+def _echo(value) -> str:
+    """repr(value) as an error quotes it: at most 80 characters, then `...`."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def check_dim(d: int) -> int:
     """A space dimension: an int in 1..MAX_DIM, else DimensionError."""
     if type(d) is not int or not 1 <= d <= MAX_DIM:
-        raise DimensionError(f"dimension must be an integer in 1..{MAX_DIM}, got {d!r}")
+        raise DimensionError(f"dimension must be an integer in 1..{MAX_DIM}, got {_echo(d)}")
     return d
 
 
 def check_index(d: int, i: int) -> int:
     """A 1-based mode index: an int in 1..d, else IndexRangeError."""
     if type(i) is not int or not 1 <= i <= d:
-        raise IndexRangeError(f"basis index {i!r} outside 1..{d}")
+        raise IndexRangeError(f"basis index {_echo(i)} outside 1..{d}")
     return i
 
 
@@ -337,7 +343,8 @@ def _json_coeff(entry: Mapping) -> complex:
     try:
         return complex(entry["re"], entry["im"])
     except OverflowError:
-        raise ValueError(f"coefficient {entry['re']!r} + {entry['im']!r}j is not a number") from None
+        re, im = _echo(entry["re"]), _echo(entry["im"])
+        raise ValueError(f"coefficient {re} + {im}j is not a number") from None
 
 
 def _pruned(terms: dict[int, complex]) -> dict[int, complex]:

@@ -16,13 +16,12 @@ A `Case` row holds:
 `well_formed(code, err)` has asserted what holds for every run: stderr holds
 no `Traceback`, and after a nonzero exit exactly one error line.
 
-Tier-1 runs each case once, in process through `run_in_process`: as
-`test_cli_case[<id>]`, or under an older test id that groups it.
-`python tests/cli_cases.py` runs each case through the `excalc` on
-PATH, as a real process with a 60 s timeout; it prints the id of every case
-that fails and exits 1 if any did.  A new pin is one more row.  What only a
-real process shows stays out of the table: a reader that closed the pipe,
-and which modules a command loads.
+Tier-1 runs each case once, in process through `run_in_process`, as
+`test_cli_case[<id>]`.  `python tests/cli_cases.py` runs each case through
+the `excalc` on PATH, as a real process with a 60 s timeout; it prints the
+id of every case that fails and exits 1 if any did.  A new pin is one more
+row.  What only a real process shows stays out of the table: a reader that
+closed the pipe, and which modules a command loads.
 """
 
 from __future__ import annotations
@@ -61,6 +60,11 @@ def factor_list(d: int, rows) -> str:
     return json.dumps({"dim": d, "factors": [[{"re": x, "im": 0} for x in r] for r in rows]})
 
 
+def vandermonde(d: int, k: int) -> str:
+    """k Vandermonde rows in dimension d, so every one of the C(d, k) minors is nonzero."""
+    return factor_list(d, [[(r + 1) ** c for c in range(d)] for r in range(k)])
+
+
 def json_terms(*terms) -> str:
     """`eval --format json` at d=2 of the (blade, re, im) terms."""
     payload = {"dim": 2, "terms": [{"blade": b, "re": x, "im": y} for b, x, y in terms]}
@@ -72,7 +76,7 @@ def bad_matrix(matrix: str) -> str:
 
 
 def bad_dim(command: str, value: str) -> str:
-    return f"excalc {command}: error: argument --dim: invalid decimal value: {value!r}\n"
+    return f"excalc {command}: error: argument --dim: invalid decimal value: {value!r:.80}\n"
 
 
 X_FACTORS = factor_list(3, [[1, 1, 0], [0, 1, 1]])
@@ -87,6 +91,8 @@ MASK_0X3 = "error: non-finite coefficient (inf+0j) on blade mask 0x3\n"
 DIM_WORD = "error: :dim wants one integer dimension\n"
 BIND_E = "error: cannot bind 'E': an expression does not read it as a name\n"
 EVAL_3 = "eval --dim 3 --"
+ONES = "1" * 3000
+ONES_80 = "1" * 80 + "..."
 
 CASES = [
     # eval: values and formats
@@ -167,6 +173,14 @@ CASES = [
     # regex \d, ends a number
     case("eval-dim-arabic-indic", "eval --dim \u0663 e1^e2", code=2, err=bad_dim("eval", "\u0663")),
     case("eval-dim-underscore", "eval --dim 1_0 e10", code=2, err=bad_dim("eval", "1_0")),
+    # a long --dim is quoted cut at 80 characters, an integer with `...` after
+    # them, as are a long ladder index, :dim and factor-list coefficient below
+    case("eval-dim-3000-digits", "eval --dim", ONES, "e1", code=1,
+         err=f"error: dimension must be an integer in 1..16, got {ONES_80}\n"),
+    case("eval-dim-5000-digits", "eval --dim", "1" * 5000, "e1", code=1,
+         err=f"error: dimension must be an integer in 1..16, got {ONES_80}\n"),
+    case("eval-dim-long-word", "eval --dim", "x" * 5000, "e1", code=2,
+         err=bad_dim("eval", "x" * 5000)),
     case("eval-arabic-indic-integer", "eval --dim 3", "1\u0663 * e1", code=2,
          err="syntax error: unknown character '\u0663' at 1:2\n"),
     case("eval-arabic-indic-exponent", "eval --dim 3", "1e\u0663 * e1", code=2,
@@ -175,12 +189,12 @@ CASES = [
          err="syntax error: unknown character '.' at 1:2\n"),
     # eval --factors: integer lists expand exactly; the 4 x 4 Vandermonde
     # determinant is 12, and rows (1, 2, 3) and (2, 4, 6) have rank 1
-    case("factors-vandermonde-4", "eval --dim 4 --factors", "F=" + factor_list(
-        4, [[(r + 1) ** c for c in range(4)] for r in range(4)]), "F", out="12 * E\n"),
+    case("factors-vandermonde-4", "eval --dim 4 --factors", "F=" + vandermonde(4, 4), "F",
+         out="12 * E\n"),
     case("factors-dependent", "eval --dim 3 --factors", "F=" + factor_list(
         3, [[s * c for c in (1, 2, 3)] for s in (1, 2)]), "F", out="0\n"),
-    case("factors-vandermonde-7-3", "eval --dim 7 --factors", "F=" + factor_list(
-        7, [[(r + 1) ** c for c in range(7)] for r in range(3)]), "F ^ e4", out=(
+    case("factors-vandermonde-7-3", "eval --dim 7 --factors", "F=" + vandermonde(7, 3),
+         "F ^ e4", out=(
         "2 * e1^e2^e3^e4 - 50 * e1^e2^e4^e5 - 180 * e1^e2^e4^e6 - 602 * e1^e2^e4^e7"
         " - 120 * e1^e3^e4^e5 - 478 * e1^e3^e4^e6 - 1680 * e1^e3^e4^e7 + 1150 * e1^e4^e5^e6"
         " + 5880 * e1^e4^e5^e7 + 7322 * e1^e4^e6^e7 - 72 * e2^e3^e4^e5 - 300 * e2^e3^e4^e6"
@@ -209,6 +223,9 @@ CASES = [
          err_start="error: cannot read factor list '" + '{"dim": ' + "[" * 71 + ": "),
     case("factors-long-binding", "eval --dim 2 --factors", "x" * 5000, "e1", code=1,
          err="error: --factors wants NAME=FILE_OR_JSON, got '" + "x" * 79 + "\n"),
+    case("factors-long-coefficient", "eval --dim 1 --factors",
+         'F={"dim": 1, "factors": [[{"re": ' + ONES + ', "im": 0}]]}', "F", code=1,
+         err=f"error: coefficient {ONES_80} + 0j is not a number\n"),
     case("factors-long-path", "eval --dim 2 --factors", "F=/" + "a" * 5000, "F", code=1,
          err="error: cannot read factor list '/" + "a" * 78 + ": File name too long\n"),
     # table: the set gates match a +1 coefficient within PRUNE_TOL and
@@ -257,6 +274,8 @@ CASES = [
          err=bad_dim("fock", "\u0662")),
     case("fock-long-matrix", "fock --matrix", "create:" + "x" * 3000, "--dim", "3", code=1,
          err="error: --matrix wants create:<i> or annihilate:<i>, got 'create:" + "x" * 72 + "\n"),
+    case("fock-index-3000-digits", "fock --matrix", "create:" + ONES, "--dim", "3", code=1,
+         err=f"error: basis index {ONES_80} outside 1..3\n"),
     case("verify-paper", "verify-paper", out_digest="1594e1719d2b9b9c"),
     # repl: a bad line is reported, as eval would report it, and the session reads on
     case("repl-session", "repl --dim 2",
@@ -279,6 +298,8 @@ CASES = [
          err="error: unknown command ':letter'\nerror: unknown command ':dimension'\n" + BIND_E
          + "error: unbound name 'ter'\n"),
     case("repl-letter", "repl", stdin=":letter = e1\n", err="error: unknown command ':letter'\n"),
+    case("repl-dim-3000-digits", "repl", stdin=f":dim {ONES}\n",
+         err=f"error: dimension must be an integer in 1..16, got {ONES_80}\n"),
     case("repl-long-command", "repl", stdin=":" + "x" * 3000 + "\n",
          err="error: unknown command ':" + "x" * 78 + "\n"),
 ]
@@ -313,12 +334,6 @@ def check(case: Case, code: int, out: str, err: str) -> None:
         assert error_text(err).startswith(case.err_start), f"stderr {err[:300]!r}"
     else:
         assert error_text(err) == case.err, f"stderr {err[:300]!r}, want {case.err[:300]!r}"
-
-
-def check_cases(*ids: str) -> None:
-    """Run each case named in process and check it."""
-    for case_id in ids:
-        check(BY_ID[case_id], *run_in_process(BY_ID[case_id]))
 
 
 def run_in_process(case: Case) -> tuple[int, str, str]:

@@ -28,8 +28,7 @@ from excalc.multivector import (
     wedge,
 )
 from excalc.verify import random_coeff, run_verification
-from oracles import hex_terms
-from test_duality import walked_merge_sign
+from oracles import hex_terms, positions, sort_sign
 
 EPS = sys.float_info.epsilon
 
@@ -149,7 +148,7 @@ def test_pair_table_lists_each_disjoint_pair_with_its_merge_sign(d, reverse):
         pairs.reverse()
     assert list(zip(s.tolist(), t.tolist())) == pairs
     assert (u == s | t).all()
-    assert sign.tolist() == [walked_merge_sign(x, y) for x, y in pairs]
+    assert sign.tolist() == [sort_sign(positions(x), positions(y)) for x, y in pairs]
     assert s.dtype == t.dtype == u.dtype == np.intp and sign.dtype == np.float64
     assert not any(x.flags.writeable for x in (s, t, u, sign))
 

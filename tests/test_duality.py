@@ -5,8 +5,9 @@ The dict `vee`, `hodge_inverse` and `scalar_product` each multiply the ±1
 factors of the duality route into one sign per blade pair.  The routes they
 replace stay here as oracles: the folded kernels must give the same floats,
 bit for bit (compared by `float.hex`), up to the sign of a zero part.
-`merge_sign`, `star_sign`, `hodge` and `hodge_inverse` are checked against
-the bit-walking loops they were, signed zeros included.
+`merge_sign` and `star_sign` are checked against the rules they stand for,
+`oracles.sort_sign` and the index sum, and `hodge` and `hodge_inverse`
+against the loops they were, signed zeros included.
 """
 
 from __future__ import annotations
@@ -28,29 +29,19 @@ from excalc.multivector import (
     scalar_product,
     star_sign,
 )
-
-
-def walked_merge_sign(a: int, b: int) -> int:
-    """The merge sign as a walk over b's bits, counting a's bits above each:
-    the loop `merge_sign` was before its prefix-parity form, kept as an oracle."""
-    inv = 0
-    t = b
-    while t:
-        low = t & -t
-        inv += (a >> low.bit_length()).bit_count()
-        t ^= low
-    return -1 if inv & 1 else 1
+from oracles import positions, sort_sign
 
 
 def walked_star(a: Multivector, inverse: bool = False) -> Multivector:
     """hodge, or with inverse hodge_inverse, as the loops they were: blade s
-    goes to its complement with the walked merge sign of (s, complement), or
-    of (complement, s)."""
+    goes to its complement with the sorting sign of (s, complement), or of
+    (complement, s)."""
     full = (1 << a.d) - 1
     out: dict[int, complex] = {}
     for s, c in a:
         comp = full ^ s
-        sign = walked_merge_sign(comp, s) if inverse else walked_merge_sign(s, comp)
+        first, second = (comp, s) if inverse else (s, comp)
+        sign = sort_sign(positions(first), positions(second))
         out[comp] = out.get(comp, 0j) + sign * c
     return multivector._result(a.d, out)
 
@@ -158,7 +149,7 @@ def test_merge_sign_is_the_walked_count_on_every_disjoint_pair_of_8_modes():
     for s in range(1 << 8):
         for t in range(1 << 8):
             if not s & t:
-                assert merge_sign(s, t) == walked_merge_sign(s, t)
+                assert merge_sign(s, t) == sort_sign(positions(s), positions(t))
 
 
 def test_merge_sign_is_the_walked_count_at_the_top_mode():
@@ -167,8 +158,8 @@ def test_merge_sign_is_the_walked_count_at_the_top_mode():
     for _ in range(5000):
         s = rng.getrandbits(16) | 1 << 15
         t = rng.getrandbits(16) & ~s
-        assert merge_sign(s, t) == walked_merge_sign(s, t)
-        assert merge_sign(t, s) == walked_merge_sign(t, s)
+        assert merge_sign(s, t) == sort_sign(positions(s), positions(t))
+        assert merge_sign(t, s) == sort_sign(positions(t), positions(s))
 
 
 @pytest.mark.parametrize("d", range(1, 9))

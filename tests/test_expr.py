@@ -46,7 +46,7 @@ from excalc.extensors import ExtensorFactors
 from excalc.qubits import QubitState
 from excalc.textform import format_result, scalar_to_text
 from excalc.verify import random_mv
-from cli_cases import Case, run_in_process, well_formed
+from cli_cases import Case, error_text, run_in_process, well_formed
 from oracles import hex_terms
 
 
@@ -524,13 +524,14 @@ def test_hostile_inputs_end_in_a_value_or_a_positioned_syntax_error():
     assert format_result(value, "text") == "5000 * e1"
 
 
-# A run of 4000-6000 digits or identifier characters, placed as an index, a
-# literal, a name or after an operator, or followed by a letter, is longer than Python's 4300-digit
-# limit for int() and longer than any sensible echo.
-_LONG_RUN_PLACES = (
+# A run of 4000-6000 digits or identifier characters, placed as the --dim
+# value, or in the expression as an index, a literal, a name or after an
+# operator, or followed by a letter, is longer than Python's 4300-digit limit
+# for int() and longer than any sensible echo.  A place is a (--dim, expression) pair.
+_LONG_RUN_PLACES = [("{}", "e1")] + [("3", source) for source in (
     "{}", "e{}", "{} * e1", "{}i", "1e{}", "0.{}", "e1 ^ {}", "e1 + {}", "e1 v {}", "*{}",
     "~{}", "e1 {}", "ip({}, e1)", "({}", "e{}x", "{}_",
-)
+)]
 
 
 @st.composite
@@ -539,18 +540,23 @@ def _long_run_sources(draw):
     piece = draw(st.text(alphabet, min_size=1, max_size=6))
     length = draw(st.integers(4000, 6000))
     run = (piece * (length // len(piece) + 1))[:length]
-    return draw(st.sampled_from(_LONG_RUN_PLACES)).format(run)
+    dim, source = draw(st.sampled_from(_LONG_RUN_PLACES))
+    return dim.format(run), source.format(run)
 
 
-@example("e" + "1" * 5000)
-@example("e" + "0" * 5000 + "x")
-@example("x" * 5000)
+@example(("3", "e" + "1" * 5000))
+@example(("3", "e" + "0" * 5000 + "x"))
+@example(("3", "x" * 5000))
+@example(("1" * 3000, "e1"))
+@example(("x" * 5000, "e1"))
 @given(_long_run_sources())
-def test_long_runs_end_in_a_value_or_one_short_error_line(source):
-    code, out, err = run_in_process(Case("long-run", ["eval", "--dim", "3", "--", source]))
+def test_long_runs_end_in_a_value_or_one_short_error_line(place):
+    dim, source = place
+    code, out, err = run_in_process(Case("long-run", ["eval", "--dim", dim, "--", source]))
     well_formed(code, err)
     assert code in (0, 1, 2)
-    assert code == 0 or len(err.encode()) <= 200, err[:300]
+    # the error line, after any argparse usage lines
+    assert code == 0 or len(error_text(err).encode()) <= 200, err[:300]
 
 
 _LEAVES = ("e1", "e2", "e3", "E", "1", "i", "0.5", "x", "e9", "ip(e1, e2)")

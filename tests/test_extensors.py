@@ -44,6 +44,7 @@ from excalc.multivector import (
 )
 from excalc.qubits import QubitState, bits_to_mask, parse_basis_state
 from excalc.verify import random_coeff, random_factors, random_vector
+from oracles import sort_sign
 
 EPS = sys.float_info.epsilon
 
@@ -526,15 +527,6 @@ def test_split_signs_restore_original_order():
             assert mv_equal_approx(s.sign * rebuilt, expand(x), 1e-9)
 
 
-def inversion_sign(first: tuple[int, ...], second: tuple[int, ...]) -> int:
-    """The inversion count enumerate_splits took before merge_sign, kept as
-    an oracle: the parity of the (p in first, q in second) pairs with p > q."""
-    inversions = 0
-    for q in second:
-        inversions += sum(1 for p in first if p > q)
-    return -1 if inversions & 1 else 1
-
-
 @pytest.mark.parametrize("k", range(9))
 def test_split_signs_are_the_inversion_count(k):
     d = max(k, 1)
@@ -544,7 +536,7 @@ def test_split_signs_are_the_inversion_count(k):
         for first in combinations(range(k), h):
             second = tuple(p for p in range(k) if p not in first)
             parts = tuple(x.factors[p] for p in first), tuple(x.factors[p] for p in second)
-            want.append((inversion_sign(first, second), *parts))
+            want.append((sort_sign(first, second), *parts))
         got = [(s.sign, s.part1.factors, s.part2.factors) for s in enumerate_splits(x, h)]
         assert got == want
 

@@ -33,21 +33,7 @@ from excalc.multivector import (
 )
 from excalc.textform import scalar_to_text
 from excalc.verify import random_homogeneous, random_mv
-from oracles import blade
-
-
-def wedge_sign_oracle(left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    """Bubble-sort parity of the concatenated index list; 0 on repeats."""
-    seq = list(left + right)
-    if len(set(seq)) != len(seq):
-        return 0
-    swaps = 0
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1 - i):
-            if seq[j] > seq[j + 1]:
-                seq[j], seq[j + 1] = seq[j + 1], seq[j]
-                swaps += 1
-    return -1 if swaps & 1 else 1
+from oracles import blade, sort_sign
 
 
 # ---- construction ----------------------------------------------------------------
@@ -181,7 +167,7 @@ def test_wedge_sign_matches_permutation_oracle():
         t = rng.randrange(1 << d)
         left, right = indices_from_mask(s), indices_from_mask(t)
         got = wedge(blade(d, *left), blade(d, *right))
-        sign = wedge_sign_oracle(left, right)
+        sign = sort_sign(left, right)
         if sign == 0:
             assert got.is_zero()
         else:

@@ -6,9 +6,10 @@ start without any of them, and `table` and `fock` without numpy.  No
 subcommand loads `dataclasses`, and `eval`, `table`, `fock` and
 `verify-paper` load no `typing`: the library's records are plain classes and
 named tuples.  Nor do they load `shutil`: help wraps at a fixed 78 columns,
-so argparse never measures the terminal.  The command functions reach
-`table_command` and `operator_matrix` through the names in `excalc.cli`, so
-a caller can wrap or replace them there.
+so argparse never measures the terminal.  `expand` and `is_decomposable`
+load no numpy either.  The command functions reach `table_command` and
+`operator_matrix` through the names in `excalc.cli`, so a caller can wrap or
+replace them there.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 
 import excalc
 from excalc import cli
+from cli_cases import vandermonde
 
 SRC = str(Path(excalc.__file__).resolve().parents[1])
 LAZY = (
@@ -51,12 +53,6 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main({argv!r})
 print(json.dumps([after_import, loaded(), code]))
 """
-
-
-def factor_list(d: int, k: int) -> str:
-    """k Vandermonde rows in dimension d, so every one of the C(d, k) minors is nonzero."""
-    rows = [[{"re": float((r + 1) ** c), "im": 0.0} for c in range(d)] for r in range(k)]
-    return json.dumps({"dim": d, "factors": rows})
 
 
 def run_python(code: str, stdin_text: str = "", flags: tuple = ()) -> str:
@@ -93,6 +89,11 @@ def loaded_after(
         ),
         # one product per row, each of 64 pairs: the dict kernel, no numpy
         pytest.param(["table", "--op", "pseudo-vee", "--dim", "6"], "", TABLE, id="table-d6"),
+        # one product per row against the sum of all 64 blades: still the dict kernel
+        pytest.param(
+            ["table", "--op", "q-vee", "--dim", "6", "--format", "csv"], "", TABLE,
+            id="table-q-vee-d6",
+        ),
         pytest.param(["repl", "--dim", "3"], ":let x = e1 + e2\nx ^ e3\n", [], id="repl"),
         pytest.param(
             ["repl", "--dim", "3"], ":let x = e1 + e2\nx ^ e3\n:table wedge\n", TABLE,
@@ -100,12 +101,12 @@ def loaded_after(
         ),
         # C(4, 2) = 6 or C(7, 3) = 35 minors: one fold of wedges either way, no numpy
         pytest.param(
-            ["eval", "--dim", "4", "--factors", f"F={factor_list(4, 2)}", "F"], "",
+            ["eval", "--dim", "4", "--factors", f"F={vandermonde(4, 2)}", "F"], "",
             ["excalc.extensors"],
             id="factors-6-minors",
         ),
         pytest.param(
-            ["eval", "--dim", "7", "--factors", f"F={factor_list(7, 3)}", "F"], "",
+            ["eval", "--dim", "7", "--factors", f"F={vandermonde(7, 3)}", "F"], "",
             ["excalc.extensors"],
             id="factors-35-minors",
         ),
@@ -134,12 +135,18 @@ def test_each_subcommand_loads_only_what_it_runs(argv, stdin_text, want):
 # the subcommands that run without numpy, which `python -S` cannot import
 NO_NUMPY = [
     pytest.param(["eval", "--dim", "3", "e1^e2"], id="eval"),
-    pytest.param(["eval", "--dim", "4", "--factors", f"F={factor_list(4, 2)}", "F"], id="factors"),
+    pytest.param(["eval", "--dim", "4", "--factors", f"F={vandermonde(4, 2)}", "F"], id="factors"),
+    pytest.param(
+        ["eval", "--dim", "4", "--factors", f"F={vandermonde(4, 4)}", "F"], id="factors-4x4"
+    ),
     pytest.param(["table", "--op", "q-vee", "--dim", "2"], id="table"),
     pytest.param(["verify-paper"], id="verify-paper"),
     pytest.param(["fock", "--matrix", "create:3", "--dim", "8"], id="fock"),
     pytest.param(
         ["fock", "--matrix", "annihilate:2", "--dim", "4", "--format", "json"], id="fock-json"
+    ),
+    pytest.param(
+        ["fock", "--matrix", "create:3", "--dim", "8", "--format", "json"], id="fock-json-d8"
     ),
 ]
 
@@ -147,7 +154,7 @@ NO_NUMPY = [
 @pytest.mark.parametrize("argv", NO_NUMPY)
 def test_starts_without_typing(argv):
     # -S: a `.pth` file in site-packages may import `typing` before excalc does
-    after_import, after_main, code = loaded_after(argv, lazy=("typing",), flags=("-S",))
+    after_import, after_main, code = loaded_after(argv, lazy=("typing", "numpy"), flags=("-S",))
     assert (after_import, after_main, code) == ([], [], 0)
 
 
@@ -156,6 +163,17 @@ def test_starts_without_shutil(argv):
     # a HelpFormatter without a width imports shutil to measure the terminal
     after_import, after_main, code = loaded_after(argv, lazy=("shutil",), flags=("-S",))
     assert (after_import, after_main, code) == ([], [], 0)
+
+
+def test_is_decomposable_and_expand_load_no_numpy():
+    out = run_python(
+        "import sys; from excalc.multivector import Multivector;"
+        " from excalc.extensors import ExtensorFactors, expand, is_decomposable;"
+        " print(is_decomposable(Multivector(4, {0b0011: 1, 0b1100: 1})),"
+        " is_decomposable(expand(ExtensorFactors(4, ((1, 2, 0, -1), (0, 1, 3, 2))))),"
+        " 'numpy' in sys.modules)"
+    )
+    assert out == "False True False\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "table"])

@@ -20,7 +20,7 @@ from excalc.expr import Environment, evaluate_text
 from excalc.qubits import QubitState, q_vee, q_wedge
 from excalc.tables import TABLE_OPS, table_command, table_rows
 from excalc.verify import format_report, run_verification
-from cli_cases import CASES, X_FACTORS, Case, check, check_cases, digest, run_in_process
+from cli_cases import CASES, X_FACTORS, Case, check, digest, run_in_process
 
 WEDGE_COLUMN_D2 = {
     ("1", "1"): "1",
@@ -456,73 +456,6 @@ def test_worked_example_rows_are_what_eval_prints(capsys):
 # ---- CLI ---------------------------------------------------------------------------
 
 
-# Every pinned CLI behaviour is a case in `cli_cases.CASES`; CI runs the same
-# cases as real processes.  The tests that pinned CLI behaviour before the
-# table keep their ids, each running its group of cases in process, and
-# `test_cli_case` runs every other case under its own id: each case runs once.
-GROUPED: set[str] = set()
-
-
-def runs(*ids: str):
-    """A test that runs the cases named, in process."""
-    GROUPED.update(ids)
-    return lambda: check_cases(*ids)
-
-
-test_cli_eval_text_and_json = runs("eval-text", "eval-json-star", "eval-csv")
-test_cli_eval_scalar_result = runs("eval-scalar", "eval-scalar-json")
-test_cli_exit_codes = runs("eval-syntax-error", "eval-step-mismatch", "eval-unbound-name")
-test_cli_overflowing_product_is_an_evaluation_error = runs(
-    "eval-overflowing-product", "eval-no-finite-magnitude"
-)
-test_cli_table_and_tolerance_override = runs(
-    "table-pseudo-vee-d2", "table-pseudo-wedge-d2", "table-pseudo-wedge-d2-tol",
-    "table-pseudo-wedge-d2-tol-word",
-)
-test_cli_eval_malformed_factor_list_is_an_error_not_a_traceback = runs(
-    "factors-no-dim", "factors-bare-numbers"
-)
-test_cli_fock_matrix = runs("fock-create-text", "fock-annihilate-json-d2", "fock-unknown-kind")
-test_cli_verify_passes = runs("verify-paper")
-test_cli_repl_session = runs("repl-session")
-test_cli_repl_reports_a_syntax_error_as_eval_does = runs(
-    "repl-syntax-error", "eval-syntax-error-e1-plus"
-)
-test_cli_repl_dim_takes_exactly_one_integer = runs("repl-dim-one-integer")
-test_cli_repl_matches_whole_command_words_and_rejects_reserved_names = runs("repl-command-words")
-test_cli_factors_reject_a_reserved_name_and_a_bool_dimension = runs(
-    "factors-reserved-name", "factors-bool-dimension"
-)
-
-MALFORMED_INDEX = {
-    "create:\u00b2": "fock-index-superscript",
-    "annihilate:\u2460": "fock-index-circled",
-    "create:": "fock-index-empty",
-    "create:-1": "fock-index-negative",
-}
-ASCII_DIGITS = {
-    "eval-integer": "eval-arabic-indic-integer",
-    "eval-exponent": "eval-arabic-indic-exponent",
-    "eval-fraction": "eval-arabic-indic-fraction",
-    "fock": "fock-index-arabic-indic",
-    "repl-dim": "repl-dim-arabic-indic",
-    "eval-dim": "eval-dim-arabic-indic",
-    "eval-dim-underscore": "eval-dim-underscore",
-    "fock-dim": "fock-dim-arabic-indic",
-}
-GROUPED.update(MALFORMED_INDEX.values(), ASCII_DIGITS.values())
-
-
-@pytest.mark.parametrize("case_id", MALFORMED_INDEX.values(), ids=MALFORMED_INDEX.keys())
-def test_cli_fock_rejects_a_malformed_index(case_id):
-    check_cases(case_id)
-
-
-@pytest.mark.parametrize("case_id", ASCII_DIGITS.values(), ids=ASCII_DIGITS.keys())
-def test_cli_reads_ascii_digits_only(case_id):
-    check_cases(case_id)
-
-
 def test_cli_eval_factor_bindings(tmp_path):
     where = tmp_path / "x.json"
     where.write_text(X_FACTORS)
@@ -531,10 +464,9 @@ def test_cli_eval_factor_bindings(tmp_path):
     check(case, *run_in_process(case))
 
 
-UNGROUPED = [case for case in CASES if case.id not in GROUPED]
-
-
-@pytest.mark.parametrize("case", UNGROUPED, ids=[case.id for case in UNGROUPED])
+# Every pinned CLI behaviour is a case in `cli_cases.CASES`, run here once
+# each, in process; CI runs the same cases as real processes.
+@pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
 def test_cli_case(case):
     check(case, *run_in_process(case))
 
