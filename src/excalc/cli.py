@@ -5,9 +5,10 @@ interactive session, `verify-paper` the bundled verification suite, `fock` a
 ladder-operator matrix dump.  Exit codes: 0 success, 1 evaluation error,
 2 syntax error, 3 verification failure.  An error quotes at most 80
 characters of a `--dim`, `--factors` or `--matrix` value or a REPL command,
-and at most 80 digits of an integer.  A reader that closes stdout before the
-output is written ends the command, `--help` included, with exit 1, quietly:
-no traceback and nothing on stderr.
+and at most 80 digits of an integer.  argparse's own usage errors quote a
+bad subcommand, choice or extra argument cut at 80 characters too.  A reader
+that closes stdout before the output is written ends the command, `--help`
+included, with exit 1, quietly: no traceback and nothing on stderr.
 
 Each subcommand imports only what it runs.  `eval` and `repl` load the
 algebra, the expression language and the text forms (`multivector`, `expr`,
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import partial
 
@@ -189,12 +191,17 @@ def cmd_repl(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """argparse's usage error, each run of more than 80 non-blank
+        characters in it cut to its first 80: argparse quotes a bad argument whole."""
+        super().error(re.sub(r"\S{81,}", lambda run: run[0][:80], message))
+
+
 def build_parser() -> argparse.ArgumentParser:
     # help wraps at 78 columns, argparse's width off a terminal; a formatter
     # left to measure the terminal imports shutil on every add_argument
-    parser_class = partial(
-        argparse.ArgumentParser, formatter_class=partial(argparse.HelpFormatter, width=78)
-    )
+    parser_class = partial(_Parser, formatter_class=partial(argparse.HelpFormatter, width=78))
     parser = parser_class(
         prog="excalc",
         description="exterior calculus on finite fermion-hole spaces",

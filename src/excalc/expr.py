@@ -22,7 +22,9 @@ Tokens are named tuples, each built in one `tuple.__new__` call with all six
 fields.  Tree nodes are plain value classes: nodes with equal fields are
 equal and hash alike, and nothing assigns to a node the parser has built, so
 one parse shares one `BasisVector` node per basis index.  An `eN` leaf
-evaluates to the cached, immutable `basis_vector(d, N)`.
+evaluates to the cached, immutable `basis_vector(d, N)`.  A `Wedge` node
+multiplies through `multivector._wedge_chain`, which keeps a run of one-term
+operands, as in `2 * e1^e3^e5`, as one (mask, coefficient) pair.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .multivector import (
     Multivector,
     _Value,
     _echo,
+    _wedge_chain,
     basis_vector,
     check_dim,
     combine,
@@ -44,7 +47,6 @@ from .multivector import (
     hodge,
     scalar_product,
     vee,
-    wedge,
 )
 
 MAX_NESTING = 100
@@ -342,7 +344,7 @@ def _evaluate(node, env: Environment) -> Multivector:
                 raise IndexRangeError(f"e{_echo(i)} does not exist in dimension {d}")
             return basis_vector(d, i)
         case Wedge(operands=xs):
-            return reduce(wedge, (_evaluate(x, env) for x in xs))
+            return _wedge_chain(_evaluate(x, env) for x in xs)
         case ScalarMul(coeff=c, operand=x):
             return c * _evaluate(x, env)
         case Add(terms=((_, first), *rest)):

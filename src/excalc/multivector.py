@@ -37,8 +37,16 @@ IDENTITY_TOL = 1e-10
 
 
 def _echo(value) -> str:
-    """repr(value) as an error quotes it: at most 80 characters, then `...`."""
-    text = repr(value)
+    """repr(value) as an error quotes it: at most 80 characters, then `...`.
+    An int of b > 300 bits is first divided down to its leading 86 to 88
+    digits, so no int meets the interpreter's limit on converting thousands
+    of digits: it has more than (b - 1) * 0.3010299 < (b - 1) * log10(2)."""
+    if isinstance(value, int) and value.bit_length() > 300:
+        size = abs(value)
+        drop = (size.bit_length() - 1) * 3010299 // 10**7 - 85
+        text = ("-" if value < 0 else "") + str(size // 10**drop)
+    else:
+        text = repr(value)
     return text if len(text) <= 80 else text[:80] + "..."
 
 
@@ -59,14 +67,14 @@ def check_index(d: int, i: int) -> int:
 def check_step(k: int, top: int, what: str) -> int:
     """A step (grade or split class): an int in 0..top, else GradeError."""
     if type(k) is not int or not 0 <= k <= top:
-        raise GradeError(f"{what} {k!r} outside 0..{top}")
+        raise GradeError(f"{what} {_echo(k)} outside 0..{top}")
     return k
 
 
 def check_mask(d: int, mask: int) -> int:
     """A blade mask: an int in 0..2^d - 1, else IndexRangeError."""
     if type(mask) is not int or not 0 <= mask < 1 << d:
-        raise IndexRangeError(f"blade mask {mask!r} outside dimension {d}")
+        raise IndexRangeError(f"blade mask {_echo(mask)} outside dimension {d}")
     return mask
 
 
@@ -74,11 +82,11 @@ def check_coeff(c: complex) -> complex:
     """A finite complex from what complex() takes, but not a bool or a str, else ValueError."""
     if type(c) is not complex:
         if isinstance(c, (bool, str)):  # complex() reads these as numbers
-            raise ValueError(f"coefficient {c!r} is not a number")
+            raise ValueError(f"coefficient {_echo(c)} is not a number")
         try:
             c = complex(c)
         except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"coefficient {c!r} is not a number") from None
+            raise ValueError(f"coefficient {_echo(c)} is not a number") from None
     if not cmath.isfinite(c):
         raise ValueError(f"non-finite coefficient {c!r}")
     return c
@@ -102,22 +110,38 @@ def mask_from_indices(d: int, indices: Iterable[int]) -> int:
     return mask
 
 
+# The blade record of each byte of a mask, at bit offsets 0 and 8, so two
+# bytes cover MAX_DIM: its ascending index tuple and its label, "e1^e3" for
+# 0b101 at offset 0, "e9^e11" at offset 8, and () and "" for 0.  A mask's
+# record is its low byte's followed by its high byte's.  No record is kept per
+# mask: the tables hold 2 * 256 entries of each kind, whatever the dimension.
+@lru_cache(maxsize=None)
+def _blade_bytes() -> tuple:
+    """((low, high) index tables, (low, high) label tables), built on first
+    use, not at import: each byte's entry extends that of the byte without
+    its top bit."""
+    indices, labels = ([()], [()]), ([""], [""])
+    for offset, index_table, label_table in zip((0, 8), indices, labels):
+        for byte in range(1, 256):
+            top = byte.bit_length()
+            rest = byte ^ 1 << top - 1
+            i = top + offset
+            index_table.append(index_table[rest] + (i,))
+            label_table.append(f"{label_table[rest]}^e{i}" if rest else f"e{i}")
+    return indices, labels
+
+
 def _canonical(mask: int) -> tuple[int, tuple[int, ...]]:
     """Sort key of the canonical blade order: step, then index tuple."""
-    return mask.bit_count(), indices_from_mask(mask)
+    low, high = _blade_bytes()[0]
+    return mask.bit_count(), low[mask & 255] + high[mask >> 8]
 
 
 def indices_from_mask(mask: int) -> tuple[int, ...]:
     """Ascending 1-based indices of a blade mask of any dimension."""
     check_mask(MAX_DIM, mask)
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    low, high = _blade_bytes()[0]
+    return low[mask & 255] + high[mask >> 8]
 
 
 def _prefix_parity(a):
@@ -393,7 +417,7 @@ def combine(first: Multivector, rest: Iterable[tuple[int, Multivector]]) -> Mult
     for sign, term in rest:
         check_same_dim(first, term)
         if type(sign) is not int or sign not in (1, -1):
-            raise ValueError(f"sign {sign!r} is not the int 1 or -1")
+            raise ValueError(f"sign {_echo(sign)} is not the int 1 or -1")
         for m, c in term._terms.items():
             out[m] = out.get(m, 0j) + (c if sign > 0 else -c)
         for m in term._terms:
@@ -463,6 +487,43 @@ def _wedge_dict(a: Multivector, b: Multivector) -> Multivector:
             u = s | t
             out[u] = out.get(u, 0j) + merge_sign(s, t) * ca * cb
     return _result(a.d, out)
+
+
+def _wedge_chain(values: Iterable[Multivector]) -> Multivector:
+    """reduce(wedge, values), bit for bit, over two or more values drawn left
+    to right.  While the running product and the next value each have one
+    term, the product stays one (mask, coefficient) pair: `_wedge_dict`'s
+    sum and `_result`'s prune and non-finite rule at every step, and one
+    value built at the end.  A zero product, or a next value of more terms,
+    hands the rest of the chain to `wedge`."""
+    values = iter(values)
+    acc = next(values)
+    if len(acc._terms) == 1:
+        d = acc.d
+        ((s, c),) = acc._terms.items()
+        for b in values:
+            check_same_dim(acc, b)
+            if len(b._terms) != 1:
+                acc = wedge(Multivector._build(d, {s: c}), b)
+                break
+            ((t, cb),) = b._terms.items()
+            if s & t:
+                acc = Multivector._build(d, {})
+                break
+            c = 0j + merge_sign(s, t) * c * cb
+            s |= t
+            try:
+                kept = PRUNE_TOL < abs(c) < math.inf
+            except OverflowError:
+                kept = False
+            if not kept:  # raises on a non-finite c, else prunes it to the zero value
+                acc = _result(d, {s: c})
+                break
+        else:
+            return Multivector._build(d, {s: c})
+    for b in values:
+        acc = wedge(acc, b)
+    return acc
 
 
 def hodge(a: Multivector) -> Multivector:

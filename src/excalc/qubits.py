@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from .errors import DimensionError, SchemaError
-from .multivector import Multivector, _json_coeff, check_same_dim, hodge, vee, wedge
+from .multivector import Multivector, _echo, _json_coeff, check_same_dim, hodge, vee, wedge
 from .textform import pieces_to_text
 
 
@@ -28,7 +28,7 @@ def bits_to_mask(bits: Iterable[int]) -> int:
     mask = 0
     for pos, b in enumerate(bits):
         if type(b) is not int or b not in (0, 1):
-            raise ValueError(f"bit value {b!r} is not 0 or 1")
+            raise ValueError(f"bit value {_echo(b)} is not 0 or 1")
         if b:
             mask |= 1 << pos
     return mask
@@ -112,7 +112,9 @@ class QubitState(Multivector):
             for entry in data["amps"]:
                 bits = parse_basis_state(entry["bits"])
                 if len(bits) != d:
-                    raise DimensionError(f"bit string {entry['bits']!r} is not {d!r} bits")
+                    raise DimensionError(
+                        f"bit string {_echo(entry['bits'])} is not {_echo(d)} bits"
+                    )
                 mask = bits_to_mask(bits)
                 amps[mask] = amps.get(mask, 0j) + _json_coeff(entry)
         except (KeyError, TypeError, AttributeError) as err:

@@ -9,6 +9,9 @@ as 0.  Qubit states use the same pieces with a ket label and a space, as in
 "i |10> - 0.5 |11>".
 `format_result` renders an evaluated expression as text, JSON or CSV; the CSV
 rows come from the terms, so a qubit state's CSV is its multivector's.
+A multivector's JSON has one writer, `_json_text`: one %-template per term,
+byte for byte `json.dumps(value.to_json(), indent=2)`.  Text, CSV and JSON
+read each blade's "e1^e3" label from `multivector`'s byte tables.
 `Cells` renders each distinct cell of an output grid once.
 """
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 
-from .multivector import PRUNE_TOL, Multivector, indices_from_mask
+from .multivector import PRUNE_TOL, Multivector, _blade_bytes
 
 # The operations of the full pair tables and the output formats of those tables
 # and of `eval`, named here so the CLI can offer them without importing `excalc.tables`.
@@ -44,12 +47,20 @@ def format_number(x: float) -> str:
     return repr(x)
 
 
+def _labels(masks: Iterable[int]) -> list[str]:
+    """The "e1^e3" label of each blade mask, "" for the scalar blade: its
+    low byte's label and its high byte's, joined by a `^` when both are nonempty."""
+    low, high = _blade_bytes()[1]
+    return [
+        f"{low[m & 255]}^{high[m >> 8]}" if m & 255 and m >> 8 else low[m & 255] or high[m >> 8]
+        for m in masks
+    ]
+
+
 def blade_to_text(d: int, mask: int) -> str:
-    if mask == 0:
-        return "1"
     if mask == (1 << d) - 1:
         return "E"
-    return "^".join(f"e{i}" for i in indices_from_mask(mask))
+    return _labels((mask,))[0] or "1"
 
 
 def _piece(value: float, imag: bool, label: str, sep: str) -> str:
@@ -87,8 +98,12 @@ def _readable(c: complex) -> complex:
 
 
 def multivector_to_text(a: Multivector) -> str:
-    terms = a._terms
-    return pieces_to_text((_readable(terms[m]), blade_to_text(a.d, m)) for m in a.sorted_masks())
+    terms, full = a._terms, (1 << a.d) - 1
+    masks = a.sorted_masks()
+    return pieces_to_text(
+        (_readable(terms[m]), "E" if m == full else label or "1")
+        for m, label in zip(masks, _labels(masks))
+    )
 
 
 def scalar_to_text(value: complex) -> str:
@@ -96,18 +111,47 @@ def scalar_to_text(value: complex) -> str:
     return pieces_to_text(((_readable(value), "1"),))
 
 
+# one term of `json.dumps(value.to_json(), indent=2)`: a float's %r is its JSON form
+_JSON_TERM = '    {\n      "blade": %s,\n      "re": %r,\n      "im": %r\n    }'
+# the separator of a blade's indices in that layout
+_JSON_INDEX_SEP = ",\n        "
+
+
+def _json_text(value: Multivector) -> str:
+    """`json.dumps(value.to_json(), indent=2)`, written per term from one
+    %-template; a blade's index list is its label with each `e` dropped, one
+    index a line.  A subclass with its own `to_json` layout, a QubitState,
+    goes through `json.dumps`."""
+    if type(value).to_json is not Multivector.to_json:
+        return json.dumps(value.to_json(), indent=2)
+    masks = value.sorted_masks()
+    entries = ",\n".join(
+        _JSON_TERM
+        % (
+            f"[\n        {label[1:].replace('^e', _JSON_INDEX_SEP)}\n      ]" if label else "[]",
+            c.real,
+            c.imag,
+        )
+        for label, c in zip(_labels(masks), map(value._terms.__getitem__, masks))
+    )
+    terms = f"[\n{entries}\n  ]" if entries else "[]"
+    return '{\n  "dim": %d,\n  "terms": %s\n}' % (value.d, terms)
+
+
 def format_result(value: Multivector | complex, fmt: str) -> str:
     if fmt not in TABLE_FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     if isinstance(value, Multivector):
         if fmt == "json":
-            return json.dumps(value.to_json(), indent=2)
+            return _json_text(value)
         if fmt == "csv":
             terms = value._terms
+            masks = value.sorted_masks()
             lines = ["blade,re,im"]
-            for m in value.sorted_masks():
-                blade = "^".join(f"e{i}" for i in indices_from_mask(m)) or "1"
-                lines.append(f"{blade},{terms[m].real!r},{terms[m].imag!r}")
+            lines.extend(
+                f"{label or '1'},{terms[m].real!r},{terms[m].imag!r}"
+                for m, label in zip(masks, _labels(masks))
+            )
             return "\n".join(lines)
         return value.to_text()
     if fmt == "json":

@@ -181,6 +181,16 @@ CASES = [
          err=f"error: dimension must be an integer in 1..16, got {ONES_80}\n"),
     case("eval-dim-long-word", "eval --dim", "x" * 5000, "e1", code=2,
          err=bad_dim("eval", "x" * 5000)),
+    # argparse's own usage errors quote a long argument cut at 80 characters;
+    # what follows a bad choice is the interpreter's own text
+    case("table-long-op", "table --op", "x" * 3000, "--dim", "2", code=2,
+         err_start="excalc table: error: argument --op: invalid choice: '" + "x" * 79
+         + " (choose from "),
+    case("eval-long-extra-argument", "eval --dim 3 e1", "x" * 3000, code=2,
+         err="excalc: error: unrecognized arguments: " + "x" * 80 + "\n"),
+    case("long-subcommand", "", "x" * 3000, code=2,
+         err_start="excalc: error: argument command: invalid choice: '" + "x" * 79
+         + " (choose from "),
     case("eval-arabic-indic-integer", "eval --dim 3", "1\u0663 * e1", code=2,
          err="syntax error: unknown character '\u0663' at 1:2\n"),
     case("eval-arabic-indic-exponent", "eval --dim 3", "1e\u0663 * e1", code=2,

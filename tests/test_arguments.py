@@ -54,23 +54,29 @@ def elsewhere(x):
     return ExtensorFactors(D + 1, ())
 
 
+# an int past the interpreter's 4300-digit limit on decimal conversion,
+# which an error message must quote without converting it whole
+HUGE = 10**5000
+
+
 def dims():
     return [True, False, 1.0, 3.0, NAN, INF, -INF, 0, -1, MAX_DIM + 1, "3"]
 
 
 def ints(top):
     """Hostile values of a kind whose valid values are the ints 0..top."""
-    return [True, False, 1.0, NAN, INF, -INF, -1, top + 1, "1", None]
+    return [True, False, 1.0, NAN, INF, -INF, -1, top + 1, 10**200, HUGE, -HUGE, "1", None]
 
 
 def coeffs():
     return [
-        True, False, NAN, INF, -INF, complex(NAN, 0), complex(0, INF), 10**400, "1", b"1", None, [1]
+        True, False, NAN, INF, -INF, complex(NAN, 0), complex(0, INF), 10**400, HUGE, "1", b"1",
+        None, [1],
     ]
 
 
 def bits():
-    return [2, -1, True, False, 1.0, NAN, "1", None]
+    return [2, -1, HUGE, True, False, 1.0, NAN, "1", None]
 
 
 def vectors():
@@ -92,7 +98,7 @@ KINDS = {
     "operand": lambda x: [],
     # an operand that must share the first operand's dimension
     "same": lambda x: [(elsewhere(x), DimensionError)],
-    "dim": lambda x: [(v, DimensionError) for v in dims() + [None]],
+    "dim": lambda x: [(v, DimensionError) for v in dims() + [None, HUGE]],
     "index": lambda x: [(v, IndexRangeError) for v in ints(D) + [0]],
     # after a valid index, so a set of indices cannot merge True or 1.0 into 1
     "indices": lambda x: [((1, v), IndexRangeError) for v in ints(D) + [0]],
@@ -109,7 +115,7 @@ KINDS = {
     + [(tuple(E) + (E[0],), GradeError)],
     "tol": lambda x: [(v, ValueError) for v in (True, NAN, -1.0, -INF, "x", None, 1j)],
     "signed_terms": lambda x: [
-        ([(s, V)], ValueError) for s in (True, False, 0, 2, 1.0, -1.0, "1", None)
+        ([(s, V)], ValueError) for s in (True, False, 0, 2, HUGE, 1.0, -1.0, "1", None)
     ] + [([(1, elsewhere(V))], DimensionError)],
     "bits": lambda x: [((b,), ValueError) for b in bits()],
     # the bits of a basis state of the operand's dimension
@@ -130,6 +136,7 @@ KINDS = {
         ({"d": D, "amps": [{"bits": 101, "re": 1, "im": 0}]}, SchemaError),
         ({"d": True, "amps": []}, DimensionError),
         ({"d": D, "amps": [{"bits": "10", "re": 1, "im": 0}]}, DimensionError),
+        ({"d": HUGE, "amps": [{"bits": "10", "re": 1, "im": 0}]}, DimensionError),
         ({"d": D, "amps": [{"bits": "1x1", "re": 1, "im": 0}]}, ValueError),
     ] + json_parts(lambda re, im: {"d": D, "amps": [{"bits": "101", "re": re, "im": im}]}),
     "factors_json": lambda x: [
@@ -311,7 +318,10 @@ def test_hostile_arguments_raise_their_kinds_error(name):
     fn, args, _ = ROWS[name]
     fn(*args)  # the row's own arguments are valid
     for hostile, error in hostile_calls(name):
-        where = f"{name}{hostile!r}"[:200]
+        try:
+            where = f"{name}{hostile!r}"[:200]
+        except ValueError:  # repr of HUGE, past the limit on decimal conversion
+            where = f"{name} with a 5001-digit int"
         try:
             fn(*hostile)
         except error:

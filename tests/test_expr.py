@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,6 +42,7 @@ from excalc.multivector import (
     hodge,
     mv_equal_approx,
     scalar_product,
+    wedge,
 )
 from excalc.extensors import ExtensorFactors
 from excalc.qubits import QubitState
@@ -263,6 +265,34 @@ def test_csv_rows_are_the_json_terms_byte_for_byte(value):
     assert format_result(value, "csv") == csv_through_json(value)
     # a qubit state's CSV is its multivector's
     assert format_result(QubitState(value.d, value.terms()), "csv") == csv_through_json(value)
+
+
+# d = 1..16, the scalar and top blades drawn often, parts at every edge of
+# the float format beside ordinary ones; the zero value when no term survives
+_JSON_PARTS = st.one_of(
+    st.sampled_from((-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.0)),
+    _PARTS,
+)
+_JSON_MV = st.integers(1, 16).flatmap(
+    lambda d: st.dictionaries(
+        st.one_of(st.sampled_from((0, (1 << d) - 1)), st.integers(0, (1 << d) - 1)),
+        st.builds(complex, _JSON_PARTS, _JSON_PARTS),
+        max_size=8,
+    ).map(lambda terms: Multivector(d, terms))
+)
+
+
+@example(Multivector.zero(3))
+@example(Multivector.scalar(1, -0.0 + 1e300j))
+@example(Multivector.top(16))
+@example(Multivector(16, {0b1000_0001_0000_0000: complex(5e-324, -1.0), 0b1_0000_0000: -0.5}))
+@settings(max_examples=200)
+@given(_JSON_MV)
+def test_json_writer_is_json_dumps_byte_for_byte(value):
+    assert format_result(value, "json") == json.dumps(value.to_json(), indent=2)
+    # a qubit state keeps its own layout
+    state = QubitState(value.d, value.terms())
+    assert format_result(state, "json") == json.dumps(state.to_json(), indent=2)
 
 
 def test_qubit_state_csv_is_pinned():
@@ -527,11 +557,20 @@ def test_hostile_inputs_end_in_a_value_or_a_positioned_syntax_error():
 # A run of 4000-6000 digits or identifier characters, placed as the --dim
 # value, or in the expression as an index, a literal, a name or after an
 # operator, or followed by a letter, is longer than Python's 4300-digit limit
-# for int() and longer than any sensible echo.  A place is a (--dim, expression) pair.
-_LONG_RUN_PLACES = [("{}", "e1")] + [("3", source) for source in (
-    "{}", "e{}", "{} * e1", "{}i", "1e{}", "0.{}", "e1 ^ {}", "e1 + {}", "e1 v {}", "*{}",
-    "~{}", "e1 {}", "ip({}, e1)", "({}", "e{}x", "{}_",
-)]
+# for int() and longer than any sensible echo.  So is one that argparse
+# quotes: a subcommand, an `--op` choice or an extra argument.  A place is an
+# argv whose `{}` takes the run, and the most bytes its error line may have:
+# argparse's line after a bad choice lists the choices as well.
+_LONG_RUN_PLACES = [(["eval", "--dim", "{}", "--", "e1"], 200)] + [
+    (["eval", "--dim", "3", "--", source], 200) for source in (
+        "{}", "e{}", "{} * e1", "{}i", "1e{}", "0.{}", "e1 ^ {}", "e1 + {}", "e1 v {}", "*{}",
+        "~{}", "e1 {}", "ip({}, e1)", "({}", "e{}x", "{}_",
+    )
+] + [
+    (["{}"], 200),
+    (["table", "--op", "{}", "--dim", "2"], 240),
+    (["eval", "--dim", "3", "e1", "{}"], 200),
+]
 
 
 @st.composite
@@ -540,23 +579,26 @@ def _long_run_sources(draw):
     piece = draw(st.text(alphabet, min_size=1, max_size=6))
     length = draw(st.integers(4000, 6000))
     run = (piece * (length // len(piece) + 1))[:length]
-    dim, source = draw(st.sampled_from(_LONG_RUN_PLACES))
-    return dim.format(run), source.format(run)
+    argv, bound = draw(st.sampled_from(_LONG_RUN_PLACES))
+    return [word.format(run) for word in argv], bound
 
 
-@example(("3", "e" + "1" * 5000))
-@example(("3", "e" + "0" * 5000 + "x"))
-@example(("3", "x" * 5000))
-@example(("1" * 3000, "e1"))
-@example(("x" * 5000, "e1"))
+@example((["eval", "--dim", "3", "--", "e" + "1" * 5000], 200))
+@example((["eval", "--dim", "3", "--", "e" + "0" * 5000 + "x"], 200))
+@example((["eval", "--dim", "3", "--", "x" * 5000], 200))
+@example((["eval", "--dim", "1" * 3000, "--", "e1"], 200))
+@example((["eval", "--dim", "x" * 5000, "--", "e1"], 200))
+@example((["x" * 5000], 200))
+@example((["table", "--op", "x" * 5000, "--dim", "2"], 240))
+@example((["eval", "--dim", "3", "e1", "1" * 5000], 200))
 @given(_long_run_sources())
 def test_long_runs_end_in_a_value_or_one_short_error_line(place):
-    dim, source = place
-    code, out, err = run_in_process(Case("long-run", ["eval", "--dim", dim, "--", source]))
+    argv, bound = place
+    code, out, err = run_in_process(Case("long-run", argv))
     well_formed(code, err)
     assert code in (0, 1, 2)
     # the error line, after any argparse usage lines
-    assert code == 0 or len(error_text(err).encode()) <= 200, err[:300]
+    assert code == 0 or len(error_text(err).encode()) <= bound, err[:300]
 
 
 _LEAVES = ("e1", "e2", "e3", "E", "1", "i", "0.5", "x", "e9", "ip(e1, e2)")
@@ -704,33 +746,51 @@ def test_a_leaf_out_of_range_adds_no_cached_value():
     assert basis_vector.cache_info().currsize == before
 
 
-_BLADE_TERMS = st.tuples(
-    st.sampled_from([" + ", " - "]),
-    st.one_of(
-        st.sampled_from(["0.5", "2", "1e-7", "1e-13", "1e10", "1e200", "3.25i"]),
-        st.floats(0, 1e300, allow_nan=False, allow_infinity=False).map(repr),
+_COEFFS = st.one_of(
+    st.sampled_from(["0.5", "2", "1e-7", "1e-13", "1e10", "1e200", "3.25i"]),
+    st.floats(0, 1e300, allow_nan=False, allow_infinity=False).map(repr),
+)
+# a factor of a wedge chain at d=4: a basis vector, e5 out of range, a scaled
+# one, or a sum of several, which hands the rest of the chain to `wedge`
+_FACTORS = st.one_of(
+    st.integers(1, 5).map("e{}".format),
+    st.tuples(_COEFFS, st.integers(1, 5)).map("{0[0]} * e{0[1]}".format),
+    st.lists(st.integers(1, 4), min_size=2, max_size=3).map(
+        lambda xs: "(" + " + ".join(f"e{i}" for i in xs) + ")"
     ),
-    st.lists(st.integers(1, 4), min_size=1, max_size=4),
+)
+_BLADE_TERMS = st.tuples(
+    st.sampled_from([" + ", " - "]), _COEFFS, st.lists(_FACTORS, min_size=1, max_size=4)
 )
 
 
 def _outcome(source: str, env: Environment):
     try:
         return hex_terms(evaluate_text(source, env))
-    except ValueError as err:  # a non-finite coefficient
+    except (ValueError, ExcalcError) as err:  # a non-finite coefficient, an index out of range
         return (type(err).__name__, str(err))
 
 
+# pruned mid-chain; an overflow before a later leaf's range error; a repeated index
+@example([(" + ", "1", ["1e-7 * e1", "1e-7 * e2", "1e10 * e3"])])
+@example([(" + ", "1e-13", ["e1", "e2"]), (" - ", "1", ["e3", "1e-13 * e4"])])
+@example([(" + ", "1e200", ["e1", "1e200 * e2", "e5"])])
+@example([(" + ", "2", ["e1", "3.25i * e2", "e1", "e5"])])
+@example([(" + ", "0.5", ["e1", "(e2 + e3)", "e4"]), (" + ", "2", ["(e1 + e1)", "e2"])])
+# -1 * 3.25i * 3.25i has a -0.0 imaginary part, which the kernel's 0j + clears
+@example([(" + ", "3.25i", ["e2", "3.25i * e1"])])
 @settings(max_examples=150)
 @given(st.lists(_BLADE_TERMS, min_size=1, max_size=12))
 def test_cached_leaves_evaluate_like_leaves_built_per_use(terms):
     source = "".join(
-        f"{sign}{coeff} * {' ^ '.join(f'e{i}' for i in blade)}" for sign, coeff, blade in terms
+        f"{sign}{coeff} * {' ^ '.join(factors)}" for sign, coeff, factors in terms
     )[3:]
     env = Environment(4)
     got = _outcome(source, env)
     with pytest.MonkeyPatch.context() as patch:
-        # the oracle builds every eN leaf anew through the kernels' `_result`
+        # the oracle builds every eN leaf anew through the kernels' `_result`,
+        # and multiplies every wedge chain out as the binary chain of `wedge`
         patch.setattr(expr, "basis_vector", lambda d, i: _result(d, {1 << (i - 1): 1 + 0j}))
+        patch.setattr(expr, "_wedge_chain", lambda values: reduce(wedge, values))
         want = _outcome(source, env)
     assert got == want

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,10 @@ from hypothesis import strategies as st
 
 from excalc.errors import DimensionError, GradeError, IndexRangeError
 from excalc.multivector import (
+    MAX_DIM,
     Multivector,
+    _canonical,
+    _echo,
     _pruned,
     _result,
     all_blades,
@@ -31,9 +35,9 @@ from excalc.multivector import (
     vee,
     wedge,
 )
-from excalc.textform import scalar_to_text
+from excalc.textform import _labels, scalar_to_text
 from excalc.verify import random_homogeneous, random_mv
-from oracles import blade, sort_sign
+from oracles import blade, positions, sort_sign
 
 
 # ---- construction ----------------------------------------------------------------
@@ -470,6 +474,62 @@ def test_scalar_text_drops_only_a_tiny_part_beside_a_larger_one(value, text):
 def test_mask_helpers():
     assert mask_from_indices(4, (1, 3)) == 0b101
     assert indices_from_mask(0b1010) == (2, 4)
+
+
+def test_byte_tables_give_every_mask_the_bit_loops_indices_labels_and_order():
+    masks = range(1 << MAX_DIM)
+    # the bit loop the tables replace: each set bit's position, lowest first
+    walked = [tuple(p + 1 for p in positions(m)) for m in masks]
+    assert [indices_from_mask(m) for m in masks] == walked
+    assert _labels(masks) == ["^".join(f"e{i}" for i in ix) for ix in walked]
+    assert sorted(masks, key=_canonical) == sorted(masks, key=lambda m: (len(walked[m]), walked[m]))
+
+
+def _full_repr(n: int) -> str:
+    """repr(n) with the interpreter's limit on decimal conversion lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return repr(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=100)
+@example(1, 10**5000)
+@example(-1, 10**200)
+@example(1, 2**300 - 1)  # the longest int quoted through repr
+@example(1, 2**300)  # the shortest divided down first
+@example(-1, 2**301 - 1)
+@example(-1, 10**90 - 1)
+@given(st.sampled_from([1, -1]), st.integers(0, 6000).map(lambda k: 10**k).flatmap(
+    lambda top: st.integers(top, 10 * top - 1))
+)
+def test_an_int_of_any_length_is_quoted_as_its_repr_cut_at_80_characters(sign, size):
+    text = _full_repr(sign * size)
+    assert _echo(sign * size) == (text if len(text) <= 80 else text[:80] + "...")
+
+
+# 10**200 and 10**5000 quoted: the first 80 characters of the repr, then `...`
+_CUT, _CUT_NEGATIVE = "1" + "0" * 79 + "...", "-1" + "0" * 78 + "..."
+
+
+@pytest.mark.parametrize(
+    "call, error, quote",
+    [
+        (lambda: Multivector.vacuum(10**5000), DimensionError, _CUT),
+        (lambda: Multivector(2, {10**5000: 1}), IndexRangeError, _CUT),
+        (lambda: Multivector(2, {1: -(10**5000)}), ValueError, _CUT_NEGATIVE),
+        (lambda: grade_project(blade(3, 1), 10**200), GradeError, _CUT),
+        (lambda: Multivector(3, {10**200: 1}), IndexRangeError, _CUT),
+        (lambda: basis_vector(3, -(10**5000)), IndexRangeError, _CUT_NEGATIVE),
+    ],
+    ids=["dim", "mask", "coeff", "step-200-digits", "mask-200-digits", "index"],
+)
+def test_a_huge_int_argument_is_a_typed_error_quoting_80_characters(call, error, quote):
+    with pytest.raises(error) as got:
+        call()
+    assert quote in str(got.value) and len(str(got.value)) <= 140
 
 
 # Values at and around every edge of the prune rule, beside ordinary ones.

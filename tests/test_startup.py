@@ -7,9 +7,10 @@ subcommand loads `dataclasses`, and `eval`, `table`, `fock` and
 `verify-paper` load no `typing`: the library's records are plain classes and
 named tuples.  Nor do they load `shutil`: help wraps at a fixed 78 columns,
 so argparse never measures the terminal.  `expand` and `is_decomposable`
-load no numpy either.  The command functions reach `table_command` and
-`operator_matrix` through the names in `excalc.cli`, so a caller can wrap or
-replace them there.
+load no numpy either.  `import excalc.cli` builds no blade byte tables; the
+first blade sorted or printed builds them.  The command functions reach
+`table_command` and `operator_matrix` through the names in `excalc.cli`, so
+a caller can wrap or replace them there.
 """
 
 from __future__ import annotations
@@ -163,6 +164,15 @@ def test_starts_without_shutil(argv):
     # a HelpFormatter without a width imports shutil to measure the terminal
     after_import, after_main, code = loaded_after(argv, lazy=("shutil",), flags=("-S",))
     assert (after_import, after_main, code) == ([], [], 0)
+
+
+def test_blade_byte_tables_are_built_on_first_use_not_at_import():
+    out = run_python(
+        "import excalc.cli; from excalc import multivector as m;"
+        " print(m._blade_bytes.cache_info().currsize, m.indices_from_mask(0x8101),"
+        " m._blade_bytes.cache_info().currsize)"
+    )
+    assert out == "0 (1, 9, 16) 1\n"
 
 
 def test_is_decomposable_and_expand_load_no_numpy():
