@@ -106,7 +106,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_table(args) -> int:
-    print(table_command(args.op, args.dim, args.format), end="")
+    print(table_command(args.op, args.dim, args.format).rstrip("\n"))  # one final newline
     return EXIT_OK
 
 

@@ -11,6 +11,8 @@ element times the tagged sum of all basis elements, read back by
 Each cell is keyed by that hit, (blade, sign) or None for a zero product,
 and each distinct hit is rendered once; a set-gate cell applies
 `m_inverse`'s domain rule to its hit.
+The JSON comes from `eval`'s writer, `textform._json_doc`; the text grid and
+CSV stay here, out of `textform`, which every command loads.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .boolean_gates import m_inverse
 from .errors import DimensionError
 from .multivector import Multivector, _blade_images, all_blades, check_dim, vee, wedge
 from .qubits import QubitState, q_vee, q_wedge
-from .textform import TABLE_FORMATS, TABLE_OPS, Cells  # noqa: F401 (TABLE_OPS is re-exported)
+from .textform import TABLE_FORMATS, TABLE_OPS, Cells, _json_doc  # noqa: F401 (TABLE_OPS is re-exported)
 
 TABLE_MAX_DIM = 6
 
@@ -69,18 +71,10 @@ def table_command(op: str, d: int, fmt: str = "text") -> str:
     rows = table_rows(op, d)
     header = ("a", "b", op)
     if fmt == "json":
-        # the layout of json.dumps(..., indent=2), each distinct string quoted once
+        # each distinct string quoted once
         quoted = Cells(json.dumps)
-        entries = ",\n".join(
-            '    {\n      "a": %s,\n      "b": %s,\n      "result": %s\n    }'
-            % tuple(map(quoted.__getitem__, row))
-            for row in rows
-        )
-        return '{\n  "op": %s,\n  "dim": %d,\n  "entries": [\n%s\n  ]\n}' % (
-            json.dumps(op),
-            d,
-            entries,
-        )
+        records = zip(*(map(quoted.__getitem__, col) for col in zip(*rows)))
+        return _json_doc({"op": json.dumps(op), "dim": d}, "entries", ("a", "b", "result"), records)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -9,9 +9,11 @@ as 0.  Qubit states use the same pieces with a ket label and a space, as in
 "i |10> - 0.5 |11>".
 `format_result` renders an evaluated expression as text, JSON or CSV; the CSV
 rows come from the terms, so a qubit state's CSV is its multivector's.
-A multivector's JSON has one writer, `_json_text`: one %-template per term,
-byte for byte `json.dumps(value.to_json(), indent=2)`.  Text, CSV and JSON
-read each blade's "e1^e3" label from `multivector`'s byte tables.
+One writer, `_json_doc`, gives `eval`'s and `table`'s JSON the bytes of
+`json.dumps(..., indent=2)`.  `fock` keeps its compact one-line format, a
+layout of its own, and a QubitState, which no hot path prints, `json.dumps`
+of its own `to_json`.  Text, CSV and JSON read each blade's "e1^e3" label
+from `multivector`'s byte tables.
 `Cells` renders each distinct cell of an output grid once.
 """
 
@@ -55,12 +57,6 @@ def _labels(masks: Iterable[int]) -> list[str]:
         f"{low[m & 255]}^{high[m >> 8]}" if m & 255 and m >> 8 else low[m & 255] or high[m >> 8]
         for m in masks
     ]
-
-
-def blade_to_text(d: int, mask: int) -> str:
-    if mask == (1 << d) - 1:
-        return "E"
-    return _labels((mask,))[0] or "1"
 
 
 def _piece(value: float, imag: bool, label: str, sep: str) -> str:
@@ -111,31 +107,33 @@ def scalar_to_text(value: complex) -> str:
     return pieces_to_text(((_readable(value), "1"),))
 
 
-# one term of `json.dumps(value.to_json(), indent=2)`: a float's %r is its JSON form
-_JSON_TERM = '    {\n      "blade": %s,\n      "re": %r,\n      "im": %r\n    }'
-# the separator of a blade's indices in that layout
+# the separator of a blade's indices in `json.dumps(value.to_json(), indent=2)`
 _JSON_INDEX_SEP = ",\n        "
 
 
+def _json_doc(head: dict, name: str, fields: tuple[str, ...], records: Iterable[tuple]) -> str:
+    """`json.dumps(..., indent=2)` of the `head` fields, then `name`, a list of one
+    object of the keys `fields` per record.  A value comes as its JSON text (a
+    str's json.dumps) or as a number, whose %s is its JSON form."""
+    item = "    {\n%s\n    }" % ",\n".join(f'      "{f}": %s' for f in fields)
+    entries = ",\n".join(map(item.__mod__, records))
+    lines = [f'  "{key}": {text}' for key, text in head.items()]
+    lines.append(f'  "{name}": ' + (f"[\n{entries}\n  ]" if entries else "[]"))
+    return "{\n%s\n}" % ",\n".join(lines)
+
+
 def _json_text(value: Multivector) -> str:
-    """`json.dumps(value.to_json(), indent=2)`, written per term from one
-    %-template; a blade's index list is its label with each `e` dropped, one
-    index a line.  A subclass with its own `to_json` layout, a QubitState,
-    goes through `json.dumps`."""
+    """`json.dumps(value.to_json(), indent=2)`; a blade's index list is its label
+    with each `e` dropped, one index a line.  A subclass with its own `to_json`
+    layout, a QubitState, goes through `json.dumps`."""
     if type(value).to_json is not Multivector.to_json:
         return json.dumps(value.to_json(), indent=2)
     masks = value.sorted_masks()
-    entries = ",\n".join(
-        _JSON_TERM
-        % (
-            f"[\n        {label[1:].replace('^e', _JSON_INDEX_SEP)}\n      ]" if label else "[]",
-            c.real,
-            c.imag,
-        )
-        for label, c in zip(_labels(masks), map(value._terms.__getitem__, masks))
+    records = (
+        (f"[\n        {s[1:].replace('^e', _JSON_INDEX_SEP)}\n      ]" if s else "[]", c.real, c.imag)
+        for s, c in zip(_labels(masks), map(value._terms.__getitem__, masks))
     )
-    terms = f"[\n{entries}\n  ]" if entries else "[]"
-    return '{\n  "dim": %d,\n  "terms": %s\n}' % (value.d, terms)
+    return _json_doc({"dim": value.d}, "terms", ("blade", "re", "im"), records)
 
 
 def format_result(value: Multivector | complex, fmt: str) -> str:

@@ -13,8 +13,9 @@ A `Case` row holds:
   caller's environment.
 
 `check(case, code, out, err)` compares one run with its case, after
-`well_formed(code, err)` has asserted what holds for every run: stderr holds
-no `Traceback`, and after a nonzero exit exactly one error line.
+`well_formed(code, out, err)` has asserted what holds for every run: stdout
+is empty or ends in a newline, stderr holds no `Traceback`, and after a
+nonzero exit exactly one error line.
 
 Tier-1 runs each case once, in process through `run_in_process`, as
 `test_cli_case[<id>]`.  `python tests/cli_cases.py` runs each case through
@@ -254,9 +255,9 @@ CASES = [
          out_digest="1accd5f1e5a34201"),
     case("table-pseudo-wedge-d3-tol", "table --op pseudo-wedge --dim 3 --format csv",
          env={"EXCALC_TOL": "2.5"}, out_digest="1accd5f1e5a34201"),
-    # the hand-built JSON layout, with all 4096 entries
+    # the JSON layout, with all 4096 entries and a final newline
     case("table-q-vee-d6-json", "table --op q-vee --dim 6 --format json",
-         out_digest="8dca2a7f346b2aa3"),
+         out_digest="33d479975403b60c"),
     # fock: at d=8 each matrix has 256 rows and 128 nonzero entries, and
     # annihilation, from the vee kernel, no negative-zero part
     case("fock-create-text", "fock --matrix create:1 --dim 1", out="0 0\n1 0\n"),
@@ -325,16 +326,18 @@ def error_text(err: str) -> str:
     return "".join(lines)
 
 
-def well_formed(code: int, err: str) -> None:
-    """What every run shows: no traceback, and a failure as one error line."""
+def well_formed(code: int, out: str, err: str) -> None:
+    """What every run shows: no traceback, stdout empty or ending in a
+    newline, and a failure as one error line."""
     assert "Traceback" not in err, err[-2000:]
+    assert not out or out.endswith("\n"), f"stdout ends {out[-80:]!r}"
     if code:
         assert err.endswith("\n") and error_text(err).count("\n") == 1, err[:500]
 
 
 def check(case: Case, code: int, out: str, err: str) -> None:
     """Assert that a run of `case` gave its exit code and its exact output."""
-    well_formed(code, err)
+    well_formed(code, out, err)
     assert code == case.code, f"exit {code}, want {case.code}: {err[:300]!r}"
     if case.out_digest:
         assert digest(out) == case.out_digest, f"stdout digest {digest(out)}: {out[:300]!r}"

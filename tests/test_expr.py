@@ -595,7 +595,7 @@ def _long_run_sources(draw):
 def test_long_runs_end_in_a_value_or_one_short_error_line(place):
     argv, bound = place
     code, out, err = run_in_process(Case("long-run", argv))
-    well_formed(code, err)
+    well_formed(code, out, err)
     assert code in (0, 1, 2)
     # the error line, after any argparse usage lines
     assert code == 0 or len(error_text(err).encode()) <= bound, err[:300]

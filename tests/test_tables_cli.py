@@ -162,12 +162,16 @@ def test_every_fock_dump_is_pinned(capsys):
     assert digest(capsys.readouterr().out) == FOCK_DIGEST_ALL
 
 
-@pytest.mark.parametrize("op", TABLE_OPS)
-def test_table_json_is_the_indented_dump_of_its_rows(op):
-    rows = table_rows(op, 2)
+# d=2 keeps the ids this test had when it checked d=2 only
+@pytest.mark.parametrize(
+    "op, d",
+    [pytest.param(op, d, id=op if d == 2 else f"{op}-d{d}") for d in (1, 2, 3, 4) for op in TABLE_OPS],
+)
+def test_table_json_is_the_indented_dump_of_its_rows(op, d):
+    rows = table_rows(op, d)
     entries = [{"a": a, "b": b, "result": r} for a, b, r in rows]
-    want = json.dumps({"op": op, "dim": 2, "entries": entries}, indent=2)
-    assert table_command(op, 2, "json") == want
+    want = json.dumps({"op": op, "dim": d, "entries": entries}, indent=2)
+    assert table_command(op, d, "json") == want
 
 
 def per_pair_rows(op: str, d: int) -> list[tuple[str, str, str]]:
