@@ -95,7 +95,7 @@ def cmd_eval(args) -> int:
                     data = json.load(f)
         except OSError as err:  # its text would repeat the whole path
             raise ExcalcError(f"cannot read factor list {where!r:.80}: {err.strerror}")
-        except (json.JSONDecodeError, RecursionError) as err:
+        except (ValueError, RecursionError) as err:  # bad JSON, or an int past 4300 digits
             raise ExcalcError(f"cannot read factor list {where!r:.80}: {err}")
         from .extensors import ExtensorFactors, expand
 

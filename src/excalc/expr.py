@@ -304,15 +304,15 @@ def parse_text(source: str):
 
 
 class Environment(_Value):
-    """The dimension and the name bindings an expression is evaluated in."""
+    """The dimension and the name bindings an expression is evaluated in:
+    none at first, then each one that `bind` accepts."""
 
     __match_args__ = ("d", "bindings")
     __hash__ = None  # bind() changes the bindings
 
-    def __init__(self, d: int, bindings: dict[str, Multivector] | None = None):
-        self.d = d
-        self.bindings = {} if bindings is None else bindings
-        check_dim(d)
+    def __init__(self, d: int):
+        self.d = check_dim(d)
+        self.bindings: dict[str, Multivector] = {}
 
     def bind(self, name: str, value: Multivector) -> None:
         """Bind a name the lexer reads back as one `ident` token; keywords

@@ -14,8 +14,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import combinations
 
-from .errors import DimensionError, GradeError, SchemaError
-from .multivector import SINGULAR_TOL, Multivector, _json_coeff, _Record, _result
+from .errors import DimensionError, GradeError
+from .multivector import SINGULAR_TOL, Multivector, _json_coeff, _reading, _Record, _result
 from .multivector import combine, hodge, merge_sign, mv_equal_approx, step_of, vee, wedge
 from .multivector import check_coeff, check_dim, check_index, check_same_dim, check_step
 
@@ -62,14 +62,10 @@ class ExtensorFactors(_Record):
 
     @classmethod
     def from_json(cls, data) -> ExtensorFactors:
-        try:
+        form = 'a factor list is {"dim": d, "factors": [[{"re": x, "im": y}, ...], ...]}'
+        with _reading(form, data):
             d = data["dim"]
             factors = tuple(tuple(map(_json_coeff, f)) for f in data["factors"])
-        except (KeyError, TypeError) as err:
-            raise SchemaError(
-                'a factor list is {"dim": d, "factors": [[{"re": x, "im": y}, ...], ...]}'
-                f", got {data!r:.80} ({type(err).__name__}: {err})"
-            ) from None
         return cls(d, factors)
 
 

@@ -6,8 +6,9 @@ bitmask with bit i-1 set for index i.  The empty mask is the scalar blade "1"
 occupied).  A multivector is a finite blade -> complex coefficient map; the
 zero multivector has no terms and is distinct from the vacuum scalar 1.
 
-A kernel builds its result with `_result`, which owns the dict it is given:
-a fresh dict with nothing to prune becomes the value's terms, uncopied.
+One rule, `_kept`, stores a coefficient above PRUNE_TOL, prunes one at or
+below it and rejects a non-finite one.  A kernel's `_result` owns the dict it
+is given: a fresh dict with nothing to prune becomes the value's terms.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Iterator, Mapping
+from contextlib import contextmanager
 from functools import lru_cache
 from operator import attrgetter
 
@@ -344,18 +346,28 @@ class Multivector(_Record):
 
     @classmethod
     def from_json(cls, data: Mapping) -> Multivector:
-        try:
+        form = 'a multivector is {"dim": d, "terms": [{"blade": [...], "re": x, "im": y}, ...]}'
+        with _reading(form, data):
             d = data["dim"]
             terms: dict[int, complex] = {}
             for t in data["terms"]:
                 mask = mask_from_indices(d, t["blade"])
                 terms[mask] = terms.get(mask, 0j) + _json_coeff(t)
-        except (KeyError, TypeError) as err:
-            raise SchemaError(
-                'a multivector is {"dim": d, "terms": [{"blade": [...], "re": x, "im": y}, ...]}'
-                f", got {data!r:.80} ({type(err).__name__}: {err})"
-            ) from None
         return cls(d, terms)
+
+
+@contextmanager
+def _reading(form: str, data):
+    """A `from_json` body: a KeyError, TypeError or AttributeError in it is a
+    SchemaError naming the form and quoting at most 80 characters of data."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError) as err:
+        try:
+            got = f"{data!r:.80}"
+        except ValueError:  # an int past the interpreter's limit on decimal conversion
+            got = f"{type(data).__name__} holding an int past the digit limit"
+        raise SchemaError(f"{form}, got {got} ({type(err).__name__}: {err})") from None
 
 
 def _json_coeff(entry: Mapping) -> complex:
@@ -371,22 +383,25 @@ def _json_coeff(entry: Mapping) -> complex:
         raise ValueError(f"coefficient {re} + {im}j is not a number") from None
 
 
+def _kept(mask: int, c: complex) -> bool:
+    """Whether c is stored: True above PRUNE_TOL, False at or below it; a NaN,
+    inf or overflowing c is a ValueError naming its mask."""
+    try:
+        size = abs(c)
+    except OverflowError:
+        raise ValueError(
+            f"coefficient {c!r} on blade mask {mask:#x} has no finite magnitude"
+        ) from None
+    if size <= PRUNE_TOL:
+        return False
+    if not size < math.inf:  # inf, or NaN, which no comparison prunes
+        raise ValueError(f"non-finite coefficient {c!r} on blade mask {mask:#x}")
+    return True
+
+
 def _pruned(terms: dict[int, complex]) -> dict[int, complex]:
-    """The terms above PRUNE_TOL; a NaN, inf or overflowing one is a ValueError naming its mask."""
-    clean: dict[int, complex] = {}
-    for mask, c in terms.items():
-        try:
-            size = abs(c)
-        except OverflowError:
-            raise ValueError(
-                f"coefficient {c!r} on blade mask {mask:#x} has no finite magnitude"
-            ) from None
-        if size <= PRUNE_TOL:
-            continue
-        if not size < math.inf:  # inf, or NaN, which no comparison prunes
-            raise ValueError(f"non-finite coefficient {c!r} on blade mask {mask:#x}")
-        clean[mask] = c
-    return clean
+    """The terms `_kept` keeps, in their order."""
+    return {mask: c for mask, c in terms.items() if _kept(mask, c)}
 
 
 def _result(d: int, terms: dict[int, complex]) -> Multivector:
@@ -394,7 +409,8 @@ def _result(d: int, terms: dict[int, complex]) -> Multivector:
     construction: the prune check, then the trusted build `Multivector._build`.
     The constructor calls it after its dimension, mask and coefficient-type
     checks.  Every caller hands over a dict it just built: kept as it is when
-    every term is above PRUNE_TOL and finite, else copied by `_pruned`."""
+    every term is above PRUNE_TOL and finite (`_kept`'s bound, inlined for
+    dense results), else copied by `_pruned`."""
     try:
         for c in terms.values():
             if not PRUNE_TOL < abs(c) < math.inf:
@@ -408,10 +424,10 @@ def _result(d: int, terms: dict[int, complex]) -> Multivector:
 def combine(first: Multivector, rest: Iterable[tuple[int, Multivector]]) -> Multivector:
     """first + sign * term for each (sign, term) of rest, added left to right.
 
-    Bit for bit the chain of binary `+` and `-` it replaces: each term's
-    coefficients are added (or negated and added), then the coefficients it
-    touched are pruned as a constructor would prune them.  `rest` is consumed
-    lazily, and a non-finite sum raises before the next term is drawn.
+    Bit for bit the chain of binary `+` and `-` it replaces: each coefficient
+    a term touches is added (or negated and added), then goes through `_kept`,
+    so the sum is built as it stands.  `rest` is consumed lazily: a sum raises
+    on the term's first non-finite coefficient, before the next term is drawn.
     """
     out = dict(first._terms)
     for sign, term in rest:
@@ -419,17 +435,10 @@ def combine(first: Multivector, rest: Iterable[tuple[int, Multivector]]) -> Mult
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"sign {_echo(sign)} is not the int 1 or -1")
         for m, c in term._terms.items():
-            out[m] = out.get(m, 0j) + (c if sign > 0 else -c)
-        for m in term._terms:
-            try:
-                size = abs(out[m])
-            except OverflowError:
-                size = math.inf
-            if size <= PRUNE_TOL:
+            out[m] = c = out.get(m, 0j) + (c if sign > 0 else -c)
+            if not _kept(m, c):
                 del out[m]
-            elif not size < math.inf:
-                return _result(first.d, out)  # raises, naming the coefficient
-    return _result(first.d, out)
+    return Multivector._build(first.d, out)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -443,18 +452,18 @@ def all_blades(d: int) -> list[int]:
     return sorted(range(1 << check_dim(d)), key=_canonical)
 
 
-def _blade_images(d: int, maps: Iterable, cls: type = Multivector) -> list[list]:
+def _blade_images(d: int, maps: Iterable) -> list[list]:
     """The image of every basis blade under each map, from one call of the map.
 
     Each map must be linear, send each blade to +-1 times a blade or to 0, and
-    send distinct blades to distinct blades.  It is called once, on the `cls`
+    send distinct blades to distinct blades.  It is called once, on the
     sum of all 2^d blades with blade number n (in `all_blades` order) tagged
     by the exact coefficient n + 1, a sum built once for all the maps; each
     output term (u, c) then names its source blade by |c| - 1 and its sign by
     c / |c|.  Per map, a list whose entry n is (u, c / |c|), where blade n
     goes, or None where it goes to 0.
     """
-    tagged = cls._build(d, {m: complex(n + 1) for n, m in enumerate(all_blades(d))})
+    tagged = Multivector._build(d, {m: complex(n + 1) for n, m in enumerate(all_blades(d))})
     images = []
     for f in maps:
         image = [None] * (1 << d)
@@ -493,9 +502,9 @@ def _wedge_chain(values: Iterable[Multivector]) -> Multivector:
     """reduce(wedge, values), bit for bit, over two or more values drawn left
     to right.  While the running product and the next value each have one
     term, the product stays one (mask, coefficient) pair: `_wedge_dict`'s
-    sum and `_result`'s prune and non-finite rule at every step, and one
-    value built at the end.  A zero product, or a next value of more terms,
-    hands the rest of the chain to `wedge`."""
+    sum and `_kept`'s rule at every step, and one value built at the end.
+    A zero product, or a next value of more terms, hands the rest of the
+    chain to `wedge`."""
     values = iter(values)
     acc = next(values)
     if len(acc._terms) == 1:
@@ -512,12 +521,8 @@ def _wedge_chain(values: Iterable[Multivector]) -> Multivector:
                 break
             c = 0j + merge_sign(s, t) * c * cb
             s |= t
-            try:
-                kept = PRUNE_TOL < abs(c) < math.inf
-            except OverflowError:
-                kept = False
-            if not kept:  # raises on a non-finite c, else prunes it to the zero value
-                acc = _result(d, {s: c})
+            if not _kept(s, c):
+                acc = Multivector._build(d, {})
                 break
         else:
             return Multivector._build(d, {s: c})
@@ -634,8 +639,8 @@ def scalar_product(a: Multivector, b: Multivector) -> complex:
     """Scalar product on a common step k: the scalar of vee(conjugate(a), hodge(b)).
 
     On step k that vee pairs blade s of a only with blade s of b, with folded
-    sign +1, so this is the sum of conj(a_s) * b_s in a's term order, pruned
-    at PRUNE_TOL like any coefficient.
+    sign +1, so this is the sum of conj(a_s) * b_s in a's term order, kept,
+    pruned or rejected by `_kept` like any stored coefficient.
 
     Defined only for homogeneous operands of equal step (the zero multivector
     is accepted with any partner and gives 0).
@@ -655,7 +660,7 @@ def scalar_product(a: Multivector, b: Multivector) -> complex:
     for s, ca in a._terms.items():
         if s in bt:
             total += ca.conjugate() * bt[s]
-    return _result(a.d, {0: total})._terms.get(0, 0j)
+    return total if _kept(0, total) else 0j
 
 
 # ---- comparison -------------------------------------------------------------
@@ -664,7 +669,7 @@ def scalar_product(a: Multivector, b: Multivector) -> complex:
 def mv_equal_approx(a: Multivector, b: Multivector, tol: float = PRUNE_TOL) -> bool:
     """True when no coefficient differs by more than tol, a non-negative real, else ValueError."""
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol >= 0:
-        raise ValueError(f"tolerance {tol!r} is not a non-negative real")
+        raise ValueError(f"tolerance {_echo(tol)} is not a non-negative real")
     check_same_dim(a, b)
     for m in a._terms.keys() | b._terms.keys():
         if abs(a._terms.get(m, 0j) - b._terms.get(m, 0j)) > tol:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .errors import DimensionError, SchemaError
-from .multivector import Multivector, _echo, _json_coeff, check_same_dim, hodge, vee, wedge
+from .errors import DimensionError
+from .multivector import Multivector, _echo, _json_coeff, _reading, check_same_dim
+from .multivector import hodge, vee, wedge
 from .textform import pieces_to_text
 
 
@@ -106,7 +107,8 @@ class QubitState(Multivector):
 
     @classmethod
     def from_json(cls, data) -> QubitState:
-        try:
+        form = 'a qubit state is {"d": d, "amps": [{"bits": "01", "re": x, "im": y}, ...]}'
+        with _reading(form, data):
             d = data["d"]  # the constructor checks it
             amps: dict[int, complex] = {}
             for entry in data["amps"]:
@@ -117,11 +119,6 @@ class QubitState(Multivector):
                     )
                 mask = bits_to_mask(bits)
                 amps[mask] = amps.get(mask, 0j) + _json_coeff(entry)
-        except (KeyError, TypeError, AttributeError) as err:
-            raise SchemaError(
-                'a qubit state is {"d": d, "amps": [{"bits": "01", "re": x, "im": y}, ...]}'
-                f", got {data!r:.80} ({type(err).__name__}: {err})"
-            ) from None
         return cls(d, amps)
 
 

@@ -58,7 +58,7 @@ def table_rows(op: str, d: int) -> list[tuple[str, str, str]]:
     labels = [show(x) for x in basis]
     cells = Cells(lambda hit: show(cls._build(d, {} if hit is None else {hit[0]: hit[1]})))
     rows = []
-    images = _blade_images(d, [partial(product, a) for a in basis], cls)
+    images = _blade_images(d, [partial(product, a) for a in basis])
     for label, image in zip(labels, images):
         rows.extend(zip(repeat(label), labels, map(cells.__getitem__, image)))
     return rows

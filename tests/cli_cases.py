@@ -237,6 +237,11 @@ CASES = [
     case("factors-long-coefficient", "eval --dim 1 --factors",
          'F={"dim": 1, "factors": [[{"re": ' + ONES + ', "im": 0}]]}', "F", code=1,
          err=f"error: coefficient {ONES_80} + 0j is not a number\n"),
+    # a number past the interpreter's 4300-digit limit cannot be read
+    case("factors-5000-digit-coefficient", "eval --dim 1 --factors",
+         'F={"dim": 1, "factors": [[{"re": ' + "1" * 5000 + ', "im": 0}]]}', "F", code=1,
+         err_start="error: cannot read factor list '" + '{"dim": 1, "factors": [[{"re": '
+         + "1" * 48 + ": Exceeds the limit (4300"),
     case("factors-long-path", "eval --dim 2 --factors", "F=/" + "a" * 5000, "F", code=1,
          err="error: cannot read factor list '/" + "a" * 78 + ": File name too long\n"),
     # table: the set gates match a +1 coefficient within PRUNE_TOL and

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import inspect
 import math
+from collections import OrderedDict
+from types import MappingProxyType
 
 import pytest
 
@@ -127,12 +129,16 @@ KINDS = {
         (None, SchemaError),
         ([], SchemaError),
         ({"dim": D}, SchemaError),
+        ({"dim": HUGE}, SchemaError),
+        (OrderedDict(dim=HUGE), SchemaError),
         ({"dim": True, "terms": []}, DimensionError),
         ({"dim": D, "terms": [{"blade": [True], "re": 1, "im": 0}]}, IndexRangeError),
     ] + json_parts(lambda re, im: {"dim": D, "terms": [{"blade": [1], "re": re, "im": im}]}),
     "qubit_json": lambda x: [
         (None, SchemaError),
         ({"d": D}, SchemaError),
+        ({"d": HUGE}, SchemaError),
+        (MappingProxyType({"d": HUGE}), SchemaError),
         ({"d": D, "amps": [{"bits": 101, "re": 1, "im": 0}]}, SchemaError),
         ({"d": True, "amps": []}, DimensionError),
         ({"d": D, "amps": [{"bits": "10", "re": 1, "im": 0}]}, DimensionError),
@@ -142,6 +148,8 @@ KINDS = {
     "factors_json": lambda x: [
         (None, SchemaError),
         ({"dim": D}, SchemaError),
+        ({"dim": HUGE}, SchemaError),
+        ((HUGE,), SchemaError),
         ({"dim": True, "factors": []}, DimensionError),
         ({"dim": D, "factors": [[{"re": 1, "im": 0}]]}, DimensionError),
     ] + json_parts(

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from excalc.errors import DimensionError, GradeError, IndexRangeError
 from excalc.multivector import (
     MAX_DIM,
+    PRUNE_TOL,
     Multivector,
     _canonical,
     _echo,
     _pruned,
     _result,
+    _wedge_chain,
     all_blades,
     basis_vector,
     combine,
@@ -28,6 +30,7 @@ from excalc.multivector import (
     hodge_inverse,
     indices_from_mask,
     mask_from_indices,
+    merge_sign,
     mv_equal_approx,
     parity_sector,
     scalar_product,
@@ -100,6 +103,9 @@ def test_overflowing_products_raise():
         wedge(big, 1e200 * basis_vector(3, 2))
     with pytest.raises(ValueError, match="non-finite"):
         big + Multivector(3, {1: 1.7e308}) + Multivector(3, {1: 1.7e308})
+    # a term that makes two sums non-finite: its own first one is named
+    with pytest.raises(ValueError, match=r"^non-finite coefficient \(inf\+0j\) on blade mask 0x2$"):
+        combine(Multivector(2, {1: 1e308, 2: 1e308}), [(1, Multivector(2, {2: 1e308, 1: 1e308}))])
 
 
 def test_overflowing_magnitude_raises_value_error():
@@ -523,8 +529,9 @@ _CUT, _CUT_NEGATIVE = "1" + "0" * 79 + "...", "-1" + "0" * 78 + "..."
         (lambda: grade_project(blade(3, 1), 10**200), GradeError, _CUT),
         (lambda: Multivector(3, {10**200: 1}), IndexRangeError, _CUT),
         (lambda: basis_vector(3, -(10**5000)), IndexRangeError, _CUT_NEGATIVE),
+        (lambda: mv_equal_approx(blade(3, 1), blade(3, 1), -(10**5000)), ValueError, _CUT_NEGATIVE),
     ],
-    ids=["dim", "mask", "coeff", "step-200-digits", "mask-200-digits", "index"],
+    ids=["dim", "mask", "coeff", "step-200-digits", "mask-200-digits", "index", "tolerance"],
 )
 def test_a_huge_int_argument_is_a_typed_error_quoting_80_characters(call, error, quote):
     with pytest.raises(error) as got:
@@ -532,33 +539,66 @@ def test_a_huge_int_argument_is_a_typed_error_quoting_80_characters(call, error,
     assert quote in str(got.value) and len(str(got.value)) <= 140
 
 
-# Values at and around every edge of the prune rule, beside ordinary ones.
+# Values at and around every edge of the prune rule, beside ordinary ones:
+# PRUNE_TOL and its neighbours, signed zeros, subnormals, NaN, inf, and
+# finite parts whose magnitude is near or past the float range.
 _EDGE_COEFFS = st.sampled_from(
-    [0j, -0j, 1e-12 + 0j, complex(0, -1e-12), 1e-13 + 0j, complex(math.nan, 0),
-     complex(0, math.inf), complex(1e308, 1e308), complex(1.7e308, 1.7e308), -0.5 + 0j, 2j]
+    [0j, -0j, complex(-0.0, 0.0), 1e-12 + 0j, complex(0, -1e-12), 0.6e-12 + 0.8e-12j,
+     complex(math.nextafter(PRUNE_TOL, 1), 0), complex(0, math.nextafter(PRUNE_TOL, 0)),
+     1e-13 + 0j, complex(5e-324, 0), complex(0, -5e-324), complex(math.nan, 0),
+     complex(0, math.nan), complex(0, math.inf), complex(-math.inf, 1), complex(1e308, 1e308),
+     complex(1.5e308, 1.5e308), complex(1.7e308, 1.7e308), 1e308 + 0j, -0.5 + 0j, 2j]
 )
 _COEFFS = st.one_of(st.complex_numbers(max_magnitude=1e6, allow_nan=False), _EDGE_COEFFS)
+# What combine adds the drawn terms to: a sum on mask 1 or 2 can overflow or
+# cancel, one on mask 3 land on PRUNE_TOL.
+_FIRST = Multivector(4, {1: 1e308, 2: 1e308, 3: 2e-12, 5: -0.5})
 
 
 @settings(max_examples=200)
-@example({1: 1 + 0j, 2: 1e-12 + 0j})
-@example({1: 1 + 0j, 2: complex(0, math.inf)})
-@example({1: 1 + 0j, 2: complex(1.7e308, -1.7e308)})  # abs overflows
-@given(st.dictionaries(st.integers(0, 15), _COEFFS, max_size=8))
-def test_trusted_build_keeps_what_pruned_keeps_or_raises_its_error(terms):
-    def exact(items):
-        return [(m, repr(c)) for m, c in items]
+@example({1: 1 + 0j, 2: 1e-12 + 0j}, 1)
+@example({1: 1 + 0j, 2: complex(0, math.inf)}, 1)
+@example({1: 1 + 0j, 2: complex(1.7e308, -1.7e308)}, -1)  # abs overflows
+@example({2: 1e308 + 0j, 1: 1e308 + 0j}, 1)  # two sums overflow
+@example({3: 1e-12 + 0j, 5: -0.5 + 0j, 1: 1e308 + 0j}, -1)  # three sums fall to PRUNE_TOL or 0
+@given(st.dictionaries(st.integers(0, 15), _COEFFS, max_size=8), st.sampled_from([1, -1]))
+def test_trusted_build_keeps_what_pruned_keeps_or_raises_its_error(terms, sign):
+    """`_result`, `combine`, the one-term wedge chain and `scalar_product`
+    keep, prune or raise as `_pruned` does on the sums they form."""
 
-    try:
-        want = exact(_pruned(dict(terms)).items())
-    except ValueError as err:
-        with pytest.raises(ValueError) as got:
-            _result(4, dict(terms))
-        assert str(got.value) == str(err)
-        return
-    assert exact(_result(4, dict(terms))._terms.items()) == want
-    # the constructor copies: changing its argument later changes no value
-    value = Multivector(4, terms)
-    terms[0] = 7j
-    terms.pop(15, None)
-    assert exact(value._terms.items()) == want
+    def outcome(build):
+        try:
+            return [(m, repr(c)) for m, c in build()]
+        except ValueError as err:
+            return str(err)
+
+    want = outcome(lambda: _pruned(dict(terms)).items())
+    assert outcome(lambda: _result(4, dict(terms))) == want
+    touched = {m: _FIRST._terms.get(m, 0j) + (c if sign > 0 else -c) for m, c in terms.items()}
+
+    def summed():
+        _pruned(touched)  # raises on the first non-finite sum in the term's order
+        return _pruned({**_FIRST._terms, **touched}).items()
+
+    term = Multivector._build(4, dict(terms))
+    assert outcome(lambda: combine(_FIRST, [(sign, term)])) == outcome(summed)
+    # e5 ^ c e_m at d=5, one product per drawn term
+    e5 = basis_vector(5, 5)
+    for m, c in terms.items():
+        product = {m | 16: 0j + merge_sign(16, m) * (1 + 0j) * c}
+        chain = [e5, Multivector._build(5, {m: c})]
+        assert outcome(lambda: _wedge_chain(chain)) == outcome(lambda: _pruned(product).items())
+    # each step's drawn terms against 1 on the same blades
+    for k in range(5):
+        a = Multivector._build(4, {m: c for m, c in terms.items() if m.bit_count() == k})
+        total = sum((c.conjugate() * (1 + 0j) for c in a._terms.values()), 0j)
+        b = Multivector._build(4, dict.fromkeys(a._terms, 1 + 0j))
+        assert outcome(lambda: [(0, scalar_product(a, b))]) == outcome(
+            lambda: [(0, _pruned({0: total}).get(0, 0j))]
+        )
+    if isinstance(want, list):
+        # the constructor copies: changing its argument later changes no value
+        value = Multivector(4, terms)
+        terms[0] = 7j
+        terms.pop(15, None)
+        assert outcome(lambda: value) == want

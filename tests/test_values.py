@@ -137,7 +137,11 @@ def test_built_and_parsed_values_agree():
 
 
 def test_environment_compares_its_fields_and_is_not_hashable():
-    assert Environment(3) == Environment(3, {})
+    bound = Environment(3)
+    bound.bind("x", Multivector(3, {1: 1}))
+    assert Environment(3) == Environment(3) != bound
+    with pytest.raises(TypeError):  # bindings enter only through bind
+        Environment(3, {"x": Multivector(2, {1: 1})})
     assert Environment(3) != Environment(4)
     assert copy.deepcopy(Environment(3)) == Environment(3)
     with pytest.raises(TypeError):
