@@ -17,14 +17,19 @@ echoes at most 80 characters of the text it quotes, and at most 80 digits of
 a basis index, with `...` after a longer one.
 
 The lexer makes one regex match per token: the blanks before a token are
-lexed with it, and a token's column is that of its own first character.
+lexed with it, and a token's column is that of its own first character.  An
+unspaced run of basis indices, as in `e1^e3^e7`, is one `basis` token whose
+`index` is the tuple of its indices; a spaced `e1 ^ e3` is three tokens.
 Tokens are named tuples, each built in one `tuple.__new__` call with all six
 fields.  Tree nodes are plain value classes: nodes with equal fields are
 equal and hash alike, and nothing assigns to a node the parser has built, so
-one parse shares one `BasisVector` node per basis index.  An `eN` leaf
-evaluates to the cached, immutable `basis_vector(d, N)`.  A `Wedge` node
-multiplies through `multivector._wedge_chain`, which keeps a run of one-term
-operands, as in `2 * e1^e3^e5`, as one (mask, coefficient) pair.
+one parse shares one `Blade` leaf per index tuple.  A run is one operand of
+its wedge chain, but a prefix operator takes only its first index: `*e1^e2`
+is `(*e1)^e2`.  A one-index leaf evaluates to the cached, immutable
+`basis_vector(d, N)`, a longer one to its signed blade in one pass.  A
+`Wedge` node multiplies through `multivector._wedge_chain`, which keeps a
+run of one-term operands, as in `2 * e1^e3^e5`, as one (mask, coefficient)
+pair.
 """
 
 from __future__ import annotations
@@ -55,10 +60,11 @@ MAX_NESTING = 100
 
 # One match per token: the blanks before it (any whitespace but a newline),
 # then one alternative per token class, tried in order, the most common first.
-# A number is ASCII digits only and takes an `i` suffix only when that `i` ends
-# the word.  `end` matches at the end of the source, after any trailing blanks.
+# A basis token is an unspaced run `e1^e3^e7` of one or more indices.  A number
+# is ASCII digits only and takes an `i` suffix only when that `i` ends the
+# word.  `end` matches at the end of the source, after any trailing blanks.
 _TOKEN = re.compile(
-    r"[^\S\n]*(?:(?P<basis>e(?P<index>[0-9]+)(?![A-Za-z0-9_]))|(?P<op>[-+^*~])"
+    r"[^\S\n]*(?:(?P<basis>e[0-9]+(?:\^e[0-9]+)*(?![A-Za-z0-9_]))|(?P<op>[-+^*~])"
     r"|(?P<scalar>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?(?P<imag>i(?![A-Za-z0-9_]))?)"
     r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
     r"|(?P<newline>\n)|(?P<end>\Z)|(?P<unknown>\S))"
@@ -66,7 +72,8 @@ _TOKEN = re.compile(
 _KEYWORDS = {"E": ("top", 0j), "v": ("op", 0j), "i": ("scalar", 1j), "ip": ("ip", 0j)}
 
 
-# kind: basis | top | scalar | op | lparen | rparen | comma | ident | ip | end
+# kind: basis | top | scalar | op | lparen | rparen | comma | ident | ip | end;
+# `index` is a basis token's tuple of indices, 0 for every other kind
 Token = namedtuple("Token", "kind text line col value index", defaults=(0j, 0))
 
 
@@ -80,11 +87,14 @@ def tokenize(source: str) -> list[Token]:
         text = m[kind]
         col = m.start(kind) - line_start + 1
         if kind == "basis":
-            # At most 81 significant digits reach `int`: with more than the
-            # two of MAX_DIM an index is out of range in every dimension, and
-            # an 81st digit tells the range error that it quotes only 80.
-            digits = m["index"].lstrip("0")[:81] or "0"
-            append(new(Token, (kind, text, line, col, 0j, int(digits))))
+            # At most 81 significant digits of an index reach `int`: with more
+            # than the two of MAX_DIM an index is out of range in every
+            # dimension, and an 81st digit tells the range error that it
+            # quotes only 80.  A run of at most 82 characters has no longer one.
+            digits = text[1:].split("^e")
+            if len(text) > 82:
+                digits = [i.lstrip("0")[:81] or "0" for i in digits]
+            append(new(Token, (kind, text, line, col, 0j, tuple(map(int, digits)))))
         elif kind == "scalar":
             number = float(text[:-1] if m["imag"] else text)
             if math.isinf(number):
@@ -110,11 +120,11 @@ def tokenize(source: str) -> list[Token]:
 # hashes and prints.
 
 
-class BasisVector(_Value):
-    __match_args__ = ("index",)
+class Blade(_Value):
+    __match_args__ = ("indices",)
 
-    def __init__(self, index: int):
-        self.index = index
+    def __init__(self, indices: tuple[int, ...]):
+        self.indices = indices  # one or more, in source order
 
 
 class TopBlade(_Value):
@@ -194,7 +204,8 @@ class _Parser:
         self.next = iter(tokens).__next__
         self.here = self.next()  # the current token; advance() moves it on
         self.depth = 0  # open `(`, `ip(` and prefix operators
-        self.leaves: dict[int, BasisVector] = {}  # one node per basis index
+        self.leaves: dict[tuple[int, ...], Blade] = {}  # one node per index tuple
+        self.rest = None  # a run's leaf after the index a prefix operator took
 
     def advance(self) -> Token:
         tok = self.here
@@ -203,7 +214,8 @@ class _Parser:
 
     def fail(self, expected: tuple[str, ...]):
         tok = self.here
-        what = "end of input" if tok.kind == "end" else f"{tok.text!r:.80}"
+        text = tok.text.partition("^e")[0]  # of a run, its first index
+        what = "end of input" if tok.kind == "end" else f"{text!r:.80}"
         raise ExprSyntaxError(f"unexpected {what}", tok.line, tok.col, expected)
 
     def expect(self, kind: str, expected: tuple[str, ...]) -> Token:
@@ -240,12 +252,16 @@ class _Parser:
 
     def chain(self, operand, op: str, node):
         operands = [operand()]
-        while self.at(op):
+        while True:
+            if self.rest is not None:  # only a wedge chain meets one
+                operands.append(self.rest)
+                self.rest = None
+            if not self.at(op):
+                return node(tuple(operands)) if len(operands) > 1 else operands[0]
             self.advance()
             operands.append(operand())
-        return node(tuple(operands)) if len(operands) > 1 else operands[0]
 
-    def unary(self):
+    def unary(self, prefixed: bool = False):
         if self.at("*~-"):
             wrap = _PREFIX[self.here.text]
         elif self.here.kind == "scalar":
@@ -254,20 +270,23 @@ class _Parser:
                 return ScalarLit(coeff)
             wrap = partial(ScalarMul, coeff)
         else:
-            return self.atom()
+            return self.atom(prefixed)
         self.deeper()
-        operand = self.unary()
+        operand = self.unary(True)
         self.depth -= 1
         return wrap(operand)
 
-    def atom(self):
+    def atom(self, prefixed: bool = False):
         tok = self.here
         if tok.kind == "basis":
             self.advance()
-            node = self.leaves.get(tok.index)
-            if node is None:
-                node = self.leaves[tok.index] = BasisVector(tok.index)
-            return node
+            indices = tok.index
+            if prefixed and len(indices) > 1:
+                # the prefix operator takes the first index; the rest of the
+                # run is the next operand of the enclosing wedge chain
+                self.rest = self.leaf(indices[1:])
+                indices = indices[:1]
+            return self.leaf(indices)
         if tok.kind == "top":
             self.advance()
             return TopBlade()
@@ -290,6 +309,12 @@ class _Parser:
             self.depth -= 1
             return node
         self.fail(("basis vector", "E", "scalar", "name", "ip(", "("))
+
+    def leaf(self, indices: tuple[int, ...]) -> Blade:
+        node = self.leaves.get(indices)
+        if node is None:
+            node = self.leaves[indices] = Blade(indices)
+        return node
 
 
 def parse(tokens: list[Token]):
@@ -339,10 +364,21 @@ def _evaluate(node, env: Environment) -> Multivector:
     """Every node as a multivector; operands are evaluated left to right."""
     d = env.d
     match node:
-        case BasisVector(index=i):
-            if not 1 <= i <= d:
-                raise IndexRangeError(f"e{_echo(i)} does not exist in dimension {d}")
-            return basis_vector(d, i)
+        case Blade(indices=indices):
+            # every index range-checked in order; a repeated one makes 0
+            mask, sign = 0, 1
+            for i in indices:
+                if not 1 <= i <= d:
+                    raise IndexRangeError(f"e{_echo(i)} does not exist in dimension {d}")
+                bit = 1 << i - 1
+                if mask & bit:
+                    sign = 0
+                elif (mask >> i).bit_count() & 1:  # the indices before it above i
+                    sign = -sign
+                mask |= bit
+            if len(indices) == 1:
+                return basis_vector(d, i)
+            return Multivector._build(d, {mask: complex(sign)} if sign else {})
         case Wedge(operands=xs):
             return _wedge_chain(_evaluate(x, env) for x in xs)
         case ScalarMul(coeff=c, operand=x):

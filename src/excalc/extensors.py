@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 from itertools import combinations
 
 from .errors import DimensionError, GradeError
-from .multivector import SINGULAR_TOL, Multivector, _json_coeff, _reading, _Record, _result
+from .multivector import SINGULAR_TOL, Multivector, _echo, _json_coeff, _reading, _Record, _result
 from .multivector import combine, hodge, merge_sign, mv_equal_approx, step_of, vee, wedge
 from .multivector import check_coeff, check_dim, check_index, check_same_dim, check_step
 
@@ -198,7 +198,7 @@ def join_by_splits(
     """
     check_same_dim(a, b)
     if variant not in ("first", "second"):
-        raise ValueError(f"unknown variant {variant!r}")
+        raise ValueError(f"unknown variant {_echo(variant)}")
     d, k, l = a.d, a.step, b.step
     if k + l < d:
         return Multivector.zero(d)

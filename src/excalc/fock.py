@@ -19,6 +19,7 @@ from .errors import DimensionError
 from .multivector import (
     Multivector,
     _blade_images,
+    _echo,
     all_blades,
     basis_vector,
     check_dim,
@@ -73,7 +74,7 @@ def operator_matrix(d: int, kind: str, i: int) -> list[list[complex]]:
     elif kind == "annihilate":
         op = apply_annihilation
     else:
-        raise ValueError(f"unknown ladder kind {kind!r}")
+        raise ValueError(f"unknown ladder kind {_echo(kind)}")
     index_of = {mask: row for row, mask in enumerate(all_blades(d))}
     matrix = [[0j] * (1 << d) for _ in index_of]
     (image,) = _blade_images(d, [partial(op, i)])

@@ -8,7 +8,10 @@ zero multivector has no terms and is distinct from the vacuum scalar 1.
 
 One rule, `_kept`, stores a coefficient above PRUNE_TOL, prunes one at or
 below it and rejects a non-finite one.  A kernel's `_result` owns the dict it
-is given: a fresh dict with nothing to prune becomes the value's terms.
+is given: a fresh dict with nothing to prune becomes the value's terms.  A
+map that stores only +-c or conj(c) of coefficients already kept (`hodge`,
+`hodge_inverse`, `conjugate`, negation, `grade_project`) has nothing to
+prune and builds with `Multivector._build` directly.
 """
 
 from __future__ import annotations
@@ -195,7 +198,7 @@ class _Value:
 class _Record(_Value):
     """An immutable _Value of two fields, `d` and one more.  Its constructor, a
     `__new__`, checks the arguments and returns `cls._build(d, field)`, made by
-    `_Record`, the one place that sets the fields; every multivector kernel's
+    `_Record`, the one place that sets the fields; a multivector kernel's
     `_result` prunes and then builds.  Copy and pickle rebuild through the constructor."""
 
     __slots__ = ()
@@ -295,7 +298,7 @@ class Multivector(_Record):
         return combine(self, ((-1, other),))
 
     def __neg__(self) -> Multivector:
-        return _result(self.d, {m: -c for m, c in self._terms.items()})
+        return Multivector._build(self.d, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, scalar: complex) -> Multivector:
         if isinstance(scalar, Multivector):
@@ -535,7 +538,7 @@ def hodge(a: Multivector) -> Multivector:
     """Star complement: swaps occupied states and holes, blade by blade.
     A bijection on blades, so no two terms meet."""
     full = (1 << a.d) - 1
-    return _result(a.d, {full ^ s: 0j + star_sign(s) * c for s, c in a._terms.items()})
+    return Multivector._build(a.d, {full ^ s: 0j + star_sign(s) * c for s, c in a._terms.items()})
 
 
 def hodge_inverse(a: Multivector) -> Multivector:
@@ -546,7 +549,9 @@ def hodge_inverse(a: Multivector) -> Multivector:
     undoes a double star on step k.
     """
     full = (1 << a.d) - 1
-    return _result(a.d, {full ^ s: 0j + star_sign(full ^ s) * c for s, c in a._terms.items()})
+    return Multivector._build(
+        a.d, {full ^ s: 0j + star_sign(full ^ s) * c for s, c in a._terms.items()}
+    )
 
 
 def vee(a: Multivector, b: Multivector) -> Multivector:
@@ -597,7 +602,7 @@ def _dense_pays(a: Multivector, b: Multivector) -> bool:
 
 def conjugate(a: Multivector) -> Multivector:
     """Complex-conjugate every coefficient; blades unchanged."""
-    return _result(a.d, {m: c.conjugate() for m, c in a._terms.items()})
+    return Multivector._build(a.d, {m: c.conjugate() for m, c in a._terms.items()})
 
 
 # ---- grade structure ---------------------------------------------------------
@@ -613,7 +618,7 @@ def step_of(a: Multivector) -> int | None:
 
 def grade_project(a: Multivector, k: int) -> Multivector:
     check_step(k, a.d, "step")
-    return _result(a.d, {m: c for m, c in a._terms.items() if m.bit_count() == k})
+    return Multivector._build(a.d, {m: c for m, c in a._terms.items() if m.bit_count() == k})
 
 
 def parity_sector(a: Multivector) -> str:

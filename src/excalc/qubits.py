@@ -49,7 +49,7 @@ def parse_basis_state(text: str) -> tuple[int, ...]:
             body = body[: -len(closer)]
     body = body.replace(",", "")
     if not body or any(ch not in "01" for ch in body):
-        raise ValueError(f"not a basis state: {text!r}")
+        raise ValueError(f"not a basis state: {_echo(text)}")
     return tuple(int(ch) for ch in body)
 
 

@@ -25,7 +25,7 @@ from itertools import repeat
 
 from .boolean_gates import m_inverse
 from .errors import DimensionError
-from .multivector import Multivector, _blade_images, all_blades, check_dim, vee, wedge
+from .multivector import Multivector, _blade_images, _echo, all_blades, check_dim, vee, wedge
 from .qubits import QubitState, q_vee, q_wedge
 from .textform import TABLE_FORMATS, TABLE_OPS, Cells, _json_doc  # noqa: F401 (TABLE_OPS is re-exported)
 
@@ -51,7 +51,7 @@ def table_rows(op: str, d: int) -> list[tuple[str, str, str]]:
         "q-vee": (QubitState, q_vee, QubitState.to_text),
     }
     if op not in tables:
-        raise ValueError(f"unknown table op {op!r}")
+        raise ValueError(f"unknown table op {_echo(op)}")
     cls, product, show = tables[op]
     basis = [cls._build(d, {m: 1 + 0j}) for m in all_blades(d)]
     # a basis element shows as its own label: a set gate's is its subset
@@ -67,7 +67,7 @@ def table_rows(op: str, d: int) -> list[tuple[str, str, str]]:
 def table_command(op: str, d: int, fmt: str = "text") -> str:
     """Render the full pair table for one operation as text, json, or csv."""
     if fmt not in TABLE_FORMATS:
-        raise ValueError(f"unknown format {fmt!r}")
+        raise ValueError(f"unknown format {_echo(fmt)}")
     rows = table_rows(op, d)
     header = ("a", "b", op)
     if fmt == "json":

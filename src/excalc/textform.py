@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 
-from .multivector import PRUNE_TOL, Multivector, _blade_bytes
+from .multivector import PRUNE_TOL, Multivector, _blade_bytes, _echo
 
 # The operations of the full pair tables and the output formats of those tables
 # and of `eval`, named here so the CLI can offer them without importing `excalc.tables`.
@@ -138,7 +138,7 @@ def _json_text(value: Multivector) -> str:
 
 def format_result(value: Multivector | complex, fmt: str) -> str:
     if fmt not in TABLE_FORMATS:
-        raise ValueError(f"unknown format {fmt!r}")
+        raise ValueError(f"unknown format {_echo(fmt)}")
     if isinstance(value, Multivector):
         if fmt == "json":
             return _json_text(value)

@@ -124,6 +124,12 @@ CASES = [
     case("eval-star-e16", "eval --dim 16", "*e16",
          out="-" + "^".join(f"e{i}" for i in range(1, 16)) + "\n"),
     case("eval-merge-past-e16", "eval --dim 16", "e16 ^ e15 ^ e1", out="-e1^e15^e16\n"),
+    # a prefix takes a run's first index: 2i * e2^e1 is (2i * e2)^e1, whose
+    # real part is 0.0, where the bracketed run's sign flip leaves -0.0
+    case("eval-json-prefixed-run", "eval --dim 2 --format json", "2i * e2^e1",
+         out=json_terms(([1, 2], 0.0, -2.0))),
+    case("eval-json-prefixed-bracketed-run", "eval --dim 2 --format json", "2i * (e2^e1)",
+         out=json_terms(([1, 2], -0.0, -2.0))),
     # blanks are lexed with the next token: tabs and CRLF between tokens
     case("eval-tabs-and-crlf", EVAL_3, "e3\t^ e1 ^\r\n  2i * e2", out="2i * E\n"),
     # a cached basis leaf still prunes at every step of a wedge chain
@@ -164,6 +170,9 @@ CASES = [
          err="error: unbound name 'e" + "0" * 78 + "\n"),
     case("eval-long-name", EVAL_3, "x" * 5000, code=1,
          err="error: unbound name '" + "x" * 79 + "\n"),
+    # a syntax error quotes a run's first index
+    case("eval-unexpected-run", EVAL_3, "e1 e2^e3", code=2,
+         err="syntax error: unexpected 'e2' at 1:4 (expected operator | end of input)\n"),
     case("eval-long-unexpected", EVAL_3, "e1 " + "x" * 5000, code=2,
          err="syntax error: unexpected '" + "x" * 79
          + " at 1:4 (expected operator | end of input)\n"),

@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 import pytest
 
-from excalc import boolean_gates, dense, extensors, fock, multivector, qubits, tables
+from excalc import boolean_gates, dense, extensors, fock, multivector, qubits, tables, textform
 from excalc.boolean_gates import SubsetState, subset
 from excalc.errors import DimensionError, GradeError, IndexRangeError, SchemaError
 from excalc.extensors import ExtensorFactors
@@ -356,3 +356,28 @@ def test_the_inherited_zero_state_checks_its_dimension(d):
     # QubitState.zero is Multivector.zero, whose row checks the "dim" kind
     with pytest.raises(DimensionError):
         QubitState.zero(d)
+
+
+# a call on a long string argument -> the error it raises, which quotes at
+# most 80 characters of the argument and then `...`
+LONG = "x" * 10**6
+LONG_ARGUMENTS = {
+    "qubits.parse_basis_state": lambda: qubits.parse_basis_state("2" * 10**6),
+    "qubits.QubitState.from_json": lambda: QubitState.from_json(
+        {"d": 2, "amps": [{"bits": "2" * 10**6, "re": 1, "im": 0}]}
+    ),
+    "tables.table_rows": lambda: tables.table_rows(LONG, D),
+    "tables.table_command-op": lambda: tables.table_command(LONG, D),
+    "tables.table_command-format": lambda: tables.table_command("vee", D, LONG),
+    "textform.format_result": lambda: textform.format_result(X, LONG),
+    "extensors.join_by_splits": lambda: extensors.join_by_splits(F, G, LONG),
+    "fock.operator_matrix": lambda: fock.operator_matrix(D, LONG, 2),
+}
+
+
+@pytest.mark.parametrize("name", LONG_ARGUMENTS)
+def test_a_long_argument_is_quoted_cut_at_80_characters(name):
+    with pytest.raises(ValueError) as err:
+        LONG_ARGUMENTS[name]()
+    message = str(err.value)
+    assert len(message) <= 120 and message.endswith("...")

@@ -17,7 +17,8 @@ from excalc.errors import ExcalcError, EvalError, ExprSyntaxError, GradeError, I
 from excalc.expr import (
     MAX_NESTING,
     Add,
-    BasisVector,
+    Blade,
+    Conj,
     Environment,
     InnerProduct,
     ScalarLit,
@@ -76,7 +77,7 @@ def test_identifiers_and_keywords():
 
 
 def test_parse_precedence():
-    e1, e2, e3 = BasisVector(1), BasisVector(2), BasisVector(3)
+    e1, e2, e3 = Blade((1,)), Blade((2,)), Blade((3,))
     node = parse_text("e1 ^ e2 v e3")
     assert node == Vee((Wedge((e1, e2)), e3))
     node = parse_text("*(e1) ^ *(e2)")
@@ -95,6 +96,14 @@ def test_parse_precedence():
         ((1, ScalarMul(-1.0 + 0j, e1)), (1, e2), (-1, Wedge((e3, e1))), (1, e3))
     )
     assert parse_text("e1 - (e2 - e3)") == Add(((1, e1), (-1, Add(((1, e2), (-1, e3))))))
+    # an unspaced run is one leaf; a prefix operator takes its first index,
+    # and the rest of the run is the next operand of the chain
+    assert parse_text("e1^e2^e3") == Blade((1, 2, 3))
+    assert parse_text("e1^e2 v e3") == Vee((Blade((1, 2)), e3))
+    assert parse_text("*e1^e2") == Wedge((Star(e1), e2))
+    assert parse_text("2 * e1^e3^e2 ^ e1") == Wedge((ScalarMul(2.0 + 0j, e1), Blade((3, 2)), e1))
+    assert parse_text("-~e3^e1") == Wedge((ScalarMul(-1.0 + 0j, Conj(e3)), e1))
+    assert parse_text("*(e1^e2)") == Star(Blade((1, 2)))
 
 
 def test_parse_errors_carry_positions():
@@ -352,7 +361,7 @@ def test_number_suffix_and_words():
     assert [(t.kind, t.text, t.value) for t in tokens[:-1]] == [("scalar", "1e5i", 1e5j)]
     tokens = tokenize("2i*e01 ip_ E")
     assert [(t.kind, t.value, t.index) for t in tokens[:-1]] == [
-        ("scalar", 2j, 0), ("op", 0j, 0), ("basis", 0j, 1), ("ident", 0j, 0), ("top", 0j, 0)
+        ("scalar", 2j, 0), ("op", 0j, 0), ("basis", 0j, (1,)), ("ident", 0j, 0), ("top", 0j, 0)
     ]
     # a number is ASCII digits only: an Arabic-Indic three ends it
     with pytest.raises(ExprSyntaxError, match="unknown character '٣' at 1:2"):
@@ -647,13 +656,15 @@ _SEPARATED = st.lists(
 def test_every_token_is_a_whole_token(source):
     for t in tokenize(source):
         assert type(t) is Token and t == Token(*t)
-        assert type(t.value) is complex and type(t.index) is int
+        assert type(t.value) is complex
+        assert type(t.index) is (tuple if t.kind == "basis" else int)
 
 
 # ---- one match per token, one node and one value per basis leaf ------------------------
 
-# The lexer as it was before the blanks were lexed with the next token: one
-# match per token and one per run of blanks, kept as the oracle.
+# The lexer as it was before the blanks were lexed with the next token and
+# before a run of basis indices was one token: one match per token and one
+# per run of blanks, one token per index, kept as the oracle.
 _PARENT_TOKEN = re.compile(
     r"(?P<newline>\n)|(?P<space>[^\S\n]+)"
     r"|(?P<scalar>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?(?P<imag>i(?![A-Za-z0-9_]))?)"
@@ -694,6 +705,24 @@ def parent_tokenize(source: str) -> list[Token]:
     return tokens
 
 
+def run_tokenize(source: str) -> list[Token]:
+    """parent_tokenize, then each `basis ^ basis` with nothing between the
+    three merged into one basis token, text joined and index tuples added."""
+    tokens: list[Token] = []
+    for t in parent_tokenize(source):
+        if t.kind == "basis":
+            t = t._replace(index=(t.index,))
+            if len(tokens) > 1 and tokens[-1].text == "^" and tokens[-2].kind == "basis":
+                caret, run = tokens[-1], tokens[-2]
+                if (run.line, run.col + len(run.text) + 1) == (caret.line, caret.col + 1) == (
+                    t.line, t.col
+                ):
+                    del tokens[-2:]
+                    t = run._replace(text=f"{run.text}^{t.text}", index=run.index + t.index)
+        tokens.append(t)
+    return tokens
+
+
 def _lexed(lex, source: str):
     """The Token list with each field's repr (so 0j and 0 differ), or the error."""
     try:
@@ -704,7 +733,7 @@ def _lexed(lex, source: str):
 
 _LEXER_PIECES = st.sampled_from(
     [*"eEiv_xp0123456789.+-^*~(),", " ", "\t", "\r", "\n", "$", "٣",
-     "e1", "e12", "ip", "1e5", "2.5i", "1.5e-3i", "1e400", "e1x", "vee", "x_1"]
+     "e1", "e12", "ip", "1e5", "2.5i", "1.5e-3i", "1e400", "e1x", "vee", "x_1", "^e3", "e2^e1"]
 )
 
 
@@ -712,27 +741,30 @@ _LEXER_PIECES = st.sampled_from(
 @example("e1 ^ e2 \t\r\n  ")
 @example("e1 +\n\t $ e2")
 @example(" \t")
+@example("e1^e02^e3 ^e4^ e5^e6x^e7\n^e8")
 @given(st.lists(_LEXER_PIECES, max_size=30).map("".join))
 def test_tokenize_equals_the_one_match_per_gap_lexer(source):
-    assert _lexed(tokenize, source) == _lexed(parent_tokenize, source)
+    assert _lexed(tokenize, source) == _lexed(run_tokenize, source)
 
 
 def test_one_parse_builds_one_basis_node_per_index(monkeypatch):
     built = []
 
-    class CountedBasisVector(BasisVector):
-        def __init__(self, index):
-            built.append(index)
-            super().__init__(index)
+    class CountedBlade(Blade):
+        def __init__(self, indices):
+            built.append(indices)
+            super().__init__(indices)
 
-    monkeypatch.setattr(expr, "BasisVector", CountedBasisVector)
-    source = "e1 ^ e2 + 2 * e1 ^ e3 - (e2 v e1) + ip(e3, e3)"
+    monkeypatch.setattr(expr, "Blade", CountedBlade)
+    source = "e1 ^ e2 + 2 * e1 ^ e3 - (e2 v e1) + ip(e3, e3) + e1^e2 - *e3^e1^e2 + e1^e2"
     node = parse_text(source)
-    assert sorted(built) == [1, 2, 3]
+    # the prefixed run builds (3,) and (1, 2), the index tuples seen before
+    assert sorted(built) == [(1,), (1, 2), (2,), (3,)]
     first, second = node.terms[0][1].operands[0], node.terms[1][1].operands[0].operand
     assert first is second
+    assert node.terms[4][1] is node.terms[5][1].operands[1] is node.terms[6][1]
     parse_text(source)  # the nodes live for one parse only
-    assert sorted(built) == [1, 1, 2, 2, 3, 3]
+    assert sorted(built) == [(1,), (1,), (1, 2), (1, 2), (2,), (2,), (3,), (3,)]
 
 
 def test_a_basis_leaf_evaluates_to_the_cached_basis_vector():
@@ -751,16 +783,19 @@ _COEFFS = st.one_of(
     st.floats(0, 1e300, allow_nan=False, allow_infinity=False).map(repr),
 )
 # a factor of a wedge chain at d=4: a basis vector, e5 out of range, a scaled
-# one, or a sum of several, which hands the rest of the chain to `wedge`
+# or prefixed one, or a sum of several, which hands the rest of the chain to `wedge`
 _FACTORS = st.one_of(
     st.integers(1, 5).map("e{}".format),
     st.tuples(_COEFFS, st.integers(1, 5)).map("{0[0]} * e{0[1]}".format),
+    st.tuples(st.sampled_from(["*", "~", "-", "2i * "]), st.integers(1, 5)).map("{0[0]}e{0[1]}".format),
     st.lists(st.integers(1, 4), min_size=2, max_size=3).map(
         lambda xs: "(" + " + ".join(f"e{i}" for i in xs) + ")"
     ),
 )
+# (sign, coefficient or "" for none, factors, the join: spaced, or a run)
 _BLADE_TERMS = st.tuples(
-    st.sampled_from([" + ", " - "]), _COEFFS, st.lists(_FACTORS, min_size=1, max_size=4)
+    st.sampled_from([" + ", " - "]), st.one_of(st.just(""), _COEFFS),
+    st.lists(_FACTORS, min_size=1, max_size=4), st.sampled_from([" ^ ", "^"]),
 )
 
 
@@ -772,25 +807,35 @@ def _outcome(source: str, env: Environment):
 
 
 # pruned mid-chain; an overflow before a later leaf's range error; a repeated index
-@example([(" + ", "1", ["1e-7 * e1", "1e-7 * e2", "1e10 * e3"])])
-@example([(" + ", "1e-13", ["e1", "e2"]), (" - ", "1", ["e3", "1e-13 * e4"])])
-@example([(" + ", "1e200", ["e1", "1e200 * e2", "e5"])])
-@example([(" + ", "2", ["e1", "3.25i * e2", "e1", "e5"])])
-@example([(" + ", "0.5", ["e1", "(e2 + e3)", "e4"]), (" + ", "2", ["(e1 + e1)", "e2"])])
+@example([(" + ", "1", ["1e-7 * e1", "1e-7 * e2", "1e10 * e3"], " ^ ")])
+@example([(" + ", "1e-13", ["e1", "e2"], " ^ "), (" - ", "1", ["e3", "1e-13 * e4"], " ^ ")])
+@example([(" + ", "1e200", ["e1", "1e200 * e2", "e5"], " ^ ")])
+@example([(" + ", "2", ["e1", "3.25i * e2", "e1", "e5"], " ^ ")])
+@example([(" + ", "0.5", ["e1", "(e2 + e3)", "e4"], " ^ "), (" + ", "2", ["(e1 + e1)", "e2"], " ^ ")])
 # -1 * 3.25i * 3.25i has a -0.0 imaginary part, which the kernel's 0j + clears
-@example([(" + ", "3.25i", ["e2", "3.25i * e1"])])
+@example([(" + ", "3.25i", ["e2", "3.25i * e1"], " ^ ")])
+# runs: a prefix operator takes the first index only, so `2i * e2^e1` has a
+# real part of 0.0, where `2i * (e2^e1)` has -0.0; a repeated index before e5
+@example([(" + ", "", ["*e1", "e2"], "^")])
+@example([(" + ", "2i", ["e2", "e1"], "^")])
+@example([(" + ", "", ["-e3", "e1"], "^"), (" - ", "", ["e4", "e2", "e1"], "^")])
+@example([(" + ", "", ["e1", "e1", "e5"], "^")])
+@example([(" - ", "1e200", ["e4", "e2", "1e200 * e1", "e3"], "^")])
 @settings(max_examples=150)
 @given(st.lists(_BLADE_TERMS, min_size=1, max_size=12))
 def test_cached_leaves_evaluate_like_leaves_built_per_use(terms):
     source = "".join(
-        f"{sign}{coeff} * {' ^ '.join(factors)}" for sign, coeff, factors in terms
+        f"{sign}{coeff}{' * ' if coeff else ''}{join.join(factors)}"
+        for sign, coeff, factors, join in terms
     )[3:]
+    # every eN in brackets: one token, one leaf and one value per index
+    split = re.sub(r"(?<![0-9.])e[0-9]+", r"(\g<0>)", source)
     env = Environment(4)
     got = _outcome(source, env)
+    assert got == _outcome(split, env)
     with pytest.MonkeyPatch.context() as patch:
         # the oracle builds every eN leaf anew through the kernels' `_result`,
         # and multiplies every wedge chain out as the binary chain of `wedge`
         patch.setattr(expr, "basis_vector", lambda d, i: _result(d, {1 << (i - 1): 1 + 0j}))
         patch.setattr(expr, "_wedge_chain", lambda values: reduce(wedge, values))
-        want = _outcome(source, env)
-    assert got == want
+        assert got == _outcome(source, env) == _outcome(split, env)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,7 +42,7 @@ from excalc.multivector import (
 )
 from excalc.textform import _labels, scalar_to_text
 from excalc.verify import random_homogeneous, random_mv
-from oracles import blade, positions, sort_sign
+from oracles import blade, hex_terms, positions, sort_sign
 
 
 # ---- construction ----------------------------------------------------------------
@@ -602,3 +604,25 @@ def test_trusted_build_keeps_what_pruned_keeps_or_raises_its_error(terms, sign):
         terms[0] = 7j
         terms.pop(15, None)
         assert outcome(lambda: value) == want
+
+
+# |c| just above PRUNE_TOL beside signed zeros; subnormal parts beside large
+# ones; parts near the float range
+@settings(max_examples=200)
+@example({1: complex(math.nextafter(PRUNE_TOL, 1), -0.0), 6: complex(-0.0, 0.6e-12), 3: -0j})
+@example({1: complex(5e-324, 1.0), 2: complex(1e308, -5e-324), 12: complex(-5e-324, -1.7e308)})
+@example({0: complex(1.7e308, -0.0), 15: complex(-1e308, 1e308), 9: complex(-0.0, -0.5)})
+@given(st.dictionaries(st.integers(0, 15), _COEFFS, max_size=10))
+def test_bijective_maps_build_what_result_builds(terms):
+    """`hodge`, `hodge_inverse`, `conjugate`, negation and `grade_project`
+    store +-c or conj(c) of kept coefficients without `_result`'s pre-scan:
+    what each builds is what `_result` builds from the same dict, bit for bit."""
+    try:
+        value = Multivector(4, terms)
+    except ValueError:  # a coefficient no value can store
+        return
+    maps = [hodge, hodge_inverse, conjugate, operator.neg]
+    for f in maps + [partial(grade_project, k=k) for k in range(5)]:
+        got = f(value)
+        assert type(got) is Multivector
+        assert hex_terms(got) == hex_terms(_result(4, dict(got._terms)))

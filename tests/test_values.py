@@ -22,7 +22,7 @@ from excalc import boolean_gates, extensors, qubits
 from excalc.boolean_gates import SubsetState, all_subsets, subset
 from excalc.expr import (
     Add,
-    BasisVector,
+    Blade,
     Conj,
     Environment,
     InnerProduct,
@@ -43,8 +43,8 @@ from excalc.qubits import QubitState
 from excalc.verify import CheckResult
 
 
-def e(i: int) -> BasisVector:
-    return BasisVector(i)
+def e(i: int) -> Blade:
+    return Blade((i,))
 
 
 def f(*indices: int) -> ExtensorFactors:
@@ -54,10 +54,10 @@ def f(*indices: int) -> ExtensorFactors:
 # (build, a build with one field or the class changed); build() twice gives equal objects
 VALUES = {
     "Token": (
-        lambda: Token("basis", "e1", 1, 4, index=1),
-        lambda: Token("basis", "e1", 1, 4, index=2),
+        lambda: Token("basis", "e1", 1, 4, index=(1,)),
+        lambda: Token("basis", "e1", 1, 4, index=(2,)),
     ),
-    "BasisVector": (lambda: e(1), lambda: e(2)),
+    "Blade": (lambda: Blade((1, 2)), lambda: Blade((2, 1))),
     "TopBlade": (TopBlade, lambda: ScalarLit(1 + 0j)),
     "ScalarLit": (lambda: ScalarLit(2j), lambda: ScalarLit(3j)),
     "Var": (lambda: Var("x"), lambda: Var("y")),
@@ -128,8 +128,9 @@ def test_built_and_parsed_values_agree():
         ((1, Wedge((e(1), e(2)))), (-1, ScalarMul(2 + 0j, TopBlade())))
     )
     assert parse_text("ip(x, *~e3) v e1") == parse_text("ip( x , * ~ e3 )v e1")
-    assert repr(e(1)) == "BasisVector(index=1)"
-    assert tokenize("e1")[0] == Token("basis", "e1", 1, 1, index=1)
+    assert repr(e(1)) == "Blade(indices=(1,))"
+    assert tokenize("e1")[0] == Token("basis", "e1", 1, 1, index=(1,))
+    assert tokenize("e1^e3")[0] == Token("basis", "e1^e3", 1, 1, index=(1, 3))
     # the trusted builds of the library equal the checked constructors
     assert subset(3, (3, 1)) == SubsetState(3, 0b101)
     assert all_subsets(2) == [SubsetState(2, m) for m in (0, 1, 2, 3)]
