@@ -44,6 +44,10 @@ EXIT_OK = 0
 EXIT_EVAL = 1
 EXIT_SYNTAX = 2
 EXIT_VERIFY = 3
+# How deep lists and objects may nest in a `--factors` value.  A factor list
+# nests 4 deep; a JSON decoder's own limit is its Python's recursion limit,
+# which differs between versions, so this one is well below all of them.
+MAX_FACTORS_NESTING = 100
 # what a command may raise on bad input; `_report` prints it
 _REPORTED = (ExcalcError, ValueError, OverflowError)
 
@@ -79,6 +83,18 @@ def operator_matrix(d: int, kind: str, i: int):
     return operator_matrix(d, kind, i)
 
 
+def _nests_too_deep(data) -> bool:
+    """Whether lists and objects nest deeper than MAX_FACTORS_NESTING in
+    decoded JSON, walked one level at a time rather than by recursion."""
+    level, depth = [data], 0
+    while level := [x for x in level if type(x) in (list, dict)]:
+        depth += 1
+        if depth > MAX_FACTORS_NESTING:
+            return True
+        level = [y for x in level for y in (x.values() if type(x) is dict else x)]
+    return False
+
+
 def cmd_eval(args) -> int:
     env = Environment(args.dim)
     for binding in args.factors or ():
@@ -93,10 +109,17 @@ def cmd_eval(args) -> int:
             else:
                 with open(where) as f:
                     data = json.load(f)
+            too_deep = _nests_too_deep(data)
         except OSError as err:  # its text would repeat the whole path
             raise ExcalcError(f"cannot read factor list {where!r:.80}: {err.strerror}")
-        except (ValueError, RecursionError) as err:  # bad JSON, or an int past 4300 digits
+        except ValueError as err:  # bad JSON, or an int past 4300 digits
             raise ExcalcError(f"cannot read factor list {where!r:.80}: {err}")
+        except RecursionError:  # past the decoder's limit, which is deeper still
+            too_deep = True
+        if too_deep:
+            raise ExcalcError(
+                f"cannot read factor list {where!r:.80}: nesting deeper than {MAX_FACTORS_NESTING}"
+            )
         from .extensors import ExtensorFactors, expand
 
         env.bind(name, expand(ExtensorFactors.from_json(data)))

@@ -27,9 +27,10 @@ one parse shares one `Blade` leaf per index tuple.  A run is one operand of
 its wedge chain, but a prefix operator takes only its first index: `*e1^e2`
 is `(*e1)^e2`.  A one-index leaf evaluates to the cached, immutable
 `basis_vector(d, N)`, a longer one to its signed blade in one pass.  A
-`Wedge` node multiplies through `multivector._wedge_chain`, which keeps a
-run of one-term operands, as in `2 * e1^e3^e5`, as one (mask, coefficient)
-pair.
+one-term node, a leaf, a scaled one or a wedge of them as in
+`2 * e1^e3^e5`, evaluates to a bare (mask, coefficient) pair, `_one_term`,
+and a sum adds each term's pair, or the terms of each other term's value,
+into one dict: one value is built per sum, none per term.
 """
 
 from __future__ import annotations
@@ -43,15 +44,17 @@ from .errors import EvalError, ExprSyntaxError, IndexRangeError
 from .multivector import (
     Multivector,
     _Value,
+    _add_terms,
     _echo,
-    _wedge_chain,
+    _kept,
     basis_vector,
     check_dim,
-    combine,
     conjugate,
     hodge,
+    merge_sign,
     scalar_product,
     vee,
+    wedge,
 )
 
 MAX_NESTING = 100
@@ -365,26 +368,26 @@ def _evaluate(node, env: Environment) -> Multivector:
     d = env.d
     match node:
         case Blade(indices=indices):
-            # every index range-checked in order; a repeated one makes 0
-            mask, sign = 0, 1
-            for i in indices:
-                if not 1 <= i <= d:
-                    raise IndexRangeError(f"e{_echo(i)} does not exist in dimension {d}")
-                bit = 1 << i - 1
-                if mask & bit:
-                    sign = 0
-                elif (mask >> i).bit_count() & 1:  # the indices before it above i
-                    sign = -sign
-                mask |= bit
+            mask, sign = _blade(indices, d)
             if len(indices) == 1:
-                return basis_vector(d, i)
+                return basis_vector(d, indices[0])
             return Multivector._build(d, {mask: complex(sign)} if sign else {})
         case Wedge(operands=xs):
-            return _wedge_chain(_evaluate(x, env) for x in xs)
+            pair = _one_term(node, d)
+            if pair is None:
+                return reduce(wedge, (_evaluate(x, env) for x in xs))
+            return Multivector._build(d, dict((pair,)))
         case ScalarMul(coeff=c, operand=x):
             return c * _evaluate(x, env)
         case Add(terms=((_, first), *rest)):
-            return combine(_evaluate(first, env), ((s, _evaluate(x, env)) for s, x in rest))
+            # one dict for the whole sum; a one-term node adds its pair, and
+            # `_add_terms` is `combine`'s rule for every later coefficient
+            pair = _one_term(first, d)
+            out = dict((pair,)) if pair else dict(_evaluate(first, env)._terms)
+            for sign, x in rest:
+                pair = _one_term(x, d)
+                _add_terms(out, sign, (pair,) if pair else _evaluate(x, env)._terms.items())
+            return Multivector._build(d, out)
         case TopBlade():
             return Multivector.top(d)
         case ScalarLit(value=v):
@@ -402,6 +405,63 @@ def _evaluate(node, env: Environment) -> Multivector:
         case InnerProduct():
             return Multivector.scalar(d, evaluate(node, env))
     raise EvalError(f"cannot evaluate node {node!r}")
+
+
+def _blade(indices: tuple[int, ...], d: int) -> tuple[int, int]:
+    """The mask of a leaf's indices and the sign that sorts them, 0 if one
+    repeats.  Every index is range-checked in order: the first out of range
+    raises IndexRangeError, also after a repeat."""
+    mask, sign = 0, 1
+    for i in indices:
+        if not 1 <= i <= d:
+            raise IndexRangeError(f"e{_echo(i)} does not exist in dimension {d}")
+        bit = 1 << i - 1
+        if mask & bit:
+            sign = 0
+        elif (mask >> i).bit_count() & 1:  # the indices before it above i
+            sign = -sign
+        mask |= bit
+    return mask, sign
+
+
+def _one_term(node, d: int) -> tuple[int, complex] | None:
+    """A one-term node as its (mask, coefficient) pair, computed with the
+    float steps of its value: a `Blade`, as its signed blade; a `ScalarMul`,
+    as `Multivector.__mul__` scales; a `Wedge`, as `wedge` multiplies one
+    term by one, `0j + sign * c * cb`.  A scaled or multiplied coefficient
+    passes `_kept`, so a non-finite one raises its ValueError, and an index
+    out of range raises as its leaf does.  None for any other node, a
+    repeated index, a shared mask or a pruned coefficient: evaluation is
+    pure, so the node's value then gives the same value, or raises the same
+    error at the same point."""
+    cls = node.__class__
+    if cls is Blade:
+        mask, sign = _blade(node.indices, d)
+        return (mask, complex(sign)) if sign else None
+    if cls is ScalarMul:
+        pair = _one_term(node.operand, d)
+        if pair is None:
+            return None
+        mask, c = pair
+        c = c * node.coeff
+        return (mask, c) if _kept(mask, c) else None
+    if cls is Wedge:
+        operands = iter(node.operands)
+        pair = _one_term(next(operands), d)
+        if pair is None:
+            return None
+        s, c = pair
+        for x in operands:
+            pair = _one_term(x, d)
+            if pair is None or s & pair[0]:
+                return None
+            t, cb = pair
+            c = 0j + merge_sign(s, t) * c * cb
+            s |= t
+            if not _kept(s, c):
+                return None
+        return s, c
+    return None
 
 
 def evaluate_text(source: str, env: Environment) -> Multivector | complex:

@@ -437,11 +437,17 @@ def combine(first: Multivector, rest: Iterable[tuple[int, Multivector]]) -> Mult
         check_same_dim(first, term)
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"sign {_echo(sign)} is not the int 1 or -1")
-        for m, c in term._terms.items():
-            out[m] = c = out.get(m, 0j) + (c if sign > 0 else -c)
-            if not _kept(m, c):
-                del out[m]
+        _add_terms(out, sign, term._terms.items())
     return Multivector._build(first.d, out)
+
+
+def _add_terms(out: dict[int, complex], sign: int, items: Iterable[tuple[int, complex]]) -> None:
+    """Add c, or -c for sign -1, into out[m] for each (m, c) of items; each
+    sum then stays in out only if `_kept` keeps it, and a non-finite one raises."""
+    for m, c in items:
+        out[m] = c = out.get(m, 0j) + (c if sign > 0 else -c)
+        if not _kept(m, c):
+            del out[m]
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -499,39 +505,6 @@ def _wedge_dict(a: Multivector, b: Multivector) -> Multivector:
             u = s | t
             out[u] = out.get(u, 0j) + merge_sign(s, t) * ca * cb
     return _result(a.d, out)
-
-
-def _wedge_chain(values: Iterable[Multivector]) -> Multivector:
-    """reduce(wedge, values), bit for bit, over two or more values drawn left
-    to right.  While the running product and the next value each have one
-    term, the product stays one (mask, coefficient) pair: `_wedge_dict`'s
-    sum and `_kept`'s rule at every step, and one value built at the end.
-    A zero product, or a next value of more terms, hands the rest of the
-    chain to `wedge`."""
-    values = iter(values)
-    acc = next(values)
-    if len(acc._terms) == 1:
-        d = acc.d
-        ((s, c),) = acc._terms.items()
-        for b in values:
-            check_same_dim(acc, b)
-            if len(b._terms) != 1:
-                acc = wedge(Multivector._build(d, {s: c}), b)
-                break
-            ((t, cb),) = b._terms.items()
-            if s & t:
-                acc = Multivector._build(d, {})
-                break
-            c = 0j + merge_sign(s, t) * c * cb
-            s |= t
-            if not _kept(s, c):
-                acc = Multivector._build(d, {})
-                break
-        else:
-            return Multivector._build(d, {s: c})
-    for b in values:
-        acc = wedge(acc, b)
-    return acc
 
 
 def hodge(a: Multivector) -> Multivector:

@@ -6,7 +6,6 @@ import json
 import math
 import random
 import re
-from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,7 +42,6 @@ from excalc.multivector import (
     hodge,
     mv_equal_approx,
     scalar_product,
-    wedge,
 )
 from excalc.extensors import ExtensorFactors
 from excalc.qubits import QubitState
@@ -325,6 +323,60 @@ def test_fuzz_smoke():
             parse_text(text)
         except ExprSyntaxError as err:
             assert err.line >= 1 and err.col >= 1
+
+
+# Expression text built from the node shapes: runs and basis vectors (e0 and
+# e5 are out of range at some drawn --dim), `E`, `1`, a bound name `x` and an
+# unbound `y`, then scaled, prefixed, bracketed, summed, multiplied and
+# `ip(...)` forms.
+_SCALARS = st.sampled_from(["2", "0.5", "1e-13", "3.25i", "i", "1e200", "0"])
+_LEAVES = st.one_of(
+    st.lists(st.sampled_from([1, 2, 3, 4, 1, 2, 3, 4, 5, 0]), min_size=1, max_size=4).map(
+        lambda xs: "^".join(f"e{i}" for i in xs)
+    ),
+    st.sampled_from(["E", "1", "x", "x", "y"]),
+)
+
+
+def _bracketed(text: str) -> str:
+    return f"({text})" if " " in text else text
+
+
+def _shapes(inner):
+    return st.one_of(
+        st.tuples(_SCALARS, inner).map(lambda t: f"{t[0]} * {_bracketed(t[1])}"),
+        st.tuples(st.sampled_from("*~-"), inner).map(lambda t: t[0] + _bracketed(t[1])),
+        inner.map("({})".format),
+        st.lists(st.tuples(st.sampled_from(["+", "-"]), inner), min_size=2, max_size=6).map(
+            lambda ts: " ".join(f"{sign} {term}" for sign, term in ts)[2:]
+        ),
+        st.tuples(st.sampled_from([" ^ ", " v "]), st.lists(inner, min_size=2, max_size=3)).map(
+            lambda t: t[0].join(map(_bracketed, t[1]))
+        ),
+        st.tuples(inner, inner).map(lambda t: f"ip({t[0]}, {t[1]})"),
+    )
+
+
+_EXPRESSIONS = st.recursive(_LEAVES, _shapes, max_leaves=12)
+# none, or up to three (position, character) pairs: each replaces the
+# character at position mod length + 1, or appends one at the end
+_MUTATIONS = st.one_of(
+    st.just([]),
+    st.lists(st.tuples(st.integers(0, 200), st.sampled_from("e1^v*~+-(),Eix .9$")), max_size=3),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(3, 5), st.sampled_from(["text", "json", "csv"]), _EXPRESSIONS, _MUTATIONS)
+def test_generated_expressions_end_in_a_value_or_one_error_line(d, fmt, source, mutations):
+    for at, char in mutations:
+        at %= len(source) + 1
+        source = source[:at] + char + source[at + 1:]
+    x = "x=" + json.dumps({"dim": d, "factors": [[{"re": 1, "im": 0.5}] * d]})
+    argv = ["eval", "--dim", str(d), "--format", fmt, "--factors", x, "--", source]
+    code, out, err = run_in_process(Case("generated", argv))
+    well_formed(code, out, err)
+    assert code in (0, 1, 2)
 
 
 # ---- output pinned bit for bit ------------------------------------------------------
@@ -783,9 +835,11 @@ _COEFFS = st.one_of(
     st.floats(0, 1e300, allow_nan=False, allow_infinity=False).map(repr),
 )
 # a factor of a wedge chain at d=4: a basis vector, e5 out of range, a scaled
-# or prefixed one, or a sum of several, which hands the rest of the chain to `wedge`
+# or prefixed one, a sum of several, which makes the chain a product of values,
+# or the bound name `x`, one value of two terms
 _FACTORS = st.one_of(
     st.integers(1, 5).map("e{}".format),
+    st.just("x"),
     st.tuples(_COEFFS, st.integers(1, 5)).map("{0[0]} * e{0[1]}".format),
     st.tuples(st.sampled_from(["*", "~", "-", "2i * "]), st.integers(1, 5)).map("{0[0]}e{0[1]}".format),
     st.lists(st.integers(1, 4), min_size=2, max_size=3).map(
@@ -821,6 +875,16 @@ def _outcome(source: str, env: Environment):
 @example([(" + ", "", ["-e3", "e1"], "^"), (" - ", "", ["e4", "e2", "e1"], "^")])
 @example([(" + ", "", ["e1", "e1", "e5"], "^")])
 @example([(" - ", "1e200", ["e4", "e2", "1e200 * e1", "e3"], "^")])
+# a pruned term mid-sum, on a blade already summed or before a range error;
+# an overflow in a first term or after a repeated index; a first term in
+# brackets, or negated; a bound name among one-term terms
+@example([(" + ", "", ["e1"], "^"), (" + ", "1e-13", ["e1"], "^"), (" - ", "", ["e2"], "^")])
+@example([(" + ", "", ["e2"], "^"), (" + ", "1e-13", ["e1"], "^"), (" - ", "", ["e5"], "^")])
+@example([(" + ", "1e200", ["1e200 * e1"], "^"), (" + ", "", ["e2"], "^")])
+@example([(" + ", "", ["e3", "e1", "e3"], "^"), (" - ", "1e200", ["1e200 * e2"], "^")])
+@example([(" + ", "", ["(e1 + e3)"], "^"), (" - ", "", ["e1"], "^"), (" + ", "2", ["e2"], "^")])
+@example([(" + ", "", ["-e1"], "^"), (" + ", "", ["e2"], "^"), (" - ", "", ["-e1"], "^")])
+@example([(" + ", "", ["e1"], "^"), (" - ", "2", ["x"], "^"), (" + ", "0.5", ["e2", "e3"], "^")])
 @settings(max_examples=150)
 @given(st.lists(_BLADE_TERMS, min_size=1, max_size=12))
 def test_cached_leaves_evaluate_like_leaves_built_per_use(terms):
@@ -831,11 +895,14 @@ def test_cached_leaves_evaluate_like_leaves_built_per_use(terms):
     # every eN in brackets: one token, one leaf and one value per index
     split = re.sub(r"(?<![0-9.])e[0-9]+", r"(\g<0>)", source)
     env = Environment(4)
+    env.bind("x", Multivector(4, {0b0001: 0.5 + 0j, 0b0110: -2j}))
     got = _outcome(source, env)
     assert got == _outcome(split, env)
     with pytest.MonkeyPatch.context() as patch:
-        # the oracle builds every eN leaf anew through the kernels' `_result`,
-        # and multiplies every wedge chain out as the binary chain of `wedge`
+        # the oracle builds every eN leaf anew through the kernels' `_result`
+        # and takes no one-term pair: it scales with `Multivector.__mul__`,
+        # multiplies every wedge chain out as the binary chain of `wedge` and
+        # adds the values of a sum's terms by `combine`'s rule
         patch.setattr(expr, "basis_vector", lambda d, i: _result(d, {1 << (i - 1): 1 + 0j}))
-        patch.setattr(expr, "_wedge_chain", lambda values: reduce(wedge, values))
+        patch.setattr(expr, "_one_term", lambda node, d: None)
         assert got == _outcome(source, env) == _outcome(split, env)

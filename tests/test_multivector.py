@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from excalc.errors import DimensionError, GradeError, IndexRangeError
+from excalc.expr import Blade, ScalarMul, Wedge, _one_term
 from excalc.multivector import (
     MAX_DIM,
     PRUNE_TOL,
@@ -21,7 +22,6 @@ from excalc.multivector import (
     _echo,
     _pruned,
     _result,
-    _wedge_chain,
     all_blades,
     basis_vector,
     combine,
@@ -32,7 +32,6 @@ from excalc.multivector import (
     hodge_inverse,
     indices_from_mask,
     mask_from_indices,
-    merge_sign,
     mv_equal_approx,
     parity_sector,
     scalar_product,
@@ -565,8 +564,9 @@ _FIRST = Multivector(4, {1: 1e308, 2: 1e308, 3: 2e-12, 5: -0.5})
 @example({3: 1e-12 + 0j, 5: -0.5 + 0j, 1: 1e308 + 0j}, -1)  # three sums fall to PRUNE_TOL or 0
 @given(st.dictionaries(st.integers(0, 15), _COEFFS, max_size=8), st.sampled_from([1, -1]))
 def test_trusted_build_keeps_what_pruned_keeps_or_raises_its_error(terms, sign):
-    """`_result`, `combine`, the one-term wedge chain and `scalar_product`
-    keep, prune or raise as `_pruned` does on the sums they form."""
+    """`_result`, `combine`, the evaluator's one-term pairs and
+    `scalar_product` keep, prune or raise as `_pruned` does on the sums and
+    products they form."""
 
     def outcome(build):
         try:
@@ -584,12 +584,24 @@ def test_trusted_build_keeps_what_pruned_keeps_or_raises_its_error(terms, sign):
 
     term = Multivector._build(4, dict(terms))
     assert outcome(lambda: combine(_FIRST, [(sign, term)])) == outcome(summed)
-    # e5 ^ c e_m at d=5, one product per drawn term
-    e5 = basis_vector(5, 5)
+    # (c * e5) ^ (c * e_m) at d=5, e_m's indices written in descending order,
+    # as the evaluator's one-term pair, per drawn term but the scalar: each
+    # factor's scaled coefficient, then the product, each kept, pruned (the
+    # pair is None) or rejected as `_pruned` does
     for m, c in terms.items():
-        product = {m | 16: 0j + merge_sign(16, m) * (1 + 0j) * c}
-        chain = [e5, Multivector._build(5, {m: c})]
-        assert outcome(lambda: _wedge_chain(chain)) == outcome(lambda: _pruned(product).items())
+        if not m:
+            continue
+        down = indices_from_mask(m)[::-1]
+        node = Wedge((ScalarMul(c, Blade((5,))), ScalarMul(c, Blade(down))))
+
+        def folded():
+            first = _pruned({16: (1 + 0j) * c})
+            second = _pruned({m: complex(sort_sign(down, ())) * c}) if first else {}
+            sign = sort_sign([4], positions(m))
+            product = {m | 16: 0j + sign * a * b for a in first.values() for b in second.values()}
+            return _pruned(product).items()
+
+        assert outcome(lambda: filter(None, [_one_term(node, 5)])) == outcome(folded)
     # each step's drawn terms against 1 on the same blades
     for k in range(5):
         a = Multivector._build(4, {m: c for m, c in terms.items() if m.bit_count() == k})

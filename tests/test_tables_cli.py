@@ -519,9 +519,28 @@ def test_cli_eval_reports_a_too_deeply_nested_factor_list(inline, tmp_path, caps
         where.write_text(payload)
     assert cli.main(["eval", "--dim", "2", "--factors", f"F={where}", "F"]) == 1
     out, err = capsys.readouterr()
+    # one text on every Python, whether or not its JSON decoder reads 3000 deep
+    assert out == ""
+    assert err == f"error: cannot read factor list {str(where)!r:.80}: nesting deeper than 100\n"
+
+
+# 100 levels are read and the value fails as a factor list; 101 are refused,
+# as lists or as objects
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ('{"dim": 2, "factors": ' + "[" * 99 + "]" * 99 + "}", "a factor list is "),
+        ('{"dim": 2, "factors": ' + "[" * 100 + "]" * 100 + "}", "cannot read "),
+        ('{"dim": 2, "factors": [' + '{"a": ' * 99 + "0" + "}" * 99 + "]}", "cannot read "),
+    ],
+    ids=["100-lists", "101-lists", "101-objects"],
+)
+def test_cli_eval_reads_a_factor_list_at_most_100_levels_deep(payload, message, capsys):
+    assert cli.main(["eval", "--dim", "2", "--factors", f"F={payload}", "F"]) == 1
+    out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert err.startswith("error: cannot read factor list ")
-    assert "maximum recursion depth exceeded" in err
+    assert err.startswith(f"error: {message}")
+    assert err.endswith(": nesting deeper than 100\n") == message.startswith("cannot")
 
 
 # The echo of an unreadable --factors value is cut at 80 characters, so the
