@@ -1,8 +1,9 @@
 """Dense numpy kernels for large operands, loaded on first use.
 
-`multivector.wedge` and `multivector.vee` call into this module only when
-their operands are large enough for it to pay (see
-`multivector._dense_pays`), so few-term work never imports or compiles it.
+`multivector.wedge`, `multivector.vee` and `extensors.expand` call into this
+module only when their operands are large enough for it to pay (see
+`multivector._dense_pays` and `_dense_fold_pays`), so few-term work never
+imports or compiles it.
 
 A dense operand is an array of 2^d complex coefficients indexed by blade
 mask.  The wedge sums sign(s, t) * A[s] * B[t] into s|t over the 3^d pairs of
@@ -13,6 +14,12 @@ the top mode e_d is split off,
     a^b = A0^B0 + (A0^B1 + A1^B0hat)^e_d   (B0hat: grade involution of B0),
 so no temporary outgrows the largest table.  On this layout the star
 complement is a reversal of the array, signed by `star_sign`.
+
+`fold` is `expand`'s fold from the vacuum, one factor at a time, on the
+array of the C(d, j) partial coefficients of step j.  A cached table per
+(d, j) lists the fold's (blade, mode) visits in the dict fold's order, so
+each step is two gathers along the table, four real products and two
+`np.bincount` sums, bit for bit the dict fold's.
 """
 
 from __future__ import annotations
@@ -30,7 +37,9 @@ TABLE_DIM = 9
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     check_same_dim(a, b)
-    return _from_array(a.d, _wedge_arrays(_to_array(a), _to_array(b), a.d, False))
+    with _quiet():
+        values = _wedge_arrays(_to_array(a), _to_array(b), a.d, False)
+    return _from_array(a.d, values)
 
 
 def vee(a: Multivector, b: Multivector) -> Multivector:
@@ -40,8 +49,10 @@ def vee(a: Multivector, b: Multivector) -> Multivector:
     star = _star_signs(d)
     sa = (_to_array(a) * star)[::-1]
     sb = (_to_array(b) * star)[::-1]
+    with _quiet():
+        values = _wedge_arrays(sa, sb, d, True)
     # hodge_inverse signs each output blade with that blade's own star sign
-    return _from_array(d, _wedge_arrays(sa, sb, d, True)[::-1] * star)
+    return _from_array(d, values[::-1] * star)
 
 
 def _wedge_arrays(a, b, d: int, reverse: bool):
@@ -74,6 +85,56 @@ def _wedge_arrays(a, b, d: int, reverse: bool):
     return out
 
 
+def fold(x) -> dict[int, complex] | None:
+    """The terms of `extensors.expand`'s dict fold of the factor list x, bit
+    for bit and in its key order, or None when a component or a partial
+    coefficient before the last step is exactly 0: the dict fold skips such
+    a pair, which changes the order in which it first touches the blades.
+
+    Step j adds the products of the C(d, j) partial coefficients with factor
+    j along `_fold_table(d, j)`, in the dict fold's visit order.  Each
+    product is the real and imaginary part CPython's complex multiply forms
+    (numpy's complex multiply differs in the last bit), and `np.bincount`
+    adds them into 0.0 in that order, as the dict fold adds them into 0j.
+    """
+    if not all(map(all, x.factors)):
+        return None
+    factors = np.array(x.factors, complex).reshape(x.step, x.d)
+    values, masks = np.ones(1, complex), np.zeros(1, np.intp)
+    with _quiet():
+        for j, f in enumerate(factors):
+            if not values.all():
+                return None
+            source, mode, target, sign, masks = _fold_table(x.d, j)
+            a, c = values[source], f[mode]
+            ar, ai, cr, ci = a.real, a.imag, c.real * sign, c.imag * sign
+            n = len(masks)
+            values = np.empty(n, complex)
+            values.real = np.bincount(target, ar * cr - ai * ci, n)
+            values.imag = np.bincount(target, ar * ci + ai * cr, n)
+    return dict(zip(masks.tolist(), values.tolist()))
+
+
+@cache
+def _fold_table(d: int, j: int):
+    """(source, mode, target, sign, masks) of step j of the fold over d modes.
+
+    The visits of the dict fold's step j when nothing is 0, in its order:
+    each step-j blade s of the previous step's masks (at position source),
+    each mode i outside s, upwards.  masks lists the step-(j+1) blades in the
+    order the fold first touches them, and s | e_i sits at position target;
+    sign is merge_sign(s, e_i), (-1)^popcount(s >> i+1).
+    """
+    sources = _fold_table(d, j - 1)[4] if j else np.zeros(1, np.intp)
+    source, mode = np.nonzero((sources[:, None] >> np.arange(d) & 1) == 0)
+    touched = sources[source] | 1 << mode
+    masks = touched[np.sort(np.unique(touched, return_index=True)[1])]
+    position = np.empty(1 << d, np.intp)
+    position[masks] = np.arange(len(masks))
+    sign = _grade_signs(d)[sources[source] >> mode + 1]
+    return tuple(map(_frozen, (source, mode, position[touched], sign, masks)))
+
+
 @cache
 def _pair_table(d: int):
     """(s, t, s|t, sign) over all disjoint mask pairs of d modes, one table per d.
@@ -97,6 +158,12 @@ def _grade_signs(d: int):
 def _star_signs(d: int):
     """The star sign of every mask m of d modes."""
     return _frozen(np.array([float(star_sign(m)) for m in range(1 << d)]))
+
+
+def _quiet():
+    """Overflow and invalid products give inf and NaN without a warning:
+    `_result` names the first non-finite coefficient, as for the dict kernels."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _frozen(x):

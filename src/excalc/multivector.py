@@ -573,6 +573,24 @@ def _dense_pays(a: Multivector, b: Multivector) -> bool:
     )
 
 
+def _dense_fold_pays(d: int, k: int) -> bool:
+    """Whether `extensors.expand` folds k factors of d modes on arrays.
+
+    The fold visits V = sum_{j<k} C(d, j)(d - j) (blade, mode) pairs, at most
+    d*2^(d-1).  In the units above a dict visit costs 4, and the array fold
+    under 1 per visit plus under _DENSE_OVERHEAD (measured at d=6..16), so in
+    a running process it pays from about 200 visits.  But its first call
+    imports numpy, about 10^6 units.  So the cut is V > _DENSE_OVERHEAD, the
+    most visits a list of d <= 8 modes makes: every such list, `verify-paper`'s
+    among them, stays on the dict fold and out of numpy, and the first compare
+    settles it.
+    """
+    return (
+        d << d - 1 > _DENSE_OVERHEAD
+        and sum(math.comb(d, j) * (d - j) for j in range(k)) > _DENSE_OVERHEAD
+    )
+
+
 def conjugate(a: Multivector) -> Multivector:
     """Complex-conjugate every coefficient; blades unchanged."""
     return Multivector._build(a.d, {m: c.conjugate() for m, c in a._terms.items()})

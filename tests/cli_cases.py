@@ -33,6 +33,7 @@ import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from typing import NamedTuple
 
 
@@ -64,6 +65,12 @@ def factor_list(d: int, rows) -> str:
 def vandermonde(d: int, k: int) -> str:
     """k Vandermonde rows in dimension d, so every one of the C(d, k) minors is nonzero."""
     return factor_list(d, [[(r + 1) ** c for c in range(d)] for r in range(k)])
+
+
+def blade_sum(d: int, grades, coeff: str) -> str:
+    """The sum of every blade of the given grades in dimension d, each as `coeff * blade`."""
+    blades = (c for g in grades for c in combinations(range(1, d + 1), g))
+    return " + ".join(f"{coeff} * " + "^".join(f"e{i}" for i in c) for c in blades)
 
 
 def json_terms(*terms) -> str:
@@ -159,6 +166,10 @@ CASES = [
     # an overflow still surfaces before the range error of a later leaf
     case("eval-overflow-before-range", EVAL_3, "1e200 * e1 ^ 1e200 * e2 ^ e9", code=1,
          err=MASK_0X3),
+    # 36 x 92 terms take the dense wedge, whose overflow prints no numpy warning
+    case("eval-dense-overflow", "eval --dim 8 --",
+         f"({blade_sum(8, (1, 2), '1e200')}) ^ ({blade_sum(8, (1, 2, 3), '1e200')})", code=1,
+         err="error: non-finite coefficient (nan+nanj) on blade mask 0x3\n"),
     case("eval-index-17", "eval --dim 16", "e17", code=1,
          err="error: e17 does not exist in dimension 16\n"),
     # every echo of a long run is cut at 80 characters

@@ -212,6 +212,7 @@ ROWS = {
     ),
     "dense.wedge": (dense.wedge, (X, V), ("operand", "same")),
     "dense.vee": (dense.vee, (X, V), ("operand", "same")),
+    "dense.fold": (dense.fold, (F,), ("operand",)),
     "extensors.make_vector": (extensors.make_vector, (D, (1, 2.5, 1j)), ("dim", "vector")),
     "extensors.ExtensorFactors": (ExtensorFactors, (D, (E[0], (1, 1, 0))), ("dim", "factors")),
     "extensors.ExtensorFactors.from_indices": (

@@ -2,7 +2,8 @@
 
 The dense wedge and vee form the same products as the dict kernel, but add
 them in another order, so the routes agree to a float64 rounding bound fixed
-here, not bit for bit.
+here, not bit for bit.  The array fold of `expand` forms and adds its
+products in the dict fold's order, so it must match that fold bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excalc import dense, multivector
+from excalc import dense, extensors, multivector
+from excalc.extensors import ExtensorFactors
 from excalc.multivector import (
     PRUNE_TOL,
     Multivector,
@@ -27,7 +29,7 @@ from excalc.multivector import (
     vee,
     wedge,
 )
-from excalc.verify import random_coeff, run_verification
+from excalc.verify import random_coeff, random_factors, run_verification
 from oracles import hex_terms, positions, sort_sign
 
 EPS = sys.float_info.epsilon
@@ -177,12 +179,112 @@ def test_dense_star_signs_are_the_index_sum_and_double_star_formulas(d):
         assert inverse[m] == want * (-1) ** (k * (d - k))
 
 
+# ---- the array fold of expand ---------------------------------------------------------
+
+
+# kind -> one factor component of that kind; a list draws each component from
+# one of a few kinds, so kinds mix within a list and within a vector
+PARTS = {
+    "uniform": random_coeff,
+    # no 0j, so a partial coefficient is 0 only where products cancel exactly
+    "gaussian integer": lambda rng: complex(rng.choice((-2, -1, 1, 2)), rng.randint(-2, 2)),
+    "signed zero": lambda rng: rng.choice(
+        (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 1.5),
+         complex(-1.5, -0.0), complex(0.0, -0.5))
+    ),
+    "small": lambda rng: 1e-6 * random_coeff(rng),
+    "large": lambda rng: 1e3 * random_coeff(rng),
+    "1e200": lambda rng: complex(rng.choice((1e200, -1e200, 1.0)), rng.choice((1e200, -0.0, 3.0))),
+}
+
+
+def drawn_factors(rng: random.Random, d: int, k: int, kinds) -> ExtensorFactors:
+    return ExtensorFactors(
+        d, tuple(tuple(PARTS[rng.choice(kinds)](rng) for _ in range(d)) for _ in range(k))
+    )
+
+
+@st.composite
+def factor_lists(draw, d: int):
+    k = draw(st.integers(0, d))
+    kinds = draw(st.lists(st.sampled_from(sorted(PARTS)), min_size=1, max_size=3))
+    return drawn_factors(random.Random(draw(st.integers(0, 2**32 - 1))), d, k, kinds)
+
+
+def expand_outcome(x: ExtensorFactors, on_arrays: bool):
+    """`hex_terms` of expand(x) with the fold sent to arrays or kept on the
+    dict, or the text of the ValueError it raises."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extensors, "_dense_fold_pays", lambda d, k: on_arrays)
+        try:
+            return hex_terms(extensors.expand(x))
+        except ValueError as err:
+            return str(err)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+@given(data=st.data())
+def test_dense_fold_is_the_dict_fold_bit_for_bit(d, data):
+    x = data.draw(factor_lists(d))
+    terms = dense.fold(x)
+    if terms is not None:
+        assert hex_terms(terms.items()) == hex_terms(extensors._fold(x.factors).items())
+    assert expand_outcome(x, True) == expand_outcome(x, False)
+
+
+def test_drawn_lists_reach_both_the_array_fold_and_its_fall_back():
+    rng = random.Random(2500)
+    answered = Counter()
+    for _ in range(300):
+        d = rng.randint(1, 12)
+        kinds = rng.sample(sorted(PARTS), rng.randint(1, 3))
+        x = drawn_factors(rng, d, rng.randint(0, d), kinds)
+        answered[dense.fold(x) is not None] += 1
+    assert answered[True] > 150 and answered[False] > 30
+
+
+# sha256 over (mask, re.hex(), im.hex()) of expand on the seeded lists below,
+# each of which takes the array fold; taken from the dict fold, which the
+# array fold follows bit for bit and term for term.
+EXPAND_DIGEST = "e594ad6cf78ff97f"
+
+
+def test_dense_expand_bits_are_pinned(dense_calls):
+    h = hashlib.sha256()
+    for d, k in ((10, 5), (12, 6)):
+        rng = random.Random(2400 + d)
+        for _ in range(3):
+            x = random_factors(rng, d, k)
+            assert dense.fold(x) is not None
+            for m, c in extensors.expand(x):
+                h.update(f"{m} {c.real.hex()} {c.imag.hex()}\n".encode())
+    assert dense_calls == {"fold": 12}  # each list's fold, directly and through expand
+    assert h.hexdigest()[:16] == EXPAND_DIGEST
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_fold_table_lists_the_dict_fold_visits_in_order(d):
+    sources = [0]
+    for j in range(d):
+        source, mode, target, sign, masks = dense._fold_table(d, j)
+        visits = [(n, s, i) for n, s in enumerate(sources) for i in range(d) if not s >> i & 1]
+        touched = list(dict.fromkeys(s | 1 << i for _, s, i in visits))
+        assert masks.tolist() == touched
+        assert list(zip(source.tolist(), mode.tolist())) == [(n, i) for n, _, i in visits]
+        assert target.tolist() == [touched.index(s | 1 << i) for _, s, i in visits]
+        assert sign.tolist() == [sort_sign(positions(s), [i]) for _, s, i in visits]
+        assert source.dtype == mode.dtype == target.dtype == masks.dtype == np.intp
+        assert not any(x.flags.writeable for x in (source, mode, target, sign, masks))
+        sources = touched
+
+
 # ---- conversion ----------------------------------------------------------------------
 
 
 def numpy_pruned_from_array(d: int, values) -> Multivector:
     """The conversion that pruned in numpy before `_result`, kept as an oracle."""
-    keep = np.flatnonzero(~(np.abs(values) <= PRUNE_TOL))
+    with np.errstate(over="ignore"):  # a magnitude past the float range is inf
+        keep = np.flatnonzero(~(np.abs(values) <= PRUNE_TOL))
     return multivector._result(d, dict(zip(keep.tolist(), values[keep].tolist())))
 
 
@@ -216,7 +318,6 @@ def test_from_array_prunes_by_the_magnitude_every_kernel_prunes_by():
     assert list(dense._from_array(d, values)) == want
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, complex(0, np.inf), -np.inf, complex(1.5e308, 1.5e308)])
 def test_from_array_names_a_non_finite_entry_as_the_numpy_conversion_did(bad):
     # a NaN follows at mask 3: the first bad entry is the one named
@@ -234,9 +335,9 @@ def test_from_array_names_a_non_finite_entry_as_the_numpy_conversion_did(bad):
 
 @pytest.fixture
 def dense_calls(monkeypatch):
-    """Count the calls that reach the dense kernels."""
+    """Count the calls that reach the dense kernels and the array fold."""
     calls: Counter = Counter()
-    for name in ("wedge", "vee"):
+    for name in ("wedge", "vee", "fold"):
         def counted(*args, real=getattr(dense, name), name=name):
             calls[name] += 1
             return real(*args)
@@ -256,12 +357,25 @@ def test_dispatch_follows_operand_size(dense_calls):
     assert dense_calls == {"wedge": 1, "vee": 1}
 
 
+def test_expand_dispatch_follows_the_visit_count(dense_calls):
+    rng = random.Random(89)
+    # 1024 and 837 visits: the dict fold
+    extensors.expand(random_factors(rng, 8, 8)), extensors.expand(random_factors(rng, 9, 4))
+    assert not dense_calls
+    extensors.expand(random_factors(rng, 9, 5))  # 1467 visits
+    assert dense_calls == {"fold": 1}
+
+
+def test_no_list_of_eight_modes_reaches_the_array_fold():
+    # the largest list the CLI benchmark draws is d=8, k=7
+    assert not any(multivector._dense_fold_pays(d, k) for d in range(1, 9) for k in range(d + 1))
+
+
 def test_verify_paper_stays_on_the_small_kernels(dense_calls):
     assert all(r.passed for r in run_verification())
     assert not dense_calls
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_dense_wedge_raises_on_a_non_finite_product_like_the_dict_kernel():
     # 1e400 - 1e400 is NaN on e1^e2; dropping it would read as a clean zero
     a = multivector.Multivector(2, {0b01: 1e200, 0b10: 1e200})

@@ -7,10 +7,10 @@ subcommand loads `dataclasses`, and `eval`, `table`, `fock` and
 `verify-paper` load no `typing`: the library's records are plain classes and
 named tuples.  Nor do they load `shutil`: help wraps at a fixed 78 columns,
 so argparse never measures the terminal.  `expand` and `is_decomposable`
-load no numpy either.  `import excalc.cli` builds no blade byte tables; the
-first blade sorted or printed builds them.  The command functions reach
-`table_command` and `operator_matrix` through the names in `excalc.cli`, so
-a caller can wrap or replace them there.
+load no numpy either on a list of at most 8 modes.  `import excalc.cli`
+builds no blade byte tables; the first blade sorted or printed builds them.
+The command functions reach `table_command` and `operator_matrix` through
+the names in `excalc.cli`, so a caller can wrap or replace them there.
 """
 
 from __future__ import annotations
@@ -110,6 +110,13 @@ def loaded_after(
             ["eval", "--dim", "7", "--factors", f"F={vandermonde(7, 3)}", "F"], "",
             ["excalc.extensors"],
             id="factors-35-minors",
+        ),
+        # 1016 (blade, mode) visits, the most of any list the CLI benchmark draws:
+        # still the dict fold, no numpy
+        pytest.param(
+            ["eval", "--dim", "8", "--factors", f"F={vandermonde(8, 7)}", "F"], "",
+            ["excalc.extensors"],
+            id="factors-d8-k7",
         ),
         pytest.param(
             ["fock", "--matrix", "create:1", "--dim", "2"], "", ["excalc.fock"],
