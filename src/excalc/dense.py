@@ -87,9 +87,11 @@ def _wedge_arrays(a, b, d: int, reverse: bool):
 
 def fold(x) -> dict[int, complex] | None:
     """The terms of `extensors.expand`'s dict fold of the factor list x, bit
-    for bit and in its key order, or None when a component or a partial
-    coefficient before the last step is exactly 0: the dict fold skips such
-    a pair, which changes the order in which it first touches the blades.
+    for bit and in its key order, or None when a partial coefficient before
+    the last step is exactly 0: the dict fold skips such a pair, which
+    changes the order in which it first touches the blades.  So does an
+    exactly-zero component, which `expand` checks before it calls this: x
+    must have none.
 
     Step j adds the products of the C(d, j) partial coefficients with factor
     j along `_fold_table(d, j)`, in the dict fold's visit order.  Each
@@ -97,8 +99,6 @@ def fold(x) -> dict[int, complex] | None:
     (numpy's complex multiply differs in the last bit), and `np.bincount`
     adds them into 0.0 in that order, as the dict fold adds them into 0j.
     """
-    if not all(map(all, x.factors)):
-        return None
     factors = np.array(x.factors, complex).reshape(x.step, x.d)
     values, masks = np.ones(1, complex), np.zeros(1, np.intp)
     with _quiet():

@@ -19,18 +19,23 @@ a basis index, with `...` after a longer one.
 The lexer makes one regex match per token: the blanks before a token are
 lexed with it, and a token's column is that of its own first character.  An
 unspaced run of basis indices, as in `e1^e3^e7`, is one `basis` token whose
-`index` is the tuple of its indices; a spaced `e1 ^ e3` is three tokens.
-Tokens are named tuples, each built in one `tuple.__new__` call with all six
-fields.  Tree nodes are plain value classes: nodes with equal fields are
-equal and hash alike, and nothing assigns to a node the parser has built, so
-one parse shares one `Blade` leaf per index tuple.  A run is one operand of
-its wedge chain, but a prefix operator takes only its first index: `*e1^e2`
-is `(*e1)^e2`.  A one-index leaf evaluates to the cached, immutable
-`basis_vector(d, N)`, a longer one to its signed blade in one pass.  A
-one-term node, a leaf, a scaled one or a wedge of them as in
-`2 * e1^e3^e5`, evaluates to a bare (mask, coefficient) pair, `_one_term`,
-and a sum adds each term's pair, or the terms of each other term's value,
-into one dict: one value is built per sum, none per term.
+`index` is the tuple of its indices; a spaced `e1 ^ e3` is three tokens.  A
+run scaled by a number or `i` on the same line, `0.5i * e2^e3` as a term
+prints, is one `piece` token: its `value` is the coefficient, its `index`
+the run's tuple, and it parses to the tree of its scalar, `*` and run, with
+the same errors at the same columns.  Tokens are named tuples, each built
+in one `tuple.__new__` call with all six fields.  Tree nodes are plain value
+classes: nodes with equal fields are equal and hash alike, and nothing
+assigns to a node the parser has built, so one parse shares one `Blade`
+leaf per index tuple.  A run is one operand of its wedge chain, but a
+prefix operator, the `*` of a piece among them, takes only its first index:
+`*e1^e2` is `(*e1)^e2` and `2 * e1^e2` is `(2 * e1)^e2`.  A one-index leaf
+evaluates to the cached, immutable `basis_vector(d, N)`, a longer one to
+its signed blade in one pass.  A one-term node, a leaf, a scaled one or a
+wedge of them as in `2 * e1^e3^e5`, evaluates to a bare (mask, coefficient)
+pair, `_one_term`, and a sum adds each term's pair, or the terms of each
+other term's value, into one dict: one value is built per sum, none per
+term.
 """
 
 from __future__ import annotations
@@ -63,20 +68,25 @@ MAX_NESTING = 100
 
 # One match per token: the blanks before it (any whitespace but a newline),
 # then one alternative per token class, tried in order, the most common first.
-# A basis token is an unspaced run `e1^e3^e7` of one or more indices.  A number
-# is ASCII digits only and takes an `i` suffix only when that `i` ends the
-# word.  `end` matches at the end of the source, after any trailing blanks.
+# A basis token is an unspaced run `e1^e3^e7` of one or more indices, and a
+# piece is a run scaled by a number or `i` on the same line, `0.5i * e2^e3`:
+# the `basis` alternative with its `coeff`.  A number is ASCII digits only and
+# takes an `i` suffix only when that `i` ends the word.  `end` matches at the
+# end of the source, after any trailing blanks.
+_NUMBER = r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 _TOKEN = re.compile(
-    r"[^\S\n]*(?:(?P<basis>e[0-9]+(?:\^e[0-9]+)*(?![A-Za-z0-9_]))|(?P<op>[-+^*~])"
-    r"|(?P<scalar>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?(?P<imag>i(?![A-Za-z0-9_]))?)"
+    rf"[^\S\n]*(?:(?P<basis>(?:(?P<coeff>{_NUMBER}i?|i)[^\S\n]*\*[^\S\n]*)?"
+    r"(?P<run>e[0-9]+(?:\^e[0-9]+)*)(?![A-Za-z0-9_]))|(?P<op>[-+^*~])"
+    rf"|(?P<scalar>{_NUMBER}(?:i(?![A-Za-z0-9_]))?)"
     r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
     r"|(?P<newline>\n)|(?P<end>\Z)|(?P<unknown>\S))"
 )
 _KEYWORDS = {"E": ("top", 0j), "v": ("op", 0j), "i": ("scalar", 1j), "ip": ("ip", 0j)}
 
 
-# kind: basis | top | scalar | op | lparen | rparen | comma | ident | ip | end;
-# `index` is a basis token's tuple of indices, 0 for every other kind
+# kind: basis | piece | top | scalar | op | lparen | rparen | comma | ident | ip
+# | end; `index` is the tuple of a run's indices for a basis or piece token, 0
+# for every other kind, and `value` is a piece's or a scalar's coefficient
 Token = namedtuple("Token", "kind text line col value index", defaults=(0j, 0))
 
 
@@ -94,16 +104,18 @@ def tokenize(source: str) -> list[Token]:
             # than the two of MAX_DIM an index is out of range in every
             # dimension, and an 81st digit tells the range error that it
             # quotes only 80.  A run of at most 82 characters has no longer one.
-            digits = text[1:].split("^e")
-            if len(text) > 82:
+            run = m["run"]
+            digits = run[1:].split("^e")
+            if len(run) > 82:
                 digits = [i.lstrip("0")[:81] or "0" for i in digits]
-            append(new(Token, (kind, text, line, col, 0j, tuple(map(int, digits)))))
+            coeff = m["coeff"]
+            if coeff is None:
+                append(new(Token, (kind, text, line, col, 0j, tuple(map(int, digits)))))
+            else:
+                value = _number(coeff, line, col)
+                append(new(Token, ("piece", text, line, col, value, tuple(map(int, digits)))))
         elif kind == "scalar":
-            number = float(text[:-1] if m["imag"] else text)
-            if math.isinf(number):
-                raise ExprSyntaxError(f"number {text!r:.80} overflows", line, col)
-            value = complex(0.0, number) if m["imag"] else complex(number)
-            append(new(Token, (kind, text, line, col, value, 0)))
+            append(new(Token, (kind, text, line, col, _number(text, line, col), 0)))
         elif kind == "word":
             kind, value = _KEYWORDS.get(text, ("ident", 0j))
             append(new(Token, (kind, text, line, col, value, 0)))
@@ -116,6 +128,17 @@ def tokenize(source: str) -> list[Token]:
             if kind == "end":  # after trailing blanks, `end` would match twice
                 break
     return tokens
+
+
+def _number(text: str, line: int, col: int) -> complex:
+    """The value of a numeric literal, or of a piece's coefficient `i`."""
+    if text == "i":
+        return 1j
+    imag = text[-1] == "i"
+    number = float(text[:-1] if imag else text)
+    if math.isinf(number):
+        raise ExprSyntaxError(f"number {text!r:.80} overflows", line, col)
+    return complex(0.0, number) if imag else complex(number)
 
 
 # ---- syntax tree ----------------------------------------------------------------
@@ -217,7 +240,8 @@ class _Parser:
 
     def fail(self, expected: tuple[str, ...]):
         tok = self.here
-        text = tok.text.partition("^e")[0]  # of a run, its first index
+        # of a run, its first index; of a piece, its coefficient
+        text = tok.text.partition("*" if tok.kind == "piece" else "^e")[0].rstrip()
         what = "end of input" if tok.kind == "end" else f"{text!r:.80}"
         raise ExprSyntaxError(f"unexpected {what}", tok.line, tok.col, expected)
 
@@ -265,9 +289,18 @@ class _Parser:
             operands.append(operand())
 
     def unary(self, prefixed: bool = False):
+        tok = self.here
+        if tok.kind == "piece":
+            # `c * e1^e2` as its scalar, `*` and run parse: the `*` nests one
+            # level, and the rest of the run is the next operand of the chain
+            if self.depth == MAX_NESTING:
+                col = tok.col + tok.text.index("*")
+                raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING}", tok.line, col)
+            self.advance()
+            return ScalarMul(tok.value, self.run(tok.index))
         if self.at("*~-"):
-            wrap = _PREFIX[self.here.text]
-        elif self.here.kind == "scalar":
+            wrap = _PREFIX[tok.text]
+        elif tok.kind == "scalar":
             coeff = self.advance().value
             if not self.at("*"):
                 return ScalarLit(coeff)
@@ -283,13 +316,7 @@ class _Parser:
         tok = self.here
         if tok.kind == "basis":
             self.advance()
-            indices = tok.index
-            if prefixed and len(indices) > 1:
-                # the prefix operator takes the first index; the rest of the
-                # run is the next operand of the enclosing wedge chain
-                self.rest = self.leaf(indices[1:])
-                indices = indices[:1]
-            return self.leaf(indices)
+            return self.run(tok.index) if prefixed else self.leaf(tok.index)
         if tok.kind == "top":
             self.advance()
             return TopBlade()
@@ -312,6 +339,13 @@ class _Parser:
             self.depth -= 1
             return node
         self.fail(("basis vector", "E", "scalar", "name", "ip(", "("))
+
+    def run(self, indices: tuple[int, ...]) -> Blade:
+        """A prefix operator takes a run's first index; the rest of the run is
+        the next operand of the enclosing wedge chain."""
+        if len(indices) > 1:
+            self.rest = self.leaf(indices[1:])
+        return self.leaf(indices[:1])
 
     def leaf(self, indices: tuple[int, ...]) -> Blade:
         node = self.leaves.get(indices)

@@ -137,14 +137,15 @@ def expand(x: ExtensorFactors) -> Multivector:
     lies in (0, PRUNE_TOL], and products and sums keep Gaussian-integer
     factors exact.  A list whose rank (the rank `_column_rank` takes) is
     below its step expands to the zero multivector.  Past the cut of
-    `_dense_fold_pays` (only lists of more than 8 modes reach it) the fold
-    runs on arrays in `dense.fold`, with the same products and sums in the
+    `_dense_fold_pays` (only lists of more than 8 modes reach it) a list
+    with no exactly-zero component, whose pairs the dict fold visits all,
+    folds on arrays in `dense.fold`, with the same products and sums in the
     same order, so the result, its term order and its errors are the same.
     """
     if _eliminate(x.factors)[0] < x.step:
         return Multivector.zero(x.d)
     terms = None
-    if _dense_fold_pays(x.d, x.step):
+    if _dense_fold_pays(x.d, x.step) and all(map(all, x.factors)):
         from . import dense
 
         terms = dense.fold(x)

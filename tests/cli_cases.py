@@ -184,6 +184,13 @@ CASES = [
     # a syntax error quotes a run's first index
     case("eval-unexpected-run", EVAL_3, "e1 e2^e3", code=2,
          err="syntax error: unexpected 'e2' at 1:4 (expected operator | end of input)\n"),
+    # a scaled run `2 * e3` is one token; its errors quote and place its parts
+    case("eval-unexpected-piece", EVAL_3, "e1 2 * e3", code=2,
+         err="syntax error: unexpected '2' at 1:4 (expected operator | end of input)\n"),
+    case("eval-piece-nesting", EVAL_3, "(" * 100 + "2 * e1" + ")" * 100, code=2,
+         err="syntax error: nesting deeper than 100 at 1:103\n"),
+    case("eval-piece-overflow", EVAL_3, "1e999 * e1", code=2,
+         err="syntax error: number '1e999' overflows at 1:1\n"),
     case("eval-long-unexpected", EVAL_3, "e1 " + "x" * 5000, code=2,
          err="syntax error: unexpected '" + "x" * 79
          + " at 1:4 (expected operator | end of input)\n"),

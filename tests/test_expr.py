@@ -29,6 +29,7 @@ from excalc.expr import (
     Wedge,
     evaluate,
     evaluate_text,
+    parse,
     parse_text,
     tokenize,
 )
@@ -366,17 +367,60 @@ _MUTATIONS = st.one_of(
 )
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.integers(3, 5), st.sampled_from(["text", "json", "csv"]), _EXPRESSIONS, _MUTATIONS)
-def test_generated_expressions_end_in_a_value_or_one_error_line(d, fmt, source, mutations):
+
+
+def _mutated(source: str, mutations) -> str:
     for at, char in mutations:
         at %= len(source) + 1
         source = source[:at] + char + source[at + 1:]
+    return source
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(3, 5), st.sampled_from(["text", "json", "csv"]), _EXPRESSIONS, _MUTATIONS)
+def test_generated_expressions_end_in_a_value_or_one_error_line(d, fmt, source, mutations):
+    source = _mutated(source, mutations)
     x = "x=" + json.dumps({"dim": d, "factors": [[{"re": 1, "im": 0.5}] * d]})
     argv = ["eval", "--dim", str(d), "--format", fmt, "--factors", x, "--", source]
     code, out, err = run_in_process(Case("generated", argv))
     well_formed(code, out, err)
     assert code in (0, 1, 2)
+
+
+# REPL lines: expressions, with pieces, broken ones, `:let` of them, and each
+# command, well formed or not, `:dim` at most 4 so that `:table` stays small
+_REPL_LINES = st.one_of(
+    _EXPRESSIONS,
+    st.tuples(_EXPRESSIONS, _MUTATIONS).map(lambda t: _mutated(*t)),
+    st.tuples(st.sampled_from(["x", "y", "x_1", "E", "1x", ""]), _EXPRESSIONS).map(
+        lambda t: f":let {t[0]} = {t[1]}"
+    ),
+    st.sampled_from([":dim 1", ":dim 3", ":dim 4", ":dim", ":dim 0", ":dim 17", ":dim x y",
+                     ":dim \u0663", ":table wedge", ":table q-vee", ":table", ":table vee x"]),
+    st.sampled_from([":quit", " :quit now", ":bogus", ":", ":let", ":let x", "", " ", "2 *", "$"]),
+)
+# after each drawn line, one line that answers on stdout and one on stderr
+_OUT_MARK, _ERR_MARK = ("mark = 1\n", ":let mark = 1\n"), ("error: unknown command ':mark'\n", ":mark\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.lists(_REPL_LINES, max_size=8))
+def test_repl_scripts_answer_each_line_read_once(d, lines):
+    script = "".join(line + "\n" + _OUT_MARK[1] + _ERR_MARK[1] for line in lines)
+    code, out, err = run_in_process(Case("repl-script", ["repl", "--dim", str(d)], stdin=script))
+    well_formed(code, out, err)
+    assert code == 0
+    read = next((k for k, line in enumerate(lines) if line.split()[:1] == [":quit"]), len(lines))
+    outs, errs = out.split(_OUT_MARK[0]), err.split(_ERR_MARK[0])
+    assert len(outs) == len(errs) == read + 1 and outs[-1] == errs[-1] == ""
+    for line, answer, error in zip(lines[:read], outs, errs):
+        if not line.strip():
+            assert answer == error == ""
+        elif error:  # one error line, and nothing on stdout
+            assert answer == "" and error.count("\n") == 1, (line, error)
+            assert error.startswith(("error: ", "syntax error: ")), (line, error)
+        else:  # one value line, or a table
+            assert answer.count("\n") == 1 or line.startswith(":table"), (line, answer)
 
 
 # ---- output pinned bit for bit ------------------------------------------------------
@@ -413,7 +457,7 @@ def test_number_suffix_and_words():
     assert [(t.kind, t.text, t.value) for t in tokens[:-1]] == [("scalar", "1e5i", 1e5j)]
     tokens = tokenize("2i*e01 ip_ E")
     assert [(t.kind, t.value, t.index) for t in tokens[:-1]] == [
-        ("scalar", 2j, 0), ("op", 0j, 0), ("basis", 0j, (1,)), ("ident", 0j, 0), ("top", 0j, 0)
+        ("piece", 2j, (1,)), ("ident", 0j, 0), ("top", 0j, 0)
     ]
     # a number is ASCII digits only: an Arabic-Indic three ends it
     with pytest.raises(ExprSyntaxError, match="unknown character '٣' at 1:2"):
@@ -698,7 +742,7 @@ def test_long_and_deep_inputs_raise_only_typed_errors(source):
 
 
 _SEPARATED = st.lists(
-    st.tuples(st.sampled_from(_LEAVES + ("^", "+", "v", "2.5i", "1e5", "(")),
+    st.tuples(st.sampled_from(_LEAVES + ("^", "+", "v", "2.5i", "1e5", "(", "*", "i")),
               st.sampled_from(("\t", "\r\n", "\n", " ", " \t\r\n")))
 ).map(lambda pairs: "".join(word + sep for word, sep in pairs))
 
@@ -709,14 +753,16 @@ def test_every_token_is_a_whole_token(source):
     for t in tokenize(source):
         assert type(t) is Token and t == Token(*t)
         assert type(t.value) is complex
-        assert type(t.index) is (tuple if t.kind == "basis" else int)
+        assert type(t.index) is (tuple if t.kind in ("basis", "piece") else int)
 
 
 # ---- one match per token, one node and one value per basis leaf ------------------------
 
-# The lexer as it was before the blanks were lexed with the next token and
-# before a run of basis indices was one token: one match per token and one
-# per run of blanks, one token per index, kept as the oracle.
+# The lexer as it was before the blanks were lexed with the next token,
+# before a run of basis indices was one token and before a scaled run was
+# one piece: one match per token and one per run of blanks, one token per
+# index, kept as the oracle.  `run_tokenize` merges its runs and
+# `piece_tokenize` then its pieces.
 _PARENT_TOKEN = re.compile(
     r"(?P<newline>\n)|(?P<space>[^\S\n]+)"
     r"|(?P<scalar>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?(?P<imag>i(?![A-Za-z0-9_]))?)"
@@ -775,6 +821,24 @@ def run_tokenize(source: str) -> list[Token]:
     return tokens
 
 
+def piece_tokenize(source: str) -> list[Token]:
+    """run_tokenize, then each `scalar * basis` triple on one line merged into
+    one piece token: the scalar's position and value, the basis token's
+    index tuple, and the source text from the scalar to the end of the run."""
+    line_starts = [0] + [k + 1 for k, c in enumerate(source) if c == "\n"]
+    tokens: list[Token] = []
+    for t in run_tokenize(source):
+        if t.kind == "basis" and len(tokens) > 1 and tokens[-1].text == "*":
+            star, number = tokens[-1], tokens[-2]
+            if number.kind == "scalar" and number.line == star.line == t.line:
+                del tokens[-2:]
+                start = line_starts[t.line - 1] - 1
+                text = source[start + number.col:start + t.col + len(t.text)]
+                t = Token("piece", text, number.line, number.col, number.value, t.index)
+        tokens.append(t)
+    return tokens
+
+
 def _lexed(lex, source: str):
     """The Token list with each field's repr (so 0j and 0 differ), or the error."""
     try:
@@ -785,7 +849,8 @@ def _lexed(lex, source: str):
 
 _LEXER_PIECES = st.sampled_from(
     [*"eEiv_xp0123456789.+-^*~(),", " ", "\t", "\r", "\n", "$", "٣",
-     "e1", "e12", "ip", "1e5", "2.5i", "1.5e-3i", "1e400", "e1x", "vee", "x_1", "^e3", "e2^e1"]
+     "e1", "e12", "ip", "1e5", "2.5i", "1.5e-3i", "1e400", "e1x", "vee", "x_1", "^e3", "e2^e1",
+     " * ", "2*", "i *\t", "0.5i * e2^e3"]
 )
 
 
@@ -794,9 +859,43 @@ _LEXER_PIECES = st.sampled_from(
 @example("e1 +\n\t $ e2")
 @example(" \t")
 @example("e1^e02^e3 ^e4^ e5^e6x^e7\n^e8")
+@example("2 * e1 2i*e2^e3\ti \t*\te4 2 *\ne5 3 * e6x 4\r*e7^e8^ 2in * e1 x * e1 2 * E")
 @given(st.lists(_LEXER_PIECES, max_size=30).map("".join))
 def test_tokenize_equals_the_one_match_per_gap_lexer(source):
-    assert _lexed(tokenize, source) == _lexed(run_tokenize, source)
+    assert _lexed(tokenize, source) == _lexed(piece_tokenize, source)
+
+
+def _parsed(lex, source: str):
+    """The tree that `parse` builds from the tokens of `lex` as its repr, or the error."""
+    try:
+        return repr(parse(lex(source)))
+    except ExprSyntaxError as err:
+        return ("error", str(err), err.line, err.col)
+
+
+@st.composite
+def _spaced_text(draw):
+    """The text of a value at d <= 16, as it prints, with the blanks around
+    each `*` drawn anew: none, tabs, or a newline that splits a piece."""
+    d = draw(st.integers(1, 16))
+    terms = st.dictionaries(st.integers(0, (1 << d) - 1), st.builds(complex, _PARTS, _PARTS),
+                            max_size=8)
+    first, *rest = Multivector(d, draw(terms)).to_text().split(" * ")
+    blanks = st.sampled_from(["", " ", " ", "\t", " \t ", "\r", "\n", " \n "])
+    return first + "".join(f"{draw(blanks)}*{draw(blanks)}{term}" for term in rest)
+
+
+# a piece where a term may not start; one past the nesting limit, one level in
+@example("e1 2 * e3", [])
+@example("(" * MAX_NESTING + "2 * e1" + ")" * MAX_NESTING, [])
+@example("-" * (MAX_NESTING - 1) + "0.5i * e1^e2^e3", [])
+@example("*" * MAX_NESTING + "i*e1", [])
+@example("1e999 * e1", [])
+@settings(max_examples=200)
+@given(st.one_of(_EXPRESSIONS, _spaced_text()), _MUTATIONS)
+def test_a_piece_parses_as_its_three_tokens(source, mutations):
+    source = _mutated(source, mutations)
+    assert _parsed(tokenize, source) == _parsed(run_tokenize, source)
 
 
 def test_one_parse_builds_one_basis_node_per_index(monkeypatch):

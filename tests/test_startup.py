@@ -7,7 +7,8 @@ subcommand loads `dataclasses`, and `eval`, `table`, `fock` and
 `verify-paper` load no `typing`: the library's records are plain classes and
 named tuples.  Nor do they load `shutil`: help wraps at a fixed 78 columns,
 so argparse never measures the terminal.  `expand` and `is_decomposable`
-load no numpy either on a list of at most 8 modes.  `import excalc.cli`
+load no numpy either on a list of at most 8 modes, nor `is_decomposable`
+past that, whose join vectors hold exact zeros.  `import excalc.cli`
 builds no blade byte tables; the first blade sorted or printed builds them.
 The command functions reach `table_command` and `operator_matrix` through
 the names in `excalc.cli`, so a caller can wrap or replace them there.
@@ -191,6 +192,18 @@ def test_is_decomposable_and_expand_load_no_numpy():
         " 'numpy' in sys.modules)"
     )
     assert out == "False True False\n"
+
+
+def test_is_decomposable_past_the_array_fold_cut_loads_no_numpy():
+    # its d=10, k=4 expand passes the cut, but every join vector holds exact
+    # zeros, so its fold stays on the dict
+    out = run_python(
+        "import sys; from excalc.multivector import Multivector;"
+        " from excalc.extensors import is_decomposable;"
+        " print(is_decomposable(Multivector(10, {0b1111: 1, 0b11110: 0.5})),"
+        " 'numpy' in sys.modules)"
+    )
+    assert out == "True False\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "table"])
