@@ -21,9 +21,8 @@ modules it tabulates, `fock` adds only `fock`, and `verify-paper` adds
 first called, and the command functions call them through these names, so a
 caller can wrap or replace them here.  A replacement returns what the real
 function returns: for `operator_matrix`, plain lists of Python complex, no
-part of them a negative zero.  `fock` and `table` render each distinct cell
-once, through `textform.Cells`, keyed by value (a table cell by its
-product's blade and sign).
+part of them a negative zero.  `table` and `fock` print from strings
+rendered once per distinct label, cell or matrix entry (`tables`, `fock`).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from functools import partial
 from .errors import ExcalcError, ExprSyntaxError
 from .expr import Environment, evaluate_text
 from .multivector import Multivector
-from .textform import TABLE_FORMATS, TABLE_OPS, Cells, format_result, scalar_to_text
+from .textform import TABLE_FORMATS, TABLE_OPS, format_result
 
 EXIT_OK = 0
 EXIT_EVAL = 1
@@ -149,14 +148,13 @@ def cmd_fock(args) -> int:
         i = decimal(index)
     except (ValueError, argparse.ArgumentTypeError):
         raise ExcalcError(f"--matrix wants create:<i> or annihilate:<i>, got {args.matrix!r:.80}")
-    rows = operator_matrix(args.dim, kind, i)
+    from .fock import _matrix_text
+
+    matrix = _matrix_text(operator_matrix(args.dim, kind, i), args.format)
     if args.format == "json":
-        cells = Cells(lambda c: json.dumps([c.real, c.imag]))
-        matrix = ", ".join("[" + ", ".join(map(cells.__getitem__, row)) + "]" for row in rows)
-        print(f'{{"op": "{kind}", "index": {i}, "dim": {args.dim}, "matrix": [{matrix}]}}')
+        print(f'{{"op": "{kind}", "index": {i}, "dim": {args.dim}, "matrix": {matrix}}}')
     else:
-        cells = Cells(scalar_to_text)
-        sys.stdout.write("".join(" ".join(map(cells.__getitem__, row)) + "\n" for row in rows))
+        sys.stdout.write(matrix)
     return EXIT_OK
 
 

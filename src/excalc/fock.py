@@ -8,12 +8,18 @@ annihilation is the matrix adjoint of creation in the blade basis.
 A multi-mode operator string over an ascending index set is applied rightmost
 first, so the composite for {i1 < ... < ik} reads a_{i1} ... a_{ik} (or the
 daggered string) left to right.
+
+`_matrix_text` prints a matrix for `excalc fock`: a row is its nonzero
+entries, each rendered once by value, and the runs of zero entries between
+them, each cut from one string of zeros.  A ladder row has at most one
+nonzero entry, so the work goes by row and by distinct entry, not by entry.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import partial
+from itertools import compress
 
 from .errors import DimensionError
 from .multivector import (
@@ -82,3 +88,34 @@ def operator_matrix(d: int, kind: str, i: int) -> list[list[complex]]:
         if hit is not None:
             matrix[index_of[hit[0]]][col] = hit[1]
     return matrix
+
+
+def _matrix_text(rows: list[list[complex]], fmt: str) -> str:
+    """`excalc fock`'s matrix: one text line per row, or the JSON list of rows.
+    Every entry equal to 0 prints as 0j does, exact under the `operator_matrix`
+    contract: plain Python complex, no part of it a negative zero."""
+    from .textform import Cells, scalar_to_text
+
+    if fmt == "json":
+        import json
+
+        zero, sep, cells = "[0.0, 0.0]", ", ", Cells(lambda c: json.dumps([c.real, c.imag]))
+    else:
+        zero, sep, cells = "0", " ", Cells(scalar_to_text)
+    step = len(zero) + len(sep)
+    zeros = (zero + sep) * max(map(len, rows), default=0)
+
+    def line(row) -> str:
+        parts, done = [], 0
+        for col in compress(range(len(row)), row):
+            if col > done:
+                parts.append(zeros[: (col - done) * step - len(sep)])
+            parts.append(cells[row[col]])
+            done = col + 1
+        if len(row) > done:
+            parts.append(zeros[: (len(row) - done) * step - len(sep)])
+        return sep.join(parts)
+
+    if fmt == "json":
+        return "[%s]" % ", ".join(map("[{}]".format, map(line, rows)))
+    return "".join(map("{}\n".format, map(line, rows)))

@@ -294,6 +294,10 @@ _JSON_MV = st.integers(1, 16).flatmap(
 @example(Multivector.scalar(1, -0.0 + 1e300j))
 @example(Multivector.top(16))
 @example(Multivector(16, {0b1000_0001_0000_0000: complex(5e-324, -1.0), 0b1_0000_0000: -0.5}))
+# 0.0 and -0.0, then 5e-324 and -5e-324, in one column: a memo keyed by float
+# would print 0.0 and -0.0 alike
+@example(Multivector(3, {0b001: complex(0.0, 1.0), 0b010: complex(-0.0, 2.0), 0b100: 0.0 + 3j}))
+@example(Multivector(3, {0b001: complex(1.0, 5e-324), 0b011: complex(2.0, -5e-324), 0b111: 1 + 0j}))
 @settings(max_examples=200)
 @given(_JSON_MV)
 def test_json_writer_is_json_dumps_byte_for_byte(value):

@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import excalc.multivector as core
@@ -19,6 +19,7 @@ from excalc.errors import DimensionError
 from excalc.expr import Environment, evaluate_text
 from excalc.qubits import QubitState, q_vee, q_wedge
 from excalc.tables import TABLE_OPS, table_command, table_rows
+from excalc.textform import scalar_to_text
 from excalc.verify import format_report, run_verification
 from cli_cases import CASES, X_FACTORS, Case, check, digest, run_in_process
 
@@ -138,6 +139,9 @@ FOCK_DIGESTS_D8 = {
 
 # every fock dump: d = 1..8, both kinds, every index, text and JSON
 FOCK_DIGEST_ALL = "03a9a457134540f6"
+# every table: d = 1..6, every op, text, JSON and CSV; taken when each row
+# was still formatted on its own
+TABLE_DIGEST_ALL = "9ebfb71027ba6829"
 
 
 @pytest.mark.parametrize("op", sorted(TABLE_DIGESTS_D6))
@@ -150,6 +154,16 @@ def test_d6_table_output_is_pinned(op):
 def test_d8_fock_output_is_pinned(matrix, fmt, capsys):
     assert cli.main(["fock", "--matrix", matrix, "--dim", "8", "--format", fmt]) == 0
     assert digest(capsys.readouterr().out) == FOCK_DIGESTS_D8[matrix, fmt]
+
+
+def test_every_table_is_pinned():
+    blob = "".join(
+        table_command(op, d, fmt)
+        for d in range(1, tables.TABLE_MAX_DIM + 1)
+        for op in TABLE_OPS
+        for fmt in ("text", "json", "csv")
+    )
+    assert digest(blob) == TABLE_DIGEST_ALL
 
 
 def test_every_fock_dump_is_pinned(capsys):
@@ -234,8 +248,8 @@ def test_table_rows_render_each_distinct_result_once(monkeypatch):
 
     monkeypatch.setattr(core.Multivector, "to_text", counted)
     rows = table_rows("wedge", 3)
-    # the 8 basis labels, then one call per distinct product
-    assert len(calls) == 8 + len({r for _, _, r in rows})
+    # the basis labels are cells too: one call per distinct string among them
+    assert len(calls) == len({s for row in rows for s in row})
 
 
 # parts with signed zeros, so that equal values can differ in their bits
@@ -253,6 +267,50 @@ def test_equal_results_hash_alike_and_render_alike(d, data):
         a, b = cls(d, terms), cls(d, twin)
         assert a == b and hash(a) == hash(b)
         assert a.to_text() == b.to_text()
+
+
+def per_row_table(op: str, d: int, fmt: str, rows) -> str:
+    """The oracle: `table_command` when it formatted every row on its own."""
+    header = ("a", "b", op)
+    if fmt == "json":
+        entries = [{"a": a, "b": b, "result": r} for a, b, r in rows]
+        return json.dumps({"op": op, "dim": d, "entries": entries}, indent=2)
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+    widths = [max(len(header[i]), max(len(row[i]) for row in rows)) for i in range(3)]
+    lines = ["  ".join(header[i].ljust(widths[i]) for i in range(3))]
+    lines.append("  ".join("-" * w for w in widths))
+    line = f"{{:<{widths[0]}}}  {{:<{widths[1]}}}  {{}}"
+    lines.extend(line.format(*row).rstrip() for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+# cells with CSV's and JSON's special characters, blanks at either end, empty
+# cells and non-ASCII text
+_TABLE_CELLS = st.text(alphabet=' ,"\n\r\t\x00\x1f\x85e1^{}|>-é', max_size=5)
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(TABLE_OPS),
+    st.sampled_from(["text", "json", "csv"]),
+    st.lists(st.tuples(_TABLE_CELLS, _TABLE_CELLS, _TABLE_CELLS), min_size=1, max_size=12),
+)
+def test_table_command_renders_any_rows_as_the_per_row_oracle(op, fmt, rows):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tables, "table_rows", lambda op, d: rows)
+        assert table_command(op, 3, fmt) == per_row_table(op, 3, fmt, rows)
+
+
+def test_pseudo_table_csv_ends_a_row_in_an_empty_field():
+    lines = table_command("pseudo-vee", 2, "csv").splitlines()
+    assert lines[0] == "a,b,pseudo-vee"
+    # a blank cell is an empty last field, not the "" of a lone empty field
+    assert lines[5:9] == ["{1},{},", "{1},{1},", "{1},{2},{}", '{1},"{1,2}",{1}']
 
 
 def test_table_formats():
@@ -561,3 +619,56 @@ def test_cli_fock_text_prints_plain_numbers_from_plain_complex_rows(monkeypatch,
     )
     assert cli.main(["fock", "--matrix", "create:1", "--dim", "1"]) == 0
     assert capsys.readouterr().out == "0.5 1e+20\n1.5i 0\n"
+
+
+def per_cell_fock(kind: str, i: int, d: int, fmt: str, rows) -> str:
+    """The oracle: `fock`'s output when it rendered every entry on its own."""
+    if fmt == "json":
+        matrix = ", ".join(
+            "[" + ", ".join(json.dumps([c.real, c.imag]) for c in row) + "]" for row in rows
+        )
+        return f'{{"op": "{kind}", "index": {i}, "dim": {d}, "matrix": [{matrix}]}}\n'
+    return "".join(" ".join(map(scalar_to_text, row)) + "\n" for row in rows)
+
+
+FOCK_MATRICES = {
+    # several nonzero entries, a fully nonzero row, a zero row
+    "mixed-rows": [
+        [0j, 1 + 0j, 0j, -1 + 0j],
+        [2j, 1.5 + 0j, complex(0, -1), 1e20 + 0j],
+        [0j] * 4,
+        [1 + 0j, 0j, 0j, 0j],
+    ],
+    # nonzero entries first and last, with a run of zeros between
+    "first-and-last": [[1 + 0j, 0j, 0j, 0j, 0j, -1 + 0j], [0.5j, 0j, 0j, 0j, 0j, 0.5j]],
+    # rows longer than 2^d at --dim 1, one of them shorter than the rest
+    "long-rows": [[0j] * 7, [0j, 0j, 0j, 3 + 4j, 0j, 0j, 0j], [1e-20 + 0j, 0j, 0j]],
+    "one-entry": [[0j]],
+    "no-rows": [],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(FOCK_MATRICES))
+def test_fock_renders_a_replacement_matrix_as_the_per_cell_oracle(name, fmt, monkeypatch, capsys):
+    rows = FOCK_MATRICES[name]
+    monkeypatch.setattr(cli, "operator_matrix", lambda d, kind, i: rows)
+    assert cli.main(["fock", "--matrix", "create:1", "--dim", "1", "--format", fmt]) == 0
+    assert capsys.readouterr().out == per_cell_fock("create", 1, 1, fmt, rows)
+
+
+# entries as `operator_matrix` returns them: plain complex, no negative-zero part
+_ENTRIES = st.sampled_from(
+    [0j, 0j, 0j, 1 + 0j, -1 + 0j, 2.5j, complex(0, -1), complex(1, -2), 1e-300 + 0j, 1e300j]
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.lists(_ENTRIES, max_size=10), max_size=6), st.sampled_from(["text", "json"]))
+def test_fock_renders_any_matrix_as_the_per_cell_oracle(rows, fmt):
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "operator_matrix", lambda d, kind, i: rows)
+        patch.setattr(sys, "stdout", out)
+        assert cli.main(["fock", "--matrix", "annihilate:2", "--dim", "2", "--format", fmt]) == 0
+    assert out.getvalue() == per_cell_fock("annihilate", 2, 2, fmt, rows)
